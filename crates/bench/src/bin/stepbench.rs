@@ -109,19 +109,13 @@ fn time_steps(sys: &mut System, n: u64, label: &str) {
 /// `ZTM_STEPBENCH_ONLY_SHARDED=1` so CI can track the sharded ns/step
 /// without paying for the whole attribution grid.
 fn sharded_bracket(n: u64) {
-    for (label, threads, window, adapt) in [
-        ("fig5e elision 36cpu serial", 1usize, None, true),
-        ("fig5e elision 36cpu 2t w1", 2, Some(1usize), true),
-        ("fig5e elision 36cpu 2t fixed", 2, None, false),
-        ("fig5e elision 36cpu 2t adapt", 2, None, true),
+    for (label, threads) in [
+        ("fig5e elision 36cpu serial", 1usize),
+        ("fig5e elision 36cpu 2t", 2),
     ] {
         let table = HashTable::new(256, 1024, 20, TableMethod::Elision);
         let mut sys = System::new(SystemConfig::with_cpus(36).seed(42));
         sys.set_sim_threads(threads);
-        sys.set_shard_adapt(adapt);
-        if let Some(w) = window {
-            sys.set_shard_window(w);
-        }
         table.populate(&mut sys, &(0..1024).collect::<Vec<_>>());
         let prog = table.program(1_000_000);
         sys.load_program_all(&prog);
@@ -133,25 +127,12 @@ fn sharded_bracket(n: u64) {
         let s = sys.report().sharding;
         if s.rounds > 0 {
             println!(
-                "{:<28} rounds={} mean_round={:.1} chain_max={} rollbacks={} replayed={}",
+                "{:<28} rounds={} mean_round={:.1} chain_max={}",
                 "",
                 s.rounds,
                 s.mean_round_steps(),
-                s.chain_max,
-                s.rollbacks,
-                s.replayed
+                s.chain_max
             );
-            if s.window_cpus > 0 {
-                println!(
-                    "{:<28} windows min={} mean={:.1} max={} clamped={}/{}",
-                    "",
-                    s.window_min,
-                    s.mean_window(),
-                    s.window_max,
-                    s.window_clamped,
-                    s.window_cpus
-                );
-            }
         }
     }
 }
@@ -376,11 +357,9 @@ fn main() {
     time_steps(&mut sys, n, "fig5e purestm 36cpu");
 
     // 5e. The sharded driver on the real mix: the same fig5e elision shape
-    // stepped serially, sharded with the conservative 1-cycle window
-    // (rollback-free), and sharded with the default speculative window
-    // (epoch journals + rollback). All three produce byte-identical
-    // simulated outcomes; the ns/step spread is the host-side price of
-    // each coordination regime on a given host core count.
+    // stepped serially and sharded over two host threads. Both produce
+    // byte-identical simulated outcomes; the ns/step spread is the
+    // host-side price of round coordination on a given host core count.
     sharded_bracket(n);
 
     // 5f. Superblock stepping on/off across three shapes: the dispatch-floor

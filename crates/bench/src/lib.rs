@@ -253,11 +253,7 @@ impl Timing {
             "{{ \"wall_ms\": {:.3}, \"steps_per_sec\": {:.0}, \"sim_cycles_per_sec\": {:.0}, \
              \"commit\": \"{}\", \"host_threads\": {}, \"sweep_threads\": {}, \
              \"shard_rounds\": {}, \"shard_mean_round\": {:.2}, \"shard_round_max\": {}, \
-             \"shard_chain_max\": {}, \"shard_rollbacks\": {}, \"shard_replayed\": {}, \
-             \"shard_rollbacks_tx\": {}, \"shard_rollbacks_fabric\": {}, \
-             \"shard_rollbacks_quiesce\": {}, \"shard_window_min\": {}, \
-             \"shard_window_mean\": {:.2}, \"shard_window_max\": {}, \
-             \"shard_window_clamped\": {} }}",
+             \"shard_chain_max\": {} }}",
             self.wall_ms,
             per_sec(self.steps),
             per_sec(self.sim_cycles),
@@ -267,16 +263,7 @@ impl Timing {
             s.rounds,
             s.mean_round_steps(),
             s.round_steps_max,
-            s.chain_max,
-            s.rollbacks,
-            s.replayed,
-            s.rollbacks_tx,
-            s.rollbacks_fabric,
-            s.rollbacks_quiesce,
-            s.window_min,
-            s.mean_window(),
-            s.window_max,
-            s.window_clamped
+            s.chain_max
         )
     }
 }

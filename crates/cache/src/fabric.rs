@@ -314,63 +314,6 @@ impl Fabric {
         }
     }
 
-    /// Collects every CPU (other than the requester) whose private state a
-    /// fetch of `line` by `requester` could mutate: current holders of the
-    /// line (they receive coherence XIs), plus — when the line is absent
-    /// from the requester chip's L3 — same-chip holders of every line in the
-    /// L3 congruence class the install lands in, since the install may evict
-    /// any of them and send LRU XIs. The class is a superset of the single
-    /// victim [`Fabric::grant`] will actually pick; over-approximation only
-    /// ever costs the sharded simulator an unnecessary rollback, never
-    /// correctness. With `prefetch` set, the next sequential line is
-    /// included the same way (the speculative-prefetch path may install it);
-    /// when both lines map to the same L3 class the shared class walk covers
-    /// both installs' victims.
-    pub fn fetch_touch(
-        &self,
-        requester: CpuId,
-        line: LineAddr,
-        prefetch: bool,
-        touched: &mut Vec<CpuId>,
-    ) {
-        let chip = self.topology.chip_of(requester);
-        let l3 = &self.l3[chip.0];
-        let mut classes_seen = [usize::MAX; 2];
-        let lines = if prefetch {
-            &[line, LineAddr::new(line.index() + 1)][..]
-        } else {
-            &[line][..]
-        };
-        for (slot, &l) in lines.iter().enumerate() {
-            if let Some(state) = self.lines.get(&l) {
-                let holders = state.owner.iter().chain(state.sharers.iter());
-                for &cpu in holders {
-                    if cpu != requester {
-                        touched.push(cpu);
-                    }
-                }
-            }
-            if l3.contains(l) {
-                continue; // install only touches the LRU stamp; no eviction
-            }
-            let class = l3.class_of(l);
-            if slot == 1 && classes_seen[0] == class {
-                continue; // same congruence class: the first walk covered it
-            }
-            classes_seen[slot] = class;
-            for (victim, _) in l3.iter_class(class) {
-                if let Some(state) = self.lines.get(&victim) {
-                    let holders = state.owner.iter().chain(state.sharers.iter());
-                    for &cpu in holders {
-                        if cpu != requester && self.topology.chip_of(cpu) == chip {
-                            touched.push(cpu);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Current holders of a line: `(exclusive owner, read-only sharers)`.
     pub fn holders(&self, line: LineAddr) -> (Option<CpuId>, Vec<CpuId>) {
         match self.lines.get(&line) {

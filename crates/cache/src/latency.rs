@@ -62,13 +62,11 @@ impl LatencyModel {
     /// (shards are chips of one MCM); otherwise the boundary is the MCM
     /// (book) itself.
     ///
-    /// The sharded simulator uses this bound as its default speculation
-    /// window: a CPU may run ahead this many cycles past the round minimum
-    /// before any *cross-boundary* fetch issued at the frontier could
-    /// complete and perturb it. Steps inside the window are still executed
-    /// under undo journals — same-shard interactions and the rare cheaper
-    /// global step are caught by rollback, so the width is a performance
-    /// dial, never a correctness assumption.
+    /// The sharded simulator does not rely on this slack — XI state
+    /// transitions are synchronous at the requester's step clock, so its
+    /// rounds are bounded by exact `(clock, cpu)` ordering — but the bound
+    /// anchors the latency proptest: no cross-shard install may complete
+    /// earlier than `access clock + min_cross_boundary_latency`.
     pub fn min_cross_boundary_latency(&self, same_mcm: bool) -> u64 {
         if same_mcm {
             self.l4_hit.min(self.memory)

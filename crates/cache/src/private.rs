@@ -126,8 +126,6 @@ pub struct PrivateCache {
     /// they need no bump).
     gen: u64,
     tracer: Tracer,
-    /// Armed speculative-epoch snapshot, `None` outside epochs.
-    undo: Option<Box<CacheUndo>>,
 }
 
 /// One per-requester XI-reject counter, valid only for a matching epoch.
@@ -135,25 +133,6 @@ pub struct PrivateCache {
 struct RejectSlot {
     epoch: u64,
     count: u32,
-}
-
-/// Arm-time snapshot of the unit's non-directory state for one speculative
-/// epoch (the sharded simulator's rollback windows). The directories
-/// journal first-touch pre-images inside [`SetAssoc`]; everything else is
-/// small enough — footprint-sized journals, 64 extension bits, the store
-/// cache's occupied entries — that an eager clone beats lazy capture
-/// plumbing. `reject_counts` needs no snapshot: it is only written on the
-/// XI path, which never runs inside a speculative epoch (XIs are
-/// coordinator-serialized global steps).
-#[derive(Debug, Clone)]
-struct CacheUndo {
-    in_tx: bool,
-    gen: u64,
-    reject_epoch: u64,
-    lru_ext: Vec<bool>,
-    tx_read_marks: Vec<LineAddr>,
-    tx_dirty_marks: Vec<LineAddr>,
-    store_cache: StoreCache,
 }
 
 impl PrivateCache {
@@ -172,62 +151,7 @@ impl PrivateCache {
             tx_dirty_marks: Vec::new(),
             gen: 0,
             tracer: Tracer::disabled(),
-            undo: None,
         }
-    }
-
-    /// Arms a speculative-epoch undo snapshot covering every mutation the
-    /// unit's *local* access path can make (directory rows first-touch
-    /// journaled, the rest eagerly captured). Closed by
-    /// [`undo_rollback`](Self::undo_rollback) or
-    /// [`undo_discard`](Self::undo_discard).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an epoch is already armed.
-    pub fn undo_arm(&mut self) {
-        assert!(self.undo.is_none(), "undo_arm while an epoch is armed");
-        self.l1.undo_arm();
-        self.l2.undo_arm();
-        self.undo = Some(Box::new(CacheUndo {
-            in_tx: self.in_tx,
-            gen: self.gen,
-            reject_epoch: self.reject_epoch,
-            lru_ext: self.lru_ext.clone(),
-            tx_read_marks: self.tx_read_marks.clone(),
-            tx_dirty_marks: self.tx_dirty_marks.clone(),
-            store_cache: self.store_cache.clone(),
-        }));
-    }
-
-    /// Restores the unit to its arm-time state, closing the epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no epoch is armed.
-    pub fn undo_rollback(&mut self) {
-        let u = *self.undo.take().expect("undo_rollback while disarmed");
-        self.l1.undo_rollback();
-        self.l2.undo_rollback();
-        self.in_tx = u.in_tx;
-        self.gen = u.gen;
-        self.reject_epoch = u.reject_epoch;
-        self.lru_ext = u.lru_ext;
-        self.tx_read_marks = u.tx_read_marks;
-        self.tx_dirty_marks = u.tx_dirty_marks;
-        self.store_cache = u.store_cache;
-    }
-
-    /// Drops the snapshot without restoring (the speculation committed),
-    /// closing the epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no epoch is armed.
-    pub fn undo_discard(&mut self) {
-        self.undo.take().expect("undo_discard while disarmed");
-        self.l1.undo_discard();
-        self.l2.undo_discard();
     }
 
     /// The external-mutation generation (see the `gen` field).
@@ -301,8 +225,7 @@ impl PrivateCache {
     /// would return for a `need_excl` access to `line`: `Some(level)` with a
     /// [`hit_level`] code when the access hits locally, `None` when it would
     /// need the fabric. The shard classifier uses it to prove a step never
-    /// leaves its node before letting the step run inside a parallel epoch
-    /// window.
+    /// leaves its node before letting the step run inside a parallel round.
     pub fn probe_local(&self, line: LineAddr, need_excl: bool) -> Option<u8> {
         match self.l2.peek(line).map(|e| e.state) {
             None => None,
@@ -1114,41 +1037,6 @@ mod tests {
         let mut buf = [0u8; 8];
         u.forward(Address::new(8), &mut buf);
         assert_eq!(buf, [9, 9, 9, 9, 0, 0, 0, 0]);
-    }
-
-    #[test]
-    fn undo_rollback_restores_tx_footprint_and_stores() {
-        let mut u = unit();
-        u.begin_outermost_tx();
-        u.install(line(1), CohState::Exclusive, AccessClass::Store, true);
-        u.buffer_store(line(1).base(), &[7; 8], true, false);
-        u.undo_arm();
-        // Speculative work: a new tx fetch, a store, and an L1-touching hit.
-        u.install(line(2), CohState::ReadOnly, AccessClass::Fetch, true);
-        u.buffer_store(line(1).base().add(8), &[9; 8], true, false);
-        assert_eq!(u.lookup(line(2), AccessClass::Fetch), LocalHit::L1);
-        let gen_speculated = u.generation();
-        u.undo_rollback();
-        assert_eq!(u.state_of(line(2)), None, "speculative install undone");
-        assert_eq!(u.tx_read_lines(), 0);
-        assert!(u.generation() <= gen_speculated);
-        let mut buf = [0u8; 16];
-        u.forward(line(1).base(), &mut buf);
-        assert_eq!(&buf[..8], &[7; 8], "pre-epoch store survives");
-        assert_eq!(&buf[8..], &[0; 8], "speculative store gone");
-        // Commit still drains exactly the pre-epoch bytes.
-        let writes = u.commit_tx();
-        assert_eq!(writes.len(), 1);
-        assert_eq!(writes[0].byte_count(), 8);
-    }
-
-    #[test]
-    fn undo_discard_is_free_of_side_effects() {
-        let mut u = unit();
-        u.undo_arm();
-        u.install(line(3), CohState::ReadOnly, AccessClass::Fetch, false);
-        u.undo_discard();
-        assert_eq!(u.state_of(line(3)), Some(CohState::ReadOnly));
     }
 
     #[test]

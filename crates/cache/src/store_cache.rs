@@ -57,7 +57,7 @@ impl DrainWrite {
     /// Applies the valid bytes through a [`ztm_mem::SharedMem`] view — the
     /// sharded simulator's commit path for transactions whose every store
     /// line already has a committed-arena slot (the shard classifier proves
-    /// that before letting the TEND run inside a parallel epoch window).
+    /// that before letting the TEND run inside a parallel round).
     ///
     /// # Panics
     ///
@@ -67,19 +67,6 @@ impl DrainWrite {
         for i in 0..HALF_LINE_SIZE as usize {
             if self.valid >> i & 1 == 1 {
                 mem.store_bytes(base.add(i as u64), &self.data[i..=i]);
-            }
-        }
-    }
-
-    /// Calls `f` with the address of every byte this write will store. The
-    /// sharded simulator's undo journal uses this to capture pre-images
-    /// before a speculative commit drains into the shared arena (the valid
-    /// mask is private, so the journal cannot enumerate the bytes itself).
-    pub fn for_each_byte(&self, mut f: impl FnMut(Address)) {
-        let base = self.half_line.base();
-        for i in 0..HALF_LINE_SIZE as usize {
-            if self.valid >> i & 1 == 1 {
-                f(base.add(i as u64));
             }
         }
     }

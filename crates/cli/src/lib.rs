@@ -353,32 +353,12 @@ pub fn execute(o: &Options) -> Result<String, String> {
         let s = &r.sharding;
         let _ = writeln!(
             out,
-            "shard rounds      : {} (mean {:.1} steps, max {}, chain {}, {} rollbacks / {} replayed)",
+            "shard rounds      : {} (mean {:.1} steps, max {}, chain {})",
             s.rounds,
             s.mean_round_steps(),
             s.round_steps_max,
-            s.chain_max,
-            s.rollbacks,
-            s.replayed
+            s.chain_max
         );
-        if s.rollbacks > 0 {
-            let _ = writeln!(
-                out,
-                "shard rollbacks   : {} tx / {} fabric / {} quiesce",
-                s.rollbacks_tx, s.rollbacks_fabric, s.rollbacks_quiesce
-            );
-        }
-        if s.window_cpus > 0 {
-            let _ = writeln!(
-                out,
-                "shard windows     : min {} / mean {:.1} / max {} cycles ({} of {} CPUs clamped)",
-                s.window_min,
-                s.mean_window(),
-                s.window_max,
-                s.window_clamped,
-                s.window_cpus
-            );
-        }
     }
     if r.tx.broadcast_stops > 0 {
         let _ = writeln!(out, "broadcast stops   : {}", r.tx.broadcast_stops);

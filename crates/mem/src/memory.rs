@@ -246,7 +246,7 @@ impl MainMemory {
 }
 
 /// A thread-shareable window onto a [`MainMemory`] for the sharded
-/// simulator's parallel epoch phase.
+/// simulator's parallel rounds.
 ///
 /// The raw pointers are captured once, under an exclusive `&mut MainMemory`
 /// borrow, so the base addresses are stable for the window's lifetime:

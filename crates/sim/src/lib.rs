@@ -49,26 +49,6 @@ pub fn env_flag(name: &str) -> bool {
     }
 }
 
-/// Reads a `ZTM_*` default-*on* boolean switch (e.g. `ZTM_SHARD_ADAPT`):
-/// only the value `"0"` disengages it — absent, empty, and `"1"` all mean
-/// on, mirroring [`env_flag`]'s strictness in the other direction so stray
-/// exports still fail loudly instead of silently flipping behavior.
-///
-/// # Panics
-///
-/// Panics when the variable is set to something other than `"1"`, `"0"`,
-/// or the empty string.
-pub fn env_flag_on(name: &str) -> bool {
-    match std::env::var(name) {
-        Err(_) => true,
-        Ok(v) => match v.as_str() {
-            "0" => false,
-            "1" | "" => true,
-            _ => panic!("{name}: expected \"1\", \"0\", or empty, got {v:?}"),
-        },
-    }
-}
-
 /// Reads a `ZTM_*` positive-integer knob. Absent or empty → `None` (the
 /// default engages); a valid positive integer engages it; anything else is a
 /// configuration error worth failing loudly on, naming the bad token.

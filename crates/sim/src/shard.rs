@@ -118,17 +118,17 @@ impl Candidate {
 /// the per-candidate binding constraint — min over *other* candidates —
 /// falls out without an O(n²) pass: every candidate's constraint is the
 /// smallest key unless that key is its own, in which case it is the second.
-pub(crate) struct EgMin {
+struct EgMin {
     /// Smallest earliest-global key and the candidate index holding it.
     best: Option<((u64, usize), usize)>,
     second: Option<(u64, usize)>,
 }
 
 /// "No constraint": no other candidate can ever go global.
-pub(crate) const UNBOUNDED: (u64, usize) = (u64::MAX, usize::MAX);
+const UNBOUNDED: (u64, usize) = (u64::MAX, usize::MAX);
 
 impl EgMin {
-    pub(crate) fn new(cands: &[Candidate]) -> EgMin {
+    fn new(cands: &[Candidate]) -> EgMin {
         let mut best: Option<((u64, usize), usize)> = None;
         let mut second: Option<(u64, usize)> = None;
         for (at, c) in cands.iter().enumerate() {
@@ -152,7 +152,7 @@ impl EgMin {
 
     /// The smallest earliest-possible-global key among candidates other
     /// than index `at` ([`UNBOUNDED`] when there is none).
-    pub(crate) fn excluding(&self, at: usize) -> (u64, usize) {
+    fn excluding(&self, at: usize) -> (u64, usize) {
         match self.best {
             Some((_, bat)) if bat == at => self.second,
             Some((b, _)) => Some(b),

@@ -4,7 +4,7 @@
 
 use crate::config::SystemConfig;
 use crate::report::SystemReport;
-use crate::shard::{safe_set, split_mut, Candidate, EgMin, ShardPlan};
+use crate::shard::{safe_set, split_mut, Candidate, ShardPlan};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
@@ -62,95 +62,6 @@ struct Node {
     coalesced: u64,
     /// Software-TM statistics observed via `STMNOTE` markers.
     stm: crate::report::StmCounts,
-    /// Open speculative epoch (slack-width sharded rounds only): the undo
-    /// journal that lets the coordinator rewind this CPU past an
-    /// earlier-keyed global step and replay. `None` outside the sharded
-    /// driver and whenever the CPU's speculation is resolved.
-    spec: Option<Box<SpecEpoch>>,
-    /// The most recently retired epoch, kept for reuse: arming recycles its
-    /// boxed core/engine snapshots and journal buffers instead of
-    /// reallocating them every round — epochs open and close millions of
-    /// times per run, and the snapshots dominate their cost.
-    spec_pool: Option<Box<SpecEpoch>>,
-}
-
-/// The undo journal of one CPU's speculative epoch. Armed when a widened
-/// (slack-width) round first runs the CPU ahead of the provable 1-cycle
-/// slack; every shard-local step it executes afterwards is journaled until
-/// the coordinator either *finalizes* the epoch (the serial frontier passed
-/// all its keys — discard the journal) or *rolls it back* past a global
-/// step's `(clock, cpu)` key: restore the snapshots, undo the arena bytes
-/// in reverse, then replay the kept prefix. See `run_sharded_upto`.
-#[derive(Debug)]
-struct SpecEpoch {
-    /// Pre-step clock of every step executed in this epoch, in execution
-    /// order (ascending; zero-cycle chains repeat a clock). Key *i* of this
-    /// CPU is `(keys[i], cpu)`.
-    keys: Vec<u64>,
-    /// Architectural core state at epoch start.
-    core: Box<CpuCore>,
-    /// Transaction engine at epoch start.
-    engine: Box<TxEngine>,
-    /// RNG stream at epoch start.
-    rng: SmallRng,
-    /// Node scalar snapshots at epoch start (`stalls`, `last_timer` and
-    /// `prefix_area` are deliberately absent: no shard-local step can
-    /// stall, tick the timer, or store to the prefix area).
-    last_ifetch: Option<LineAddr>,
-    icache_installs: u64,
-    last_ifetch_installs: u64,
-    last_ifetch_page_epoch: u64,
-    last_data: Option<LineWindow>,
-    coalesced: u64,
-    stm: crate::report::StmCounts,
-    /// Pre-image bytes of every committed-arena store this epoch performed
-    /// (non-transactional write-through and commit drains), in write order;
-    /// rollback restores them newest-first. Full-epoch granularity: a
-    /// rollback always rewinds to the epoch start before replaying, so the
-    /// journal needs no per-step keying.
-    mem_journal: Vec<(Address, u8)>,
-}
-
-/// Arms a speculative epoch on `node`: snapshots everything a chain of
-/// provably node-local steps can mutate and arms the cache undo journals.
-fn arm_epoch(node: &mut Node, core: &CpuCore) {
-    debug_assert!(node.spec.is_none(), "epoch already armed");
-    let mut ep = match node.spec_pool.take() {
-        // Recycle the retired epoch: the boxes and the key/journal vector
-        // capacities survive, only the snapshot contents are refreshed.
-        Some(mut ep) => {
-            ep.keys.clear();
-            ep.mem_journal.clear();
-            (*ep.core).clone_from(core);
-            (*ep.engine).clone_from(&node.engine);
-            ep.rng.clone_from(&node.rng);
-            ep.stm.clone_from(&node.stm);
-            ep
-        }
-        None => Box::new(SpecEpoch {
-            keys: Vec::new(),
-            core: Box::new(core.clone()),
-            engine: Box::new(node.engine.clone()),
-            rng: node.rng.clone(),
-            last_ifetch: None,
-            icache_installs: 0,
-            last_ifetch_installs: 0,
-            last_ifetch_page_epoch: 0,
-            last_data: None,
-            coalesced: 0,
-            stm: node.stm.clone(),
-            mem_journal: Vec::new(),
-        }),
-    };
-    ep.last_ifetch = node.last_ifetch;
-    ep.icache_installs = node.icache_installs;
-    ep.last_ifetch_installs = node.last_ifetch_installs;
-    ep.last_ifetch_page_epoch = node.last_ifetch_page_epoch;
-    ep.last_data = node.last_data;
-    ep.coalesced = node.coalesced;
-    node.spec = Some(ep);
-    node.cache.undo_arm();
-    node.icache.undo_arm();
 }
 
 /// A per-core *line window*: the data line the previous full directory walk
@@ -350,106 +261,13 @@ pub struct System {
     /// Event blocks awaiting the same frontier, replayed into the real
     /// tracer in serial key order (see [`pending_log`](Self::pending_log)).
     pending_blocks: Vec<(u64, u16, Vec<SeqTracedEvent>)>,
-    /// Speculation window in cycles for the sharded driver
-    /// (`ZTM_SHARD_WINDOW` / [`set_shard_window`](Self::set_shard_window)).
-    /// `None` derives the topology's cross-boundary latency bound
-    /// ([`LatencyModel::min_cross_boundary_latency`]); `1` pins the
-    /// conservative provable-slack admission — no speculation, no journals.
-    ///
-    /// [`LatencyModel::min_cross_boundary_latency`]:
-    /// ztm_cache::LatencyModel::min_cross_boundary_latency
-    shard_window: Option<usize>,
-    /// Per-chain run-ahead ceiling (`ZTM_SHARD_RUN_AHEAD` /
-    /// [`set_shard_run_ahead`](Self::set_shard_run_ahead)).
-    run_ahead_cap: u64,
     /// Parallel (shard-local) rounds dispatched.
     shard_rounds: u64,
     /// Largest single round, in shard-local steps.
     shard_round_max: u64,
     /// Longest single run-ahead chain, in steps.
     shard_chain_max: u64,
-    /// Speculative epochs rolled back past a global step's key.
-    shard_rollbacks: u64,
-    /// Steps re-executed by rollback replays.
-    shard_replayed: u64,
-    /// Rollbacks by cause bucket: tx-side (abort/TDB naming), fabric-side
-    /// (data-fetch naming), and resolve-everyone events (timer, quiesce,
-    /// OS, budget frontiers). Sums to `shard_rollbacks`.
-    shard_rb_tx: u64,
-    shard_rb_fabric: u64,
-    shard_rb_quiesce: u64,
-    /// Contention-adaptive admission windows (`ZTM_SHARD_ADAPT`, default
-    /// on): with no pinned `ZTM_SHARD_WINDOW`, every CPU starts at the
-    /// structural cross-boundary bound and then earns its width — a
-    /// rollback shrinks its window multiplicatively, a finalized-clean
-    /// epoch grows it additively, and CPUs the [`GlobalTouch`] classifier
-    /// keeps naming clamp to the conservative 1-cycle slack. All state
-    /// here is a pure function of the deterministic step/rollback history,
-    /// never of the host thread count, so simulated output stays
-    /// byte-identical for any `ZTM_SIM_THREADS`.
-    shard_adapt: bool,
-    /// Per-CPU adaptive window in cycles (`1..=adapt_max`); empty until
-    /// the first adaptive round engages.
-    adapt_win: Vec<u64>,
-    /// Per-CPU `GlobalTouch` naming pressure, bumped each time a bounded
-    /// touch set names the CPU *and cuts one of its open epochs*, decayed
-    /// once per sweep. At [`ADAPT_CLAMP_AT`] and above the CPU is clamped
-    /// to window 1.
-    adapt_touch: Vec<u32>,
-    /// Coordinator-serial global steps executed in adaptive rounds — the
-    /// deterministic clock that paces decay/regrowth sweeps.
-    adapt_ticks: u64,
-    /// Whether the current (or latest) sharded run adapts windows, and the
-    /// structural ceiling it adapts toward. Set by `run_sharded_upto`.
-    adapt_active: bool,
-    adapt_max: u64,
 }
-
-/// Multiplicative window shrink on rollback: halving converges on the
-/// workload's survivable width in a few rollbacks without overshooting
-/// all the way to the conservative slack on one unlucky cut.
-const ADAPT_SHRINK_DIV: u64 = 2;
-/// Shrink floor, in cycles. Below roughly the on-chip latency slack a
-/// rollback cuts almost nothing (the cut lands at the epoch head and
-/// replays no prefix), so speculation is nearly free — shrinking further
-/// would shed round candidacy without saving any replay work. Only the
-/// [`ADAPT_CLAMP_AT`] clamp, which needs *sustained* naming pressure,
-/// pushes a CPU below this to the conservative window.
-const ADAPT_FLOOR: u64 = 16;
-/// Additive window growth per finalized-clean epoch, in cycles.
-const ADAPT_GROW: u64 = 6;
-/// Adaptive growth ceiling, in cycles. Width far beyond the floor stops
-/// buying admission and starts costing it: run-ahead desynchronizes the
-/// CPUs' clocks by up to a window, so a wide-window CPU races hundreds
-/// of cycles ahead while narrow ones drop out of candidacy around the
-/// serial minimum — rounds *shrink* as windows grow past a few times
-/// the floor, and each rollback cuts a much deeper epoch (at 144 CPUs,
-/// a `[16, 48]` band replays 3.5× the steps of fixed width 16 for
-/// *smaller* rounds). Adaptive windows therefore live in the tight
-/// `[ADAPT_FLOOR, ADAPT_CAP]` band (clamped CPUs aside); an explicit
-/// `ZTM_SHARD_WINDOW` still pins any width up to the structural bound.
-const ADAPT_CAP: u64 = 24;
-/// Naming pressure at which a CPU clamps to the conservative window.
-/// A clamped CPU crawls one provable cycle per round, and the round
-/// minimum cannot advance past it — so a clamp throttles the *whole
-/// machine* to the crawler's pace, a price only worth paying for a CPU
-/// whose epochs are damaged on nearly every serialized step. With
-/// pressure halving every sweep, a sustained rate of `r` damaging cuts
-/// per sweep equilibrates the score at `2r` — so a clamp engages only
-/// for a CPU damaged on better than one in four serialized steps
-/// ([`ADAPT_SWEEP`]/4 cuts per sweep), a true pathology. The margin
-/// matters: the hottest CPUs of a symmetric workload (fig 5(e) at 144
-/// CPUs sustains ~25 damaging cuts per sweep) must equilibrate *well*
-/// below this, or they oscillate across the threshold and the machine
-/// is throttled by ever-changing crawlers; the multiplicative shrink
-/// alone prices that benign regime.
-const ADAPT_CLAMP_AT: u32 = 128;
-/// Naming-pressure ceiling: bounds how long a clamp outlives the
-/// contention that caused it (pressure halves every sweep).
-const ADAPT_SCORE_MAX: u32 = 256;
-/// Global steps between adaptation sweeps (pressure decay + regrowth
-/// probes for CPUs too narrow to speculate their way back up).
-const ADAPT_SWEEP: u64 = 256;
 
 /// The issue windows plus the width they were built with (cached for trace
 /// emission without re-asking each window).
@@ -492,8 +310,6 @@ impl System {
                 last_data: None,
                 coalesced: 0,
                 stm: crate::report::StmCounts::default(),
-                spec: None,
-                spec_pool: None,
             })
             .collect();
         let fabric = match config.l3_geometry {
@@ -537,23 +353,9 @@ impl System {
             par_round_min: crate::env_usize("ZTM_SHARD_ROUND_MIN").unwrap_or(96),
             pending_log: Vec::new(),
             pending_blocks: Vec::new(),
-            shard_window: crate::env_usize("ZTM_SHARD_WINDOW"),
-            run_ahead_cap: crate::env_usize("ZTM_SHARD_RUN_AHEAD")
-                .map_or(RUN_AHEAD_CAP, |c| c as u64),
             shard_rounds: 0,
             shard_round_max: 0,
             shard_chain_max: 0,
-            shard_rollbacks: 0,
-            shard_replayed: 0,
-            shard_rb_tx: 0,
-            shard_rb_fabric: 0,
-            shard_rb_quiesce: 0,
-            shard_adapt: crate::env_flag_on("ZTM_SHARD_ADAPT"),
-            adapt_win: Vec::new(),
-            adapt_touch: Vec::new(),
-            adapt_ticks: 0,
-            adapt_active: false,
-            adapt_max: 1,
             config,
         }
     }
@@ -704,47 +506,6 @@ impl System {
     /// speed/overhead trade — results are identical for any value.
     pub fn set_shard_round_min(&mut self, min: usize) {
         self.par_round_min = min.max(1);
-    }
-
-    /// Sets the sharded driver's speculation window in cycles (also
-    /// settable at construction via `ZTM_SHARD_WINDOW`). A round admits
-    /// every runnable CPU whose key lies within this many cycles of the
-    /// round minimum and lets it execute speculatively under an undo
-    /// journal; `1` reproduces the conservative provable-slack admission
-    /// exactly (no speculation, no journals). Results are byte-identical
-    /// for any value — the window only trades round size against rollback
-    /// frequency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn set_shard_window(&mut self, window: usize) {
-        assert!(window > 0, "shard window must be positive");
-        self.shard_window = Some(window);
-    }
-
-    /// Enables or disables contention-adaptive admission windows (also
-    /// settable at construction via `ZTM_SHARD_ADAPT`, default on). Off
-    /// reproduces the fixed-window regime: every CPU speculates to the
-    /// full structural bound regardless of rollback history. A pinned
-    /// [`set_shard_window`](Self::set_shard_window) also disables
-    /// adaptation — an explicit width means exactly that width. Results
-    /// are byte-identical either way; adaptation only trades round size
-    /// against rollback frequency, per CPU instead of globally.
-    pub fn set_shard_adapt(&mut self, on: bool) {
-        self.shard_adapt = on;
-    }
-
-    /// Sets the per-chain run-ahead ceiling (also settable at construction
-    /// via `ZTM_SHARD_RUN_AHEAD`). A host-cadence dial like the window:
-    /// results never depend on it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero.
-    pub fn set_shard_run_ahead(&mut self, cap: u64) {
-        assert!(cap > 0, "run-ahead cap must be positive");
-        self.run_ahead_cap = cap;
     }
 
     /// Enables or disables the full step log: every executed step is
@@ -1358,470 +1119,6 @@ impl System {
         )
     }
 
-    /// Computes the [`GlobalTouch`] set of CPU `i`'s next — already
-    /// classified global — step. Evaluated immediately before the step
-    /// executes, against the same state the step will see, so the fabric
-    /// and directory walks are exact. Mirrors [`classify_step_at`]'s
-    /// reasons for going global, branch for branch.
-    fn global_touch(&self, i: usize) -> (GlobalTouch, RollbackCause) {
-        let node = &self.nodes[i];
-        let core = &self.cores[i];
-        let clock = self.hot_clock[i];
-        // A due timer tick raises an async interruption whose abort
-        // processing interrupts the OS (prefix TDB store, page-ins).
-        if let Some(t) = self.config.timer_interval {
-            if clock - node.last_timer >= t {
-                return (GlobalTouch::All, RollbackCause::Quiesce);
-            }
-        }
-        if let Some(cause) = node.engine.pending_abort() {
-            // Abort processing. A constrained retry can broadcast-stop
-            // (resynchronizing every clock), an OS-interrupting cause
-            // stores the prefix TDB and may page in, and the debug modes
-            // below can pile on. Otherwise the millicode writes at most
-            // the registered 256-byte TDB — touching the holders of the
-            // lines it spans.
-            if node.engine.constrained()
-                || cause.interrupts_os()
-                || core.per.enabled
-                || node.engine.tdc_active()
-            {
-                return (GlobalTouch::All, RollbackCause::Quiesce);
-            }
-            return match node.engine.tdb_addr() {
-                None => (GlobalTouch::Confined, RollbackCause::Tx),
-                Some(addr) => {
-                    let mut cpus = Vec::new();
-                    let last = addr.add(255).line();
-                    let mut line = addr.line();
-                    loop {
-                        let (owner, sharers) = self.fabric.holders(line);
-                        for c in owner.into_iter().chain(sharers) {
-                            if c.0 != i {
-                                cpus.push(c.0);
-                            }
-                        }
-                        if line == last {
-                            break;
-                        }
-                        line = LineAddr::new(line.index() + 1);
-                    }
-                    (GlobalTouch::Cpus(cpus), RollbackCause::Tx)
-                }
-            };
-        }
-        if core.per.enabled || node.engine.tdc_active() {
-            // Debug modes: resolve, don't reason.
-            return (GlobalTouch::All, RollbackCause::Quiesce);
-        }
-        let in_tx = node.engine.in_tx();
-        if in_tx && node.engine.constrained() {
-            // Constraint violations escalate (possibly to broadcast-stop).
-            return (GlobalTouch::All, RollbackCause::Quiesce);
-        }
-        let prog = self.programs[i].as_ref().expect("program loaded");
-        let d = prog.decoded(core.pc);
-        // A text page-in bumps the page-residency epoch, invalidating
-        // every CPU's line windows and ifetch snapshots mid-epoch.
-        if self.pages.check(Address::new(d.addr)).is_err() {
-            return (GlobalTouch::All, RollbackCause::Quiesce);
-        }
-        if in_tx
-            && matches!(
-                d.class,
-                InstrClass::RestrictedInTx | InstrClass::ArModifying | InstrClass::FprModifying
-            )
-        {
-            return (GlobalTouch::All, RollbackCause::Tx);
-        }
-        match d.op {
-            // Engine-only transaction bookkeeping. A TEND commit drains
-            // only lines this CPU holds exclusively (and an arena-slot
-            // allocation is monotone — it can't invalidate any local
-            // verdict), a TABORT or nested-TBEGIN overflow only sets the
-            // pending cause, and TBEGINC's broadcast-stop happens at the
-            // *abort* step, covered by the constrained branch above.
-            Op::Tbegin | Op::Tbeginc | Op::Tend | Op::Tabort => {
-                (GlobalTouch::Confined, RollbackCause::Tx)
-            }
-            Op::Lg => (
-                self.data_touch(i, d, d.flags & FLAG_FOR_UPDATE != 0, AccessClass::Fetch),
-                RollbackCause::Fabric,
-            ),
-            Op::Ltg | Op::Cg => (
-                self.data_touch(i, d, false, AccessClass::Fetch),
-                RollbackCause::Fabric,
-            ),
-            Op::Stg | Op::Stckf | Op::Csg => (
-                self.data_touch(i, d, true, AccessClass::Store),
-                RollbackCause::Fabric,
-            ),
-            Op::Ntstg => {
-                if !effective_address_decoded(core, d).is_aligned(8) {
-                    // Specification exception → OS.
-                    return (GlobalTouch::All, RollbackCause::Quiesce);
-                }
-                (
-                    self.data_touch(i, d, true, AccessClass::Store),
-                    RollbackCause::Fabric,
-                )
-            }
-            // Dsgr division by zero (the only global verdict left for it)
-            // raises a program exception, and anything unrecognized
-            // resolves everything rather than reasons about it.
-            _ => (GlobalTouch::All, RollbackCause::Quiesce),
-        }
-    }
-
-    /// Touch set of a global data access: the XI receivers and same-chip
-    /// L3-eviction candidates of the fabric fetch (and of a possible
-    /// next-line speculative prefetch) it is about to perform. Mirrors
-    /// [`classify_data_at`]'s walk; the prefetch dice is *not* rolled —
-    /// including line+1's holders whenever the roll is possible is a
-    /// superset that at worst forces an unnecessary resolution.
-    fn data_touch(
-        &self,
-        i: usize,
-        d: &DecodedInstr,
-        want_excl: bool,
-        class: AccessClass,
-    ) -> GlobalTouch {
-        let node = &self.nodes[i];
-        let core = &self.cores[i];
-        let excl = class == AccessClass::Store || want_excl;
-        let ea = effective_address_decoded(core, d);
-        if !ea.fits_in_line(8) {
-            return GlobalTouch::All; // specification exception → OS
-        }
-        let line = ea.line();
-        let in_tx = node.engine.in_tx();
-        let window_ok = self.coalesce
-            && node.last_data.is_some_and(|w| {
-                w.line == line
-                    && (w.excl || !excl)
-                    && w.gen == node.cache.generation()
-                    && w.page_epoch == self.pages.epoch()
-                    && (!in_tx
-                        || node
-                            .cache
-                            .l1_tx_marks(line)
-                            .is_some_and(|(read, dirty)| match class {
-                                AccessClass::Fetch => read,
-                                AccessClass::Store => dirty,
-                            }))
-            });
-        let main_fetch = if window_ok {
-            false
-        } else {
-            if self.pages.check(ea).is_err() {
-                return GlobalTouch::All; // page-in bumps the page epoch
-            }
-            node.cache.probe_local(line, excl).is_none()
-        };
-        let may_prefetch = class == AccessClass::Fetch
-            && in_tx
-            && self.config.speculative_prefetch
-            && self.config.prefetch_probability > 0.0
-            && !node.engine.speculation_disabled();
-        let mut cpus = Vec::new();
-        if main_fetch {
-            self.fabric
-                .fetch_touch(CpuId(i), line, may_prefetch, &mut cpus);
-        } else if may_prefetch {
-            self.fabric
-                .fetch_touch(CpuId(i), LineAddr::new(line.index() + 1), false, &mut cpus);
-        }
-        // A remaining global verdict with no fetch at all (a non-tx store
-        // without an arena slot) only allocates under the coordinator's
-        // exclusive memory: the empty set.
-        GlobalTouch::Cpus(cpus.into_iter().map(|c| c.0).collect())
-    }
-
-    /// Closes CPU `j`'s speculative epoch as final (the frontier passed
-    /// it, or a resolution proved it untouched): drops the journals,
-    /// recycles the snapshot box for the next epoch, and rewards the CPU
-    /// with additive window growth — its speculation survived.
-    fn finalize_epoch(&mut self, j: usize) {
-        if let Some(ep) = self.nodes[j].spec.take() {
-            self.nodes[j].cache.undo_discard();
-            self.nodes[j].icache.undo_discard();
-            self.nodes[j].spec_pool = Some(ep);
-            self.adapt_grow(j);
-        }
-    }
-
-    /// Finalizes CPU `j`'s epoch when every speculated key precedes `cut`,
-    /// rolls it back past `cut` otherwise. Returns the steps undone.
-    fn resolve_epoch_past(
-        &mut self,
-        j: usize,
-        cut: (u64, usize),
-        cause: RollbackCause,
-        plan: &ShardPlan,
-        shard_tracers: &[Tracer],
-    ) -> u64 {
-        let Some(ep) = self.nodes[j].spec.as_ref() else {
-            return 0;
-        };
-        let keep = ep.keys.partition_point(|&k| (k, j) < cut);
-        if keep == ep.keys.len() {
-            self.finalize_epoch(j);
-            0
-        } else {
-            self.rollback_epoch_to(j, keep, cut, cause, plan, shard_tracers)
-        }
-    }
-
-    /// Resolves the open epochs a global step about to execute at key `g`
-    /// can reach: the stepping CPU's own epoch is final (its speculated
-    /// steps precede the step in program order), and each epoch in `touch`
-    /// is finalized or rolled back past `g`. Epochs outside the touch set
-    /// stay open — the step provably cannot observe or invalidate them.
-    /// Returns the speculated steps undone.
-    fn resolve_epochs_for_global(
-        &mut self,
-        g: (u64, usize),
-        touch: GlobalTouch,
-        cause: RollbackCause,
-        plan: &ShardPlan,
-        shard_tracers: &[Tracer],
-    ) -> u64 {
-        self.finalize_epoch(g.1);
-        let mut undone = 0;
-        match touch {
-            GlobalTouch::Confined => {}
-            GlobalTouch::Cpus(mut cpus) => {
-                cpus.sort_unstable();
-                cpus.dedup();
-                for j in cpus {
-                    if j != g.1 {
-                        undone += self.resolve_epoch_past(j, g, cause, plan, shard_tracers);
-                    }
-                }
-            }
-            GlobalTouch::All => {
-                for j in 0..self.nodes.len() {
-                    if j != g.1 {
-                        undone += self.resolve_epoch_past(j, g, cause, plan, shard_tracers);
-                    }
-                }
-            }
-        }
-        undone
-    }
-
-    /// Resolves every open epoch against the serial frontier (the smallest
-    /// next key of any runnable CPU) for a `limit` boundary: afterwards the
-    /// executed steps are exactly a serial prefix. The frontier CPU's own
-    /// epoch is final (its steps precede its next step in program order);
-    /// every other epoch finalizes or rolls back past the frontier. A
-    /// rollback rewinds its CPU to a key strictly *above* the cut (its kept
-    /// keys are below it and `j` breaks ties), so the frontier computed up
-    /// front stays the minimum throughout. Returns the steps undone.
-    fn resolve_epochs_to_frontier(&mut self, plan: &ShardPlan, shard_tracers: &[Tracer]) -> u64 {
-        let mut min: Option<(u64, usize)> = None;
-        for i in 0..self.hot_clock.len() {
-            if self.hot_running[i] && self.programs[i].is_some() {
-                let key = (self.hot_clock[i], i);
-                if min.is_none_or(|m| key < m) {
-                    min = Some(key);
-                }
-            }
-        }
-        let Some(cut) = min else {
-            // Everything halted: the speculated steps are the only steps
-            // left, so they are the serial tail and all final.
-            for j in 0..self.nodes.len() {
-                self.finalize_epoch(j);
-            }
-            return 0;
-        };
-        let mut undone = 0;
-        for j in 0..self.nodes.len() {
-            if j == cut.1 {
-                self.finalize_epoch(j);
-            } else {
-                undone +=
-                    self.resolve_epoch_past(j, cut, RollbackCause::Quiesce, plan, shard_tracers);
-            }
-        }
-        undone
-    }
-
-    /// Rewinds CPU `j`'s open epoch to its start — shared-arena pre-images
-    /// newest-first, cache undo journals, then the node/core snapshots —
-    /// and silently replays the `keep`-step prefix whose keys precede
-    /// `cut`, erasing every speculated step at or past the cut from the
-    /// node, the arena, and the pending output buffers. Replay is exact:
-    /// it starts from the identical pre-epoch state, runs the identical
-    /// node-local steps, and nothing a concurrent epoch did is visible to
-    /// it (MESI isolation). Its output is discarded (tracers disabled, no
-    /// log) — the speculative run already produced it and the kept keys'
-    /// pending entries survive the purge. Returns the steps undone.
-    fn rollback_epoch_to(
-        &mut self,
-        j: usize,
-        keep: usize,
-        cut: (u64, usize),
-        cause: RollbackCause,
-        plan: &ShardPlan,
-        shard_tracers: &[Tracer],
-    ) -> u64 {
-        let mut ep = self.nodes[j]
-            .spec
-            .take()
-            .expect("rollback without an epoch");
-        let undone = (ep.keys.len() - keep) as u64;
-        debug_assert!(undone > 0, "rollback with nothing to undo");
-        for &(addr, byte) in ep.mem_journal.iter().rev() {
-            self.mem.store_bytes(addr, &[byte]);
-        }
-        // Swap the snapshots back in (rather than moving out of the box) so
-        // the box and its buffers recycle into the epoch pool below.
-        let node = &mut self.nodes[j];
-        node.cache.undo_rollback();
-        node.icache.undo_rollback();
-        std::mem::swap(&mut node.engine, &mut *ep.engine);
-        std::mem::swap(&mut node.rng, &mut ep.rng);
-        node.last_ifetch = ep.last_ifetch;
-        node.icache_installs = ep.icache_installs;
-        node.last_ifetch_installs = ep.last_ifetch_installs;
-        node.last_ifetch_page_epoch = ep.last_ifetch_page_epoch;
-        node.last_data = ep.last_data;
-        node.coalesced = ep.coalesced;
-        std::mem::swap(&mut node.stm, &mut ep.stm);
-        std::mem::swap(&mut self.cores[j], &mut *ep.core);
-        // Kept keys precede the cut and undone keys follow it (`j` never
-        // ties the cut), so a key comparison splits the pending output.
-        self.pending_log
-            .retain(|e| e.cpu != j || (e.clock, e.cpu) < cut);
-        self.pending_blocks
-            .retain(|b| b.1 as usize != j || (b.0, b.1 as usize) < cut);
-        let disabled = Tracer::disabled();
-        self.nodes[j].cache.set_tracer(disabled.clone());
-        self.nodes[j].engine.set_tracer(disabled.clone());
-        let prog = Arc::clone(self.programs[j].as_ref().expect("program loaded"));
-        for r in 0..keep {
-            let clock = self.cores[j].clock;
-            debug_assert_eq!(clock, ep.keys[r], "replay diverged from the epoch");
-            let mut view = View {
-                cpu: j,
-                base: 0,
-                now: clock,
-                tracer: &disabled,
-                nodes: &mut self.nodes,
-                fabric: None,
-                mem: MemPort::Excl(&mut self.mem),
-                pages: PagePort::Check(&self.pages),
-                fabric_busy: None,
-                config: &self.config,
-                coalesce: self.coalesce,
-                hit_slot: None,
-            };
-            let out = ztm_isa::step(&mut self.cores[j], &prog, &mut view);
-            debug_assert!(
-                !out.broadcast_stop && out.event != StepEvent::Stalled,
-                "a replayed step must be node-local"
-            );
-        }
-        self.hot_clock[j] = self.cores[j].clock;
-        self.hot_running[j] = self.cores[j].is_running();
-        // Rewire the round tracer for subsequent rounds (disabled stand-in
-        // when the run isn't buffering — same as every other CPU).
-        let t = shard_tracers[plan.shard_of(j)].for_cpu(j as u16);
-        self.nodes[j].cache.set_tracer(t.clone());
-        self.nodes[j].engine.set_tracer(t);
-        self.steps -= undone;
-        self.sharded_local_steps -= undone;
-        self.shard_rollbacks += 1;
-        self.shard_replayed += keep as u64;
-        match cause {
-            RollbackCause::Tx => self.shard_rb_tx += 1,
-            RollbackCause::Fabric => self.shard_rb_fabric += 1,
-            RollbackCause::Quiesce => self.shard_rb_quiesce += 1,
-        }
-        // Punish the rollback multiplicatively, score the contention that
-        // caused it, and recycle the snapshot box.
-        self.adapt_shrink(j);
-        if matches!(cause, RollbackCause::Tx | RollbackCause::Fabric) {
-            self.adapt_name(j);
-        }
-        self.nodes[j].spec_pool = Some(ep);
-        undone
-    }
-
-    /// CPU `i`'s effective admission window: the conservative 1-cycle
-    /// slack while the touch score holds it clamped (a contended CPU —
-    /// lock-line holder, XI magnet — never opens epochs at all), its
-    /// adaptive window otherwise.
-    fn eff_win(&self, i: usize) -> u64 {
-        if self.adapt_touch[i] >= ADAPT_CLAMP_AT {
-            1
-        } else {
-            self.adapt_win[i]
-        }
-    }
-
-    /// Multiplicative shrink on a rollback: the CPU speculated past a
-    /// global step's key and paid for it, so its window collapses toward
-    /// [`ADAPT_FLOOR`] — the width where rollbacks stop cutting any real
-    /// prefix. Only the clamp goes below that.
-    fn adapt_shrink(&mut self, j: usize) {
-        if self.adapt_active && !self.adapt_win.is_empty() {
-            let floor = ADAPT_FLOOR.min(self.adapt_max);
-            self.adapt_win[j] = (self.adapt_win[j] / ADAPT_SHRINK_DIV).max(floor);
-        }
-    }
-
-    /// Additive growth on a finalized-clean epoch: speculation survived,
-    /// so the window creeps back toward the structural latency bound.
-    fn adapt_grow(&mut self, j: usize) {
-        if self.adapt_active && !self.adapt_win.is_empty() {
-            self.adapt_win[j] = (self.adapt_win[j] + ADAPT_GROW).min(self.adapt_max);
-        }
-    }
-
-    /// Bumps CPU `j`'s touch score (saturating): a bounded `GlobalTouch`
-    /// set named it *and the naming cut an open epoch* — the CPU holds
-    /// lines that serialized steps keep reaching while it speculates.
-    /// Mere naming without damage is not scored (in a hot workload every
-    /// fabric step names most holders, which would drown the signal), and
-    /// neither are `Quiesce` cuts (timers and budget frontiers say nothing
-    /// about who is contended).
-    fn adapt_name(&mut self, j: usize) {
-        if self.adapt_active && !self.adapt_touch.is_empty() {
-            self.adapt_touch[j] = (self.adapt_touch[j] + 1).min(ADAPT_SCORE_MAX);
-        }
-    }
-
-    /// Per-global-step adaptation clock. Every [`ADAPT_SWEEP`] serialized
-    /// steps the touch scores *halve* — contention is forgiven fast once
-    /// the naming stops, and holding a clamp needs a sustained naming rate
-    /// of ~[`ADAPT_CLAMP_AT`] damaging cuts per sweep — and every
-    /// unclamped CPU's window regrows by a one-cycle probe, so a width
-    /// lost to a past contention phase drifts back toward the structural
-    /// bound even when the CPU rarely opens epochs. Driven purely by the
-    /// deterministic serialized-step count, never host time or thread
-    /// count.
-    fn adapt_tick(&mut self) {
-        if !self.adapt_active || self.adapt_win.is_empty() {
-            return;
-        }
-        self.adapt_ticks += 1;
-        if !self.adapt_ticks.is_multiple_of(ADAPT_SWEEP) {
-            return;
-        }
-        for i in 0..self.adapt_win.len() {
-            self.adapt_touch[i] /= 2;
-            if self.adapt_touch[i] < ADAPT_CLAMP_AT {
-                // A one-cycle probe: enough to let a fully-shrunk CPU open
-                // a (tiny, cheap) epoch again and earn real growth through
-                // clean finalizes if the contention has moved on.
-                self.adapt_win[i] = (self.adapt_win[i] + 1).min(self.adapt_max);
-            }
-        }
-    }
-
     /// Runs up to `limit` steps through the sharded round scheduler,
     /// stopping early when every CPU halts or, with `horizon`, when the
     /// next serial pick would start at or past it (the exact
@@ -1879,37 +1176,6 @@ impl System {
             shard_tracers = (0..shard_count).map(|_| Tracer::disabled()).collect();
         }
 
-        // Speculation window: how many cycles past the round minimum a
-        // CPU's key may lie and still join a round. The default is the
-        // fabric's provable cross-boundary latency bound — any fetch that
-        // crosses a shard boundary costs at least this many cycles, so
-        // global steps rarely land inside an already-speculated window and
-        // rollbacks stay rare. Window 1 is the pinned escape hatch: it
-        // reproduces the conservative provable-slack admission exactly
-        // (no epochs, no journals).
-        let window = self.shard_window.map_or_else(
-            || {
-                self.config
-                    .latency
-                    .min_cross_boundary_latency(self.config.topology.mcm_count() <= 1)
-            },
-            |w| w as u64,
-        );
-        // Contention adaptation engages only for the *default* (structural)
-        // window: an explicit `ZTM_SHARD_WINDOW` pin means "exactly this
-        // width", and window 1 has nothing to adapt. Adaptation state is a
-        // pure function of the deterministic serialized-step and rollback
-        // history, so results stay byte-identical for any thread count —
-        // and for `ZTM_SHARD_ADAPT=0`, which merely trades rounds for
-        // rollbacks on the same serial step sequence.
-        let adaptive = self.shard_adapt && self.shard_window.is_none() && window > 1;
-        self.adapt_active = adaptive;
-        self.adapt_max = window.min(ADAPT_CAP);
-        if adaptive && self.adapt_win.len() != self.hot_clock.len() {
-            self.adapt_win = vec![self.adapt_max; self.hot_clock.len()];
-            self.adapt_touch = vec![0; self.hot_clock.len()];
-        }
-
         let mut executed = 0u64;
         let mut cands: Vec<Candidate> = Vec::new();
         // `done` = nothing left to run this side of the frontier (all CPUs
@@ -1918,23 +1184,7 @@ impl System {
         // leaves it pending — the continuation call may still execute
         // smaller keys.
         let mut done = false;
-        // Set once a `limit` boundary forces the speculation frontier to
-        // resolve: the remaining budget then runs under the conservative
-        // admission, which exits exactly at `limit` without opening new
-        // epochs (a speculate-resolve cycle at the boundary could undo as
-        // much as it executes and never converge).
-        let mut conservative_tail = false;
-        loop {
-            if executed >= limit {
-                // Speculated steps are not yet a serial prefix: resolve
-                // every open epoch back to the frontier, then re-check the
-                // budget against the exact count.
-                executed -= self.resolve_epochs_to_frontier(&plan, &shard_tracers);
-                if executed >= limit {
-                    break;
-                }
-                conservative_tail = true;
-            }
+        while executed < limit {
             // Mirror the serial scheduler: a running broadcast-stop holder
             // is stepped directly; otherwise the smallest (clock, cpu)
             // runnable CPU is next.
@@ -1958,20 +1208,6 @@ impl System {
                 done = true;
                 break;
             };
-            // Epochs the frontier has passed are final: every future cut
-            // key is at least the frontier, so a journal whose last key
-            // precedes it can never be needed — drop it and keep journals
-            // short.
-            for j in 0..self.nodes.len() {
-                let passed = self.nodes[j].spec.as_ref().is_some_and(|ep| {
-                    ep.keys
-                        .last()
-                        .is_none_or(|&k| (k, j) < (min_clock, min_cpu))
-                });
-                if passed {
-                    self.finalize_epoch(j);
-                }
-            }
             // Frontier flush: every future step's key is at least the
             // serial minimum, so pending run-ahead output strictly below
             // it is in its final position.
@@ -1981,134 +1217,15 @@ impl System {
                 break;
             }
             if let Some(h) = holder {
-                // A quiesce only starts at a constrained-retry abort — a
-                // global step whose resolution closed every epoch before
-                // it executed — and no local round runs while it holds.
-                debug_assert!(
-                    self.nodes.iter().all(|n| n.spec.is_none()),
-                    "open epoch across a quiesce"
-                );
+                // A global step's key is provably above every pending
+                // run-ahead key (run-ahead never passes another CPU's
+                // earliest-possible-global key), so pending output is
+                // final before any serialized step.
                 self.flush_pending_below((u64::MAX, usize::MAX), &real);
                 self.exec_global_round(h, &shard_tracers, &shard_bufs, sys_buf.as_ref(), &real);
                 executed += 1;
                 continue;
             }
-            // The horizon is a hard key ceiling: nothing at or past
-            // `(hz, 0)` may execute, whether admitted or run ahead.
-            let ceiling = horizon.map_or((u64::MAX, usize::MAX), |hz| (hz, 0));
-            if window > 1 && !conservative_tail {
-                // --- Slack-width (speculative) admission ---
-                // Each CPU joins the round only while its key lies within
-                // its *own* effective window of the minimum: the full
-                // structural slack while its speculation keeps surviving,
-                // the provable 1-cycle slack while the controller holds it
-                // clamped. CPUs outside their window still bound the
-                // journal-free horizon at their current key (they could go
-                // global the moment they become schedulable).
-                cands.clear();
-                let mut outside = (u64::MAX, usize::MAX);
-                for i in 0..self.hot_clock.len() {
-                    if self.hot_running[i] && self.programs[i].is_some() {
-                        let w = if adaptive { self.eff_win(i) } else { window };
-                        if self.hot_clock[i] <= min_clock.saturating_add(w) {
-                            cands.push(self.classify_step(i));
-                        } else {
-                            outside = outside.min((self.hot_clock[i], i));
-                        }
-                    }
-                }
-                let serial_global = cands
-                    .iter()
-                    .find(|c| (c.clock, c.cpu) == (min_clock, min_cpu))
-                    .expect("serial pick is in the window")
-                    .global;
-                if serial_global {
-                    // The serial pick itself is global: resolve exactly
-                    // the epochs its side effects can reach (rolling them
-                    // back past its key), release the now-final prefix —
-                    // the stepping CPU's own zero-cycle priors share its
-                    // clock, hence the `+ 1` — and serialize the step.
-                    // Untouched speculation with larger keys stays pending
-                    // and is released once the frontier passes it.
-                    let (touch, cause) = self.global_touch(min_cpu);
-                    executed -= self.resolve_epochs_for_global(
-                        (min_clock, min_cpu),
-                        touch,
-                        cause,
-                        &plan,
-                        &shard_tracers,
-                    );
-                    self.adapt_tick();
-                    self.flush_pending_below((min_clock, min_cpu + 1), &real);
-                    self.exec_global_round(
-                        min_cpu,
-                        &shard_tracers,
-                        &shard_bufs,
-                        sys_buf.as_ref(),
-                        &real,
-                    );
-                    executed += 1;
-                    continue;
-                }
-                // Admit every local candidate below the ceiling whose key
-                // precedes its bound. Global candidates above the minimum
-                // simply wait — speculation may pass their keys and is
-                // rolled back if their side effects demand it when they
-                // serialize. Each admitted step carries two keys: `safe`,
-                // the smallest earliest-possible-global key of any *other*
-                // CPU (below it steps are provably final and run without a
-                // journal — PR 7's conservative argument), and `bound`,
-                // the speculative ceiling `min + w + 1` past which the
-                // chain must stop. A clamped CPU (w = 1) gets
-                // `bound == safe`: it never arms an epoch at all.
-                let eg = EgMin::new(&cands);
-                let mut steps: Vec<ShardStep> = Vec::with_capacity(cands.len());
-                for (at, c) in cands.iter().enumerate() {
-                    if c.global || (c.clock, c.cpu) >= ceiling {
-                        continue;
-                    }
-                    let safe = eg.excluding(at).min(outside).min(ceiling);
-                    let w = if adaptive {
-                        self.eff_win(c.cpu)
-                    } else {
-                        window
-                    };
-                    let bound = if w > 1 {
-                        safe.max((min_clock.saturating_add(w).saturating_add(1), 0).min(ceiling))
-                    } else {
-                        safe
-                    };
-                    if (c.clock, c.cpu) < bound {
-                        steps.push(ShardStep {
-                            cpu: c.cpu,
-                            clock: c.clock,
-                            bound,
-                            safe,
-                        });
-                    }
-                }
-                steps.sort_unstable_by_key(|s| (s.clock, s.cpu));
-                // Same budget math as the conservative path: take · cap
-                // never exceeds the remaining budget (integer division),
-                // so `executed` can reach `limit` but never overshoot it.
-                // The serial-minimum step is always admitted (every other
-                // CPU's bound exceeds its key), so `take >= 1`.
-                let remaining = limit - executed;
-                let take = (steps.len() as u64).min(remaining) as usize;
-                steps.truncate(take);
-                let cap = (remaining / take as u64).clamp(1, self.run_ahead_cap);
-                executed += self.exec_local_round(
-                    &steps,
-                    cap,
-                    &plan,
-                    &shard_tracers,
-                    &shard_bufs,
-                    buffering,
-                    true,
-                );
-                continue;
-            }
-            // --- Conservative (provable 1-cycle slack) admission ---
             // Only CPUs within one cycle of the minimum can join the
             // round; every runnable CPU beyond that window still bounds
             // run-ahead conservatively at its current key (it could go
@@ -2125,9 +1242,12 @@ impl System {
                 }
             }
             let mut safe = safe_set(&cands);
-            // Admission truncation at the ceiling is a prefix cut and
+            // The horizon is a hard key ceiling: nothing at or past
+            // `(hz, 0)` may execute, whether admitted or run ahead (keys
+            // are ascending, so admission truncation is a prefix cut and
             // never empties a non-empty set — the serial-min key is below
-            // the horizon, checked above.
+            // the horizon, checked above).
+            let ceiling = horizon.map_or((u64::MAX, usize::MAX), |hz| (hz, 0));
             if horizon.is_some() {
                 safe.truncate(
                     safe.partition_point(|&(at, _)| (cands[at].clock, cands[at].cpu) < ceiling),
@@ -2136,9 +1256,8 @@ impl System {
             if safe.is_empty() {
                 // The serial pick itself is global: run exactly that one
                 // step under the coordinator and re-plan. Pending keys are
-                // all below a global step's key in conservative mode
-                // (run-ahead never passes another CPU's earliest-possible-
-                // global key), so they flush first.
+                // all below a global step's key (see the holder case), so
+                // they flush first.
                 self.flush_pending_below((u64::MAX, usize::MAX), &real);
                 self.exec_global_round(
                     min_cpu,
@@ -2156,46 +1275,25 @@ impl System {
             // caps so a round can never overshoot `limit`.
             let remaining = limit - executed;
             let take = (safe.len() as u64).min(remaining) as usize;
-            let cap = (remaining / take as u64).clamp(1, self.run_ahead_cap);
+            let cap = (remaining / take as u64).clamp(1, RUN_AHEAD_CAP);
             let steps: Vec<ShardStep> = safe[..take]
                 .iter()
-                .map(|&(at, bound)| {
-                    let b = bound.min(outside).min(ceiling);
-                    ShardStep {
-                        cpu: cands[at].cpu,
-                        clock: cands[at].clock,
-                        bound: b,
-                        // `safe == bound`: every conservative step is
-                        // provably final, so no chain ever arms an epoch.
-                        safe: b,
-                    }
+                .map(|&(at, bound)| ShardStep {
+                    cpu: cands[at].cpu,
+                    clock: cands[at].clock,
+                    bound: bound.min(outside).min(ceiling),
                 })
                 .collect();
-            executed += self.exec_local_round(
-                &steps,
-                cap,
-                &plan,
-                &shard_tracers,
-                &shard_bufs,
-                buffering,
-                false,
-            );
+            executed +=
+                self.exec_local_round(&steps, cap, &plan, &shard_tracers, &shard_bufs, buffering);
         }
 
         // All halted or horizon reached: no future step can precede any
-        // pending or speculated key (chains were bounded by the ceiling),
-        // so the tail of the run-ahead output is final. (A `limit` exit
-        // resolved its epochs at the budget boundary above.)
+        // pending key, so the tail of the run-ahead output is final. (A
+        // `limit` exit keeps it pending for the continuation call.)
         if done {
-            for j in 0..self.nodes.len() {
-                self.finalize_epoch(j);
-            }
             self.flush_pending_below((u64::MAX, usize::MAX), &real);
         }
-        debug_assert!(
-            self.nodes.iter().all(|n| n.spec.is_none()),
-            "open epoch across a sharded-run boundary"
-        );
         // Restore the real tracer wiring (`set_tracer` re-fans the per-CPU
         // clones) and rebuild the scheduling heap for the serial engine.
         if buffering {
@@ -2274,7 +1372,6 @@ impl System {
     /// path. Step logs and event blocks are merged back in key order
     /// (stable, so a chain's equal-key zero-cycle entries keep their
     /// execution order), which *is* the round's serial execution order.
-    #[allow(clippy::too_many_arguments)]
     fn exec_local_round(
         &mut self,
         steps: &[ShardStep],
@@ -2283,7 +1380,6 @@ impl System {
         shard_tracers: &[Tracer],
         shard_bufs: &[Arc<Mutex<EventBuffer>>],
         buffering: bool,
-        spec: bool,
     ) -> u64 {
         let shard_count = plan.shard_count();
         let mut per_shard: Vec<Vec<ShardStep>> = vec![Vec::new(); shard_count];
@@ -2332,7 +1428,7 @@ impl System {
                     handles.push(scope.spawn(move || {
                         run_shard_steps(
                             &work, cap, base, nodes, cores, clocks, running, shared, pages, config,
-                            programs, coalesce, tracer, buf, want_log, spec,
+                            programs, coalesce, tracer, buf, want_log,
                         )
                     }));
                 }
@@ -2365,7 +1461,6 @@ impl System {
                     &shard_tracers[s],
                     shard_bufs.get(s),
                     want_log,
-                    spec,
                 ));
             }
             out
@@ -2507,94 +1602,26 @@ impl System {
         }
     }
 
-    /// Sharded-driver schedule statistics, including the end-of-run
-    /// adaptive-window summary (all-zero window fields when adaptation
-    /// never engaged).
+    /// Sharded-driver schedule statistics (all zero on serial runs).
     fn sharding_stats(&self) -> crate::report::ShardingStats {
-        let mut s = crate::report::ShardingStats {
+        crate::report::ShardingStats {
             rounds: self.shard_rounds,
             local_steps: self.sharded_local_steps,
             round_steps_max: self.shard_round_max,
             chain_max: self.shard_chain_max,
-            rollbacks: self.shard_rollbacks,
-            replayed: self.shard_replayed,
-            rollbacks_tx: self.shard_rb_tx,
-            rollbacks_fabric: self.shard_rb_fabric,
-            rollbacks_quiesce: self.shard_rb_quiesce,
             ..Default::default()
-        };
-        if self.adapt_active && !self.adapt_win.is_empty() {
-            let mut min = u64::MAX;
-            for i in 0..self.adapt_win.len() {
-                let w = self.eff_win(i);
-                min = min.min(w);
-                s.window_max = s.window_max.max(w);
-                s.window_sum += w;
-                if self.adapt_touch[i] >= ADAPT_CLAMP_AT {
-                    s.window_clamped += 1;
-                }
-            }
-            s.window_min = min;
-            s.window_cpus = self.adapt_win.len() as u64;
         }
-        s
     }
-}
-
-/// Which other CPUs' speculative epochs a global step can observe or
-/// invalidate. Over-approximating is always safe — it only forces an
-/// unnecessary finalize-or-rollback; *under*-approximating would let a
-/// global step's effects interleave wrongly with speculation, so every
-/// unrecognized case in [`System::global_touch`] resolves to [`All`].
-///
-/// [`All`]: GlobalTouch::All
-enum GlobalTouch {
-    /// Only the stepping CPU's own node plus resources no speculating CPU
-    /// can reach (exclusively-held lines, the coordinator's arena index):
-    /// nothing to resolve.
-    Confined,
-    /// A bounded set: XI receivers and L3-eviction candidates of a fabric
-    /// fetch, or holders of the lines a TDB store spans.
-    Cpus(Vec<usize>),
-    /// Potentially any CPU: OS interruptions, page-ins, quiesce, timers.
-    All,
-}
-
-/// Why a resolution rolled an epoch back — the feedback signal the
-/// adaptive windows consume and the breakdown
-/// [`ShardingStats`](crate::ShardingStats) reports. Classified from the
-/// *global step* that forced the cut, not from the victim.
-#[derive(Debug, Clone, Copy)]
-enum RollbackCause {
-    /// Transaction-side serialization: abort processing and the TDB
-    /// stores it performs, or a restricted instruction inside a
-    /// transaction.
-    Tx,
-    /// A fabric-touching data access: the victim held (or could victimize
-    /// lines for) an address the coordinator's step reached.
-    Fabric,
-    /// Everything that resolves *everyone*: timer ticks, quiesce and
-    /// broadcast-stop escalations, OS interruptions, page-ins, debug
-    /// modes — plus step-budget frontier resolutions.
-    Quiesce,
 }
 
 /// One admitted round entry: CPU `cpu`'s step at `clock`, plus the key
 /// `bound` below which the shard may keep running this CPU's own
 /// provably-local steps (run-ahead) before the coordinator re-plans.
-///
-/// Keys strictly below `safe` — the smallest earliest-possible-global key
-/// of any *other* CPU at planning time — are provably final (no future
-/// global step can cut below them) and execute without journaling. At
-/// `safe` the chain arms a speculative epoch and journals the rest of the
-/// way to `bound`. Conservative rounds set `safe == bound`, so they never
-/// open an epoch.
 #[derive(Debug, Clone, Copy)]
 struct ShardStep {
     cpu: usize,
     clock: u64,
     bound: (u64, usize),
-    safe: (u64, usize),
 }
 
 /// Per-chain run-ahead ceiling: bounds a lone unconstrained CPU's chain so
@@ -2638,7 +1665,6 @@ fn run_shard_steps(
     tracer: &Tracer,
     buf: Option<&Arc<Mutex<EventBuffer>>>,
     want_log: bool,
-    spec: bool,
 ) -> ShardRunResult {
     let mut res = ShardRunResult {
         executed: 0,
@@ -2646,33 +1672,14 @@ fn run_shard_steps(
         blocks: Vec::new(),
         chain_max: 0,
     };
-    for &ShardStep {
-        cpu,
-        clock,
-        bound,
-        safe,
-    } in work
-    {
+    for &ShardStep { cpu, clock, bound } in work {
         let at = cpu - base;
         debug_assert_eq!(hot_clock[at], clock, "stale round plan");
-        debug_assert!(
-            spec || nodes[at].spec.is_none(),
-            "undo journal armed outside a speculative round"
-        );
         let prog = programs[cpu].as_ref().expect("program loaded");
         let mut clock = clock;
         let mut budget = cap;
         let mut chain = 0u64;
         loop {
-            // Keys below `safe` are provably final and run journal-free;
-            // the first key at or past it arms a speculative epoch (one
-            // may already be open from an earlier round of the same call —
-            // then every step journals, wherever it lies: an epoch's
-            // replay must cover the full suffix from its snapshot).
-            if (clock, cpu) >= safe && nodes[at].spec.is_none() {
-                debug_assert!(spec, "speculative key admitted to a conservative round");
-                arm_epoch(&mut nodes[at], &cores[at]);
-            }
             tracer.set_clock(clock);
             let mut view = View {
                 cpu,
@@ -2697,9 +1704,6 @@ fn run_shard_steps(
             hot_running[at] = cores[at].is_running();
             res.executed += 1;
             chain += 1;
-            if let Some(ep) = nodes[at].spec.as_deref_mut() {
-                ep.keys.push(clock);
-            }
             if want_log {
                 res.log.push(StepLogEntry {
                     clock,
@@ -3545,20 +2549,6 @@ impl View<'_> {
                 });
         }
         if !tx {
-            // Under an open speculative epoch, capture the committed-arena
-            // pre-image before the write-through: a rollback restores the
-            // journal newest-first. (Only this CPU can reach these bytes —
-            // the classifier proved exclusive ownership — so the pre-image
-            // is stable until this epoch resolves.)
-            let at = self.cpu - self.base;
-            if self.nodes[at].spec.is_some() {
-                let mut old = [0u8; 8];
-                self.mem.load_bytes(addr, &mut old[..data.len()]);
-                let ep = self.nodes[at].spec.as_deref_mut().expect("checked above");
-                for (i, &b) in old[..data.len()].iter().enumerate() {
-                    ep.mem_journal.push((addr.add(i as u64), b));
-                }
-            }
             self.mem.store_bytes(addr, data);
         }
     }
@@ -3699,29 +2689,6 @@ impl Machine for View<'_> {
             TendOutcome::Inner => EndResult::Inner { cycles: 1 },
             TendOutcome::Commit { cycles } => {
                 let writes = node.cache.commit_tx();
-                // Under an open speculative epoch, journal the pre-image of
-                // every byte the drain will overwrite (the drain only
-                // touches exclusively-held lines, so the pre-images are
-                // stable until this epoch resolves).
-                let at = self.cpu - self.base;
-                if self.nodes[at].spec.is_some() {
-                    let mut addrs: Vec<Address> = Vec::new();
-                    for w in &writes {
-                        w.for_each_byte(|a| addrs.push(a));
-                    }
-                    let mut pre = Vec::with_capacity(addrs.len());
-                    for &a in &addrs {
-                        let mut b = [0u8; 1];
-                        self.mem.load_bytes(a, &mut b);
-                        pre.push((a, b[0]));
-                    }
-                    self.nodes[at]
-                        .spec
-                        .as_deref_mut()
-                        .expect("checked above")
-                        .mem_journal
-                        .extend(pre);
-                }
                 for w in writes {
                     self.mem.apply_write(&w);
                 }
@@ -3939,86 +2906,6 @@ mod tests {
         a.ppa(R0);
         a.j("loop");
         a.assemble().unwrap()
-    }
-
-    /// The admission-window controller in isolation: multiplicative
-    /// shrink to the floor, additive regrowth to the structural bound,
-    /// clamp under sustained naming pressure, and sweep-decay release.
-    #[test]
-    fn adaptive_window_controller_transitions() {
-        let mut sys = System::new(SystemConfig::with_cpus(2));
-        sys.adapt_active = true;
-        sys.adapt_max = 350;
-        sys.adapt_win = vec![350; 2];
-        sys.adapt_touch = vec![0; 2];
-        // Runs enough ticks for exactly one decay/regrow sweep.
-        fn sweep(sys: &mut System) {
-            for _ in 0..ADAPT_SWEEP {
-                sys.adapt_tick();
-            }
-        }
-
-        // Multiplicative shrink halves per rollback, down to the floor
-        // where rollbacks stop cutting real prefixes — never below.
-        sys.adapt_shrink(0);
-        assert_eq!(sys.eff_win(0), 350 / ADAPT_SHRINK_DIV);
-        for _ in 0..10 {
-            sys.adapt_shrink(0);
-        }
-        assert_eq!(sys.eff_win(0), ADAPT_FLOOR);
-        assert_eq!(sys.eff_win(1), 350, "windows are per-CPU");
-
-        // Additive growth per finalized-clean epoch, capped at the
-        // structural latency bound.
-        sys.adapt_grow(0);
-        assert_eq!(sys.eff_win(0), ADAPT_FLOOR + ADAPT_GROW);
-        for _ in 0..1000 {
-            sys.adapt_grow(0);
-        }
-        assert_eq!(sys.eff_win(0), 350);
-
-        // Sustained naming pressure clamps the CPU to the conservative
-        // 1-cycle window without disturbing its stored width…
-        for _ in 0..ADAPT_CLAMP_AT {
-            sys.adapt_name(0);
-        }
-        assert_eq!(sys.eff_win(0), 1, "clamped CPU admits conservatively");
-        assert_eq!(sys.adapt_win[0], 350, "the stored width survives a clamp");
-        assert_eq!(sys.eff_win(1), 350, "the clamp is per-CPU");
-        // …and the score saturates, so a clamp cannot outlive its cause
-        // by more than a few sweeps.
-        for _ in 0..10_000 {
-            sys.adapt_name(0);
-        }
-        assert_eq!(sys.adapt_touch[0], ADAPT_SCORE_MAX);
-
-        // Pressure halves per quiet sweep: the clamp holds while the
-        // score sits at or above the threshold and releases as soon as
-        // it decays below, restoring the full stored width at once.
-        let mut sweeps = 0;
-        while sys.adapt_touch[0] >= ADAPT_CLAMP_AT {
-            assert_eq!(sys.eff_win(0), 1, "clamped at or above the threshold");
-            sweep(&mut sys);
-            sweeps += 1;
-        }
-        assert!(
-            (1..=8).contains(&sweeps),
-            "a clamp releases within a few quiet sweeps, not {sweeps}"
-        );
-        assert_eq!(sys.eff_win(0), 350, "release restores the stored width");
-
-        // The sweep probe regrows an unclamped CPU one cycle at a time,
-        // independent of whether it managed to finalize any epochs.
-        sys.adapt_win[1] = ADAPT_FLOOR;
-        sweep(&mut sys);
-        assert_eq!(sys.eff_win(1), ADAPT_FLOOR + 1);
-
-        // With adaptation off (fixed-window regime) the controller is
-        // inert: rollbacks and finalizes leave the widths alone.
-        sys.adapt_active = false;
-        sys.adapt_shrink(1);
-        sys.adapt_grow(0);
-        assert_eq!(sys.adapt_win, vec![350, ADAPT_FLOOR + 1]);
     }
 
     #[test]

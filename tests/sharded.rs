@@ -17,9 +17,9 @@ use ztm::workloads::hashtable::{HashTable, TableMethod};
 use ztm::workloads::pool::{PoolLayout, PoolWorkload, SyncMethod};
 
 /// The deterministic portion of a report. The `sharding` stats measure how
-/// the *host* scheduled the run (rounds, chains, rollbacks) and legitimately
-/// vary with thread count and window — every simulated outcome must not, so
-/// differential tests zero them and diff everything else.
+/// the *host* scheduled the run (rounds, chains) and legitimately vary with
+/// thread count — every simulated outcome must not, so differential tests
+/// zero them and diff everything else.
 fn det(sys: &System) -> String {
     let mut r = sys.report();
     r.sharding = Default::default();
@@ -226,170 +226,6 @@ fn cycle_horizons_do_not_disturb_the_sequence() {
     }
 }
 
-/// `ZTM_SHARD_WINDOW=1` (here via the setter) pins the conservative
-/// provable-slack admission of the pre-epoch driver: no epochs, no
-/// journals, zero rollbacks — and still the exact serial stream. The wide
-/// default window must agree with both on everything deterministic.
-#[test]
-fn window_one_reproduces_conservative_admission() {
-    let run = |threads: usize, window: Option<usize>| {
-        let bank = Bank::new(64, BankMethod::Tbegin);
-        let mut sys = System::new(SystemConfig::with_cpus(12).seed(9));
-        sys.set_sim_threads(threads);
-        sys.set_shard_round_min(1);
-        sys.set_step_log(true);
-        if let Some(w) = window {
-            sys.set_shard_window(w);
-        }
-        bank.run(&mut sys, 25);
-        let sharding = sys.report().sharding;
-        let report = det(&sys);
-        (sys.take_step_log(), report, sharding)
-    };
-    let serial = run(1, None);
-    let conservative = run(2, Some(1));
-    let wide = run(2, None);
-    assert_eq!(
-        conservative.2.rollbacks, 0,
-        "window 1 admits only provably-final steps"
-    );
-    assert_eq!(conservative.2.replayed, 0);
-    for other in [&conservative, &wide] {
-        assert_eq!(serial.0.len(), other.0.len(), "step count diverged");
-        for (at, (a, b)) in serial.0.iter().zip(&other.0).enumerate() {
-            assert_eq!(a, b, "first divergence at step {at}");
-        }
-        assert_eq!(serial.1, other.1, "report diverged");
-    }
-    // The wide window must actually widen rounds, or the speculation is
-    // vacuous on this contended workload.
-    assert!(
-        wide.2.mean_round_steps() > conservative.2.mean_round_steps(),
-        "wide window should beat conservative rounds: {:?} vs {:?}",
-        wide.2,
-        conservative.2
-    );
-}
-
-/// The rollback path must actually run: on a contended bank workload the
-/// wide window speculates past global steps (XI-carrying fetches, abort
-/// processing) and unwinds. The run is deterministic — the round schedule
-/// depends only on the workload and thread count, not host timing — so the
-/// counters are stable, and the simulated outcome still matches serial
-/// exactly (checked against `bank_step_log_is_identical_across_books` /
-/// `window_one_reproduces_conservative_admission` on the same workloads).
-#[test]
-fn speculation_rollbacks_fire_and_are_invisible() {
-    let bank = Bank::new(64, BankMethod::Tbegin);
-    let mut serial = System::new(SystemConfig::with_cpus(12).seed(9));
-    serial.set_step_log(true);
-    bank.run(&mut serial, 25);
-    let serial_report = det(&serial);
-    let serial_log = serial.take_step_log();
-
-    let bank = Bank::new(64, BankMethod::Tbegin);
-    let mut sys = System::new(SystemConfig::with_cpus(12).seed(9));
-    sys.set_sim_threads(2);
-    sys.set_shard_round_min(1);
-    sys.set_step_log(true);
-    bank.run(&mut sys, 25);
-    let s = sys.report().sharding;
-    assert!(
-        s.rollbacks >= 1,
-        "the contended bank must provoke at least one rollback: {s:?}"
-    );
-    assert!(
-        s.replayed >= 1,
-        "at least one rollback must land mid-epoch and replay a prefix: {s:?}"
-    );
-    assert!(s.chain_max >= 2, "run-ahead chains must form: {s:?}");
-    assert_eq!(det(&sys), serial_report, "rollbacks leaked into the report");
-    assert_eq!(
-        serial_log,
-        sys.take_step_log(),
-        "rollbacks leaked into the step log"
-    );
-}
-
-/// Contention-adaptive windows (the default) versus the fixed-window
-/// regime (`ZTM_SHARD_ADAPT=0`, here via the setter — env vars race across
-/// parallel tests): adaptation may only move *host* scheduling (round
-/// sizes, rollback counts), never a simulated byte. Step logs, reports,
-/// and the committed trace digest must be identical to each other and to
-/// the serial scheduler.
-#[test]
-fn adaptive_and_fixed_windows_are_byte_identical() {
-    let run = |threads: usize, adapt: bool| {
-        let bank = Bank::new(64, BankMethod::Tbegin);
-        let mut sys = System::new(SystemConfig::with_cpus(12).seed(9));
-        sys.set_sim_threads(threads);
-        sys.set_shard_round_min(1); // force the scoped-thread dispatch path
-        sys.set_shard_adapt(adapt);
-        sys.set_step_log(true);
-        let (tracer, sink) = Tracer::digest_only();
-        sys.set_tracer(tracer);
-        bank.run(&mut sys, 25);
-        let sharding = sys.report().sharding;
-        let report = det(&sys);
-        (sys.take_step_log(), report, sink.digest(), sharding)
-    };
-    let serial = run(1, true);
-    let adaptive = run(2, true);
-    let fixed = run(2, false);
-    // Non-vacuity: the adaptive run must actually adapt (window stats are
-    // only reported while the controller is live) and the fixed run must
-    // actually not.
-    assert!(
-        adaptive.3.window_cpus > 0,
-        "adaptation should be live on the wide default window: {:?}",
-        adaptive.3
-    );
-    assert_eq!(fixed.3.window_cpus, 0, "fixed regime reports no windows");
-    assert!(
-        adaptive.3.window_min < adaptive.3.window_max,
-        "the contended bank should shrink some windows: {:?}",
-        adaptive.3
-    );
-    for (name, other) in [("adaptive", &adaptive), ("fixed", &fixed)] {
-        assert_eq!(serial.0.len(), other.0.len(), "{name}: step count diverged");
-        for (at, (a, b)) in serial.0.iter().zip(&other.0).enumerate() {
-            assert_eq!(a, b, "{name}: first divergence at step {at}");
-        }
-        assert_eq!(serial.1, other.1, "{name}: report diverged");
-        assert_eq!(serial.2, other.2, "{name}: trace digest diverged");
-    }
-}
-
-/// The controller state is a pure function of the deterministic
-/// step/rollback history, so the *entire* sharding report — window
-/// extrema, clamp census, per-cause rollback counts, round and chain
-/// shapes — must be identical for any host thread count, not just the
-/// simulated outcome.
-#[test]
-fn adaptation_state_is_identical_across_thread_counts() {
-    let run = |threads: usize| {
-        let bank = Bank::new(64, BankMethod::Tbegin);
-        let mut sys = System::new(SystemConfig::with_cpus(48).seed(7));
-        sys.set_sim_threads(threads);
-        sys.set_shard_round_min(1); // force the scoped-thread dispatch path
-        bank.run(&mut sys, 25);
-        sys.report().sharding
-    };
-    let two = run(2);
-    let four = run(4);
-    assert!(
-        two.rollbacks > 0,
-        "the contended bank must roll back: {two:?}"
-    );
-    assert_eq!(
-        two.rollbacks,
-        two.rollbacks_tx + two.rollbacks_fabric + two.rollbacks_quiesce,
-        "every rollback must carry a cause: {two:?}"
-    );
-    assert!(two.window_cpus > 0, "adaptation should be live: {two:?}");
-    assert_eq!(two, four, "host thread count leaked into adaptation state");
-}
-
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 8, // each case runs two full multi-CPU simulations
@@ -434,12 +270,11 @@ proptest! {
         prop_assert_eq!(serial.1, sharded.1);
     }
 
-    /// Shrunk cross-boundary latencies and explicit window widths: with
-    /// `l4_hit`/`cross_mcm`/`memory` forced down to a handful of cycles,
-    /// cross-shard effects land *inside* speculation windows constantly, so
-    /// the resolve/rollback machinery — not latency slack — carries the
-    /// equivalence. Windows wider than the latency bound are deliberately
-    /// legal for the same reason.
+    /// Shrunk cross-boundary latencies: with `l4_hit`/`cross_mcm`/`memory`
+    /// forced down to a handful of cycles, cross-shard fetches complete
+    /// within a few cycles of the round minimum, so only exact
+    /// `(clock, cpu)` ordering — not latency slack — can carry the
+    /// equivalence.
     #[test]
     fn speculation_survives_shrunk_cross_boundary_latencies(
         cpus in 7usize..20,
@@ -449,8 +284,6 @@ proptest! {
         l4 in 2u64..40,
         cross in 2u64..40,
         memory in 4u64..60,
-        window in prop_oneof![Just(None), (1usize..96).prop_map(Some)],
-        adapt in any::<bool>(),
     ) {
         let run = |host_threads: usize| {
             let wl = PoolWorkload::new(PoolLayout::new(pool, 2), SyncMethod::Tbegin, seed);
@@ -461,11 +294,7 @@ proptest! {
             let mut sys = System::new(cfg);
             sys.set_sim_threads(host_threads);
             sys.set_shard_round_min(1); // force the scoped-thread dispatch path
-            sys.set_shard_adapt(adapt);
             sys.set_step_log(true);
-            if let Some(w) = window {
-                sys.set_shard_window(w);
-            }
             wl.run(&mut sys, 10);
             let report = det(&sys);
             (sys.take_step_log(), report)
