@@ -17,37 +17,18 @@ use ztm_sim::System;
 use ztm_trace::{Recorder, Tracer};
 use ztm_workloads::hashtable::{HashTable, TableMethod};
 
-/// Parses `ZTM_FIG5E_THREADS=a,b,c`, skipping empty segments (so trailing
-/// commas like `"36,"` are fine) and naming the offending token on error.
-fn parse_threads(list: &str) -> Vec<usize> {
-    list.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|s| {
-            s.parse().unwrap_or_else(|_| {
-                panic!("ZTM_FIG5E_THREADS: expected a list of thread counts, bad token {s:?}")
-            })
-        })
-        .collect()
-}
-
 fn main() {
     println!("Fig 5(e): java/util/Hashtable-style lock elision (20% puts)");
     println!("(throughput normalized to 1 thread under the global lock)");
     println!();
-    // `ZTM_FIG5E_THREADS=a,b,c` overrides the sweep (e.g. a single 36-CPU
-    // point for scheduler-scaling measurements).
-    let threads: Vec<usize> = match std::env::var("ZTM_FIG5E_THREADS") {
-        Ok(list) => parse_threads(&list),
+    let threads: Vec<usize> = if full() {
         // Full-topology tier: elide across the whole 144-CPU machine.
-        Err(_) if full() => cpu_counts(),
-        Err(_) if quick() => vec![1, 2, 4, 6],
-        Err(_) => vec![1, 2, 3, 4, 5, 6, 7, 8],
+        cpu_counts()
+    } else if quick() {
+        vec![1, 2, 4, 6]
+    } else {
+        vec![1, 2, 3, 4, 5, 6, 7, 8]
     };
-    assert!(
-        !threads.is_empty(),
-        "ZTM_FIG5E_THREADS: no thread counts given"
-    );
     // One sweep point per (method, thread-count) cell, plus the 1-thread
     // global-lock normalization base at index 0 and the 1-CPU unsync IPC
     // point at the end; each worker times its run so the exported timing

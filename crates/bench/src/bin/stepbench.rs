@@ -137,59 +137,11 @@ fn sharded_bracket(n: u64) {
     }
 }
 
-/// The superblock on/off bracket: the same system per shape, stepped with
-/// the superblock fast path engaged ("sb") and forced off ("scalar"). Also
-/// runnable on its own via `ZTM_STEPBENCH_ONLY_SUPERBLOCK=1` so CI can
-/// track the fast path's win without the whole attribution grid.
-fn superblock_bracket(n: u64) {
-    for sb in [false, true] {
-        let mode = if sb { "sb" } else { "scalar" };
-
-        let mut sys = System::new(SystemConfig::with_cpus(1).seed(42));
-        sys.set_superblocks(sb);
-        for k in 0..8 {
-            sys.io_store(Address::new(0x10_000 + k * 8), k + 1);
-        }
-        sys.load_program(0, &burst_prog());
-        time_steps(&mut sys, n, &format!("burst 1cpu {mode}"));
-
-        let mut sys = System::new(SystemConfig::with_cpus(1).seed(42));
-        sys.set_superblocks(sb);
-        sys.load_program(0, &alu_prog());
-        time_steps(&mut sys, n, &format!("alu 1cpu {mode}"));
-
-        let table = HashTable::new(256, 1024, 20, TableMethod::Elision);
-        let mut sys = System::new(SystemConfig::with_cpus(36).seed(42));
-        sys.set_superblocks(sb);
-        table.populate(&mut sys, &(0..1024).collect::<Vec<_>>());
-        let prog = table.program(1_000_000);
-        sys.load_program_all(&prog);
-        for i in 0..sys.cpus() {
-            let arena = 0x2000_0000u64 + i as u64 * 0x10_0000;
-            sys.core_mut(i).set_gr(R7, arena);
-        }
-        time_steps(&mut sys, n, &format!("fig5e elision 36cpu {mode}"));
-        if sb {
-            // How much of the run the fast path actually covered — tight
-            // cross-CPU interleaves bound what superblocks can batch.
-            println!(
-                "{:<28} superblock steps: {:.1}%",
-                "",
-                sys.superblock_steps() as f64 / sys.report().steps as f64 * 100.0
-            );
-        }
-    }
-}
-
 fn main() {
     let n = 4_000_000u64;
 
     if ztm_sim::env_flag("ZTM_STEPBENCH_ONLY_SHARDED") {
         sharded_bracket(n);
-        return;
-    }
-    if ztm_sim::env_flag("ZTM_STEPBENCH_ONLY_SUPERBLOCK") {
-        superblock_bracket(n);
         return;
     }
 
@@ -361,10 +313,6 @@ fn main() {
     // byte-identical simulated outcomes; the ns/step spread is the
     // host-side price of round coordination on a given host core count.
     sharded_bracket(n);
-
-    // 5f. Superblock stepping on/off across three shapes: the dispatch-floor
-    // attribution behind DESIGN.md's "Superblock stepping" numbers.
-    superblock_bracket(n);
 
     // 6. Coalescing × tracing attribution grid. Two memory shapes — the
     // same-line burst (where the line window serves 7 of 8 loads) and

@@ -19,9 +19,6 @@ pub struct Program {
     addrs: Vec<u64>,
     decoded: Vec<DecodedInstr>,
     tparams: Vec<TbeginParams>,
-    /// Per-instruction superblock ends ([`decoded::superblocks`]), computed
-    /// once at assemble time for the batched stepper.
-    sb_end: Vec<u32>,
     base: u64,
 }
 
@@ -68,19 +65,6 @@ impl Program {
     #[inline]
     pub fn tbegin_params(&self, slot: u16) -> &TbeginParams {
         &self.tparams[slot as usize]
-    }
-
-    /// Exclusive end of the straight-line superblock containing instruction
-    /// `idx` (see [`decoded::superblocks`]): every index in
-    /// `idx..superblock_end(idx)` executes sequentially unless a step
-    /// faults, stalls, aborts, or branches — always `> idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    #[inline]
-    pub fn superblock_end(&self, idx: usize) -> usize {
-        self.sb_end[idx] as usize
     }
 
     /// Reconstructs instruction `idx` from its decoded record (exact
@@ -214,13 +198,11 @@ impl Assembler {
             a += instr.len();
         }
         let (decoded, tparams) = decoded::predecode(&instrs, &addrs);
-        let sb_end = decoded::superblocks(&decoded);
         Ok(Program {
             instrs,
             addrs,
             decoded,
             tparams,
-            sb_end,
             base: self.base,
         })
     }

@@ -483,59 +483,6 @@ pub(crate) fn predecode(instrs: &[Instr], addrs: &[u64]) -> (Vec<DecodedInstr>, 
     (table, tparams)
 }
 
-/// Superblock table: for every instruction index, the *exclusive* end of
-/// the maximal straight-line region containing it.
-///
-/// A superblock is a run of consecutively-addressed instructions that a
-/// batched stepper may execute as one scheduler event. Runs end:
-///
-/// * **after** a branch (`BRC`, `CGIJ`, `BRCTG`, `BR`) or `HALT` — the
-///   branch itself is the block's last instruction, since only *after* it
-///   can the program counter leave the straight line;
-/// * **around** a transaction boundary (`TBEGIN`, `TBEGINC`, `TEND`,
-///   `TABORT`) — these serialize against the engine (commit/abort events,
-///   broadcast-stop, nesting-depth changes), so each forms its own
-///   single-instruction block;
-/// * **before** any statically-known branch target — a region-crossing
-///   entry starts a fresh block, keeping every block's membership
-///   independent of how control reached it.
-///
-/// The table says nothing about *dynamic* hazards (faults, stalls, aborts,
-/// mid-block retries): a batched stepper must still bail out of a block on
-/// any step whose outcome is not a plain sequential `Executed`. Everything
-/// here is static program shape, computable once at assemble time.
-pub fn superblocks(decoded: &[DecodedInstr]) -> Vec<u32> {
-    let n = decoded.len();
-    let mut start = vec![false; n + 1];
-    for (i, d) in decoded.iter().enumerate() {
-        match d.op {
-            Op::Brc | Op::Cgij | Op::Brctg => {
-                start[i + 1] = true;
-                if (d.target as usize) < n {
-                    start[d.target as usize] = true;
-                }
-            }
-            // BR is an indirect branch: no static target to split on, but
-            // the block still ends after it.
-            Op::Br | Op::Halt => start[i + 1] = true,
-            Op::Tbegin | Op::Tbeginc | Op::Tend | Op::Tabort => {
-                start[i] = true;
-                start[i + 1] = true;
-            }
-            _ => {}
-        }
-    }
-    let mut ends = vec![0u32; n];
-    let mut end = n as u32;
-    for i in (0..n).rev() {
-        ends[i] = end;
-        if start[i] {
-            end = i as u32;
-        }
-    }
-    ends
-}
-
 impl DecodedInstr {
     /// The memory operand encoded in `base`/`index`/`imm`.
     pub fn mem(&self) -> MemOperand {

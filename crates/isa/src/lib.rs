@@ -56,7 +56,7 @@ mod reg;
 
 pub use asm::{AsmError, Assembler, Program};
 pub use cpu::{effective_address_decoded, run_to_halt, step, step_legacy, StepEvent, StepOutcome};
-pub use decoded::{superblocks, DecodedInstr, Op};
+pub use decoded::{DecodedInstr, Op};
 pub use instr::{cc_mask, CmpCond, Instr, MemOperand, RegOrImm};
 pub use machine::{
     finish_abort, stm_note, AbortApply, AccessResult, CasResult, EndResult, ExceptionDisposition,

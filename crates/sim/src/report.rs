@@ -113,7 +113,7 @@ pub struct SystemReport {
     /// XIs sent, by kind: `[exclusive, demote, read-only, lru]`.
     pub xi_counts: [u64; 4],
     /// Data accesses served by the line-window coalescing fast path without
-    /// a directory walk (zero under `ZTM_NO_COALESCE=1`). A host-speed
+    /// a directory walk (zero with coalescing off). A host-speed
     /// statistic: coalescing changes no simulated outcome.
     pub coalesced_accesses: u64,
     /// Merged software-TM statistics (all zero unless an STM or hybrid

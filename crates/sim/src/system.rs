@@ -206,31 +206,11 @@ pub struct System {
     /// (see `ztm_isa::step_pipelined`).
     pipeline: Option<PipelineState>,
     /// Same-line access coalescing (the line-window fast path in
-    /// `View::prepare`). On by default; `ZTM_NO_COALESCE=1` or
+    /// `View::prepare`). On by default; turning it off with
     /// [`set_coalescing`](Self::set_coalescing) forces every data access
     /// through the full directory walk. Results are identical either way —
     /// only host speed differs (pinned by `tests/coalesce.rs`).
     coalesce: bool,
-    /// Superblock stepping (the straight-line batched fast path in
-    /// [`exec_block`](Self::exec_block)). On by default; `ZTM_NO_SUPERBLOCK=1`
-    /// or [`set_superblocks`](Self::set_superblocks) forces every instruction
-    /// through the scalar [`exec_step`](Self::exec_step) path. Results are
-    /// identical either way — only host speed differs (pinned by
-    /// `tests/superblock.rs`).
-    superblocks: bool,
-    /// Steps retired through the superblock fast path (host-speed
-    /// statistics only — the differential tests use it to prove the fast
-    /// path actually engaged).
-    superblock_steps: u64,
-    /// Per-CPU scalar-path cooldown for superblock probing. When a block
-    /// breaks after a single step (tightly interleaved clocks: another
-    /// CPU's heap entry bounds every block to one instruction, as in the
-    /// contended 36-CPU brackets), the pop + push heap maintenance costs
-    /// more than the scalar path's in-place top refresh — so the next
-    /// [`SB_COOLDOWN`] eligible picks step scalar before the fast path is
-    /// probed again. Purely a host-speed heuristic; the executed schedule
-    /// is identical either way.
-    sb_cooldown: Vec<u32>,
     /// Host threads for the sharded run path (`ZTM_SIM_THREADS` /
     /// [`set_sim_threads`](Self::set_sim_threads)). `1` (the default) keeps
     /// the serial scheduler; above `1` the run methods route through the
@@ -247,10 +227,10 @@ pub struct System {
     /// measures how much of a run actually parallelizes.
     sharded_local_steps: u64,
     /// Minimum shard-local steps a round needs before it is dispatched on
-    /// scoped threads instead of inline (`ZTM_SHARD_ROUND_MIN` /
-    /// [`set_shard_round_min`](Self::set_shard_round_min)). A host-speed
-    /// dial only: both dispatch modes run the identical shard-step code,
-    /// so results never depend on it.
+    /// scoped threads instead of inline ([`Self::SHARD_ROUND_MIN`] unless
+    /// [`set_shard_round_min`](Self::set_shard_round_min) changes it). A
+    /// host-speed dial only: both dispatch modes run the identical
+    /// shard-step code, so results never depend on it.
     par_round_min: usize,
     /// Step-log entries executed by shard run-ahead whose serial position
     /// is not yet final: an entry is released into `step_log` only once the
@@ -325,9 +305,7 @@ impl System {
             hot_clock: vec![0; cpus],
             hot_running: vec![true; cpus],
             hot_dirty: false,
-            // Debug lever: `ZTM_LEGACY_INTERP=1` routes every system through
-            // the legacy walk (results are identical, only speed differs).
-            use_legacy_interpreter: crate::env_flag("ZTM_LEGACY_INTERP"),
+            use_legacy_interpreter: false,
             programs: vec![None; cpus],
             quiesce: None,
             ready: BinaryHeap::with_capacity(cpus + 1),
@@ -337,38 +315,20 @@ impl System {
             trace_capacity: 10_000,
             tracer: Tracer::disabled(),
             steps: 0,
-            pipeline: Self::issue_width_from_env()
-                .map(|w| PipelineState::new(w, cpus, config.latency.lsu_ports)),
-            // Escape hatch: `ZTM_NO_COALESCE=1` disables the line-window
-            // fast path.
-            coalesce: !crate::env_flag("ZTM_NO_COALESCE"),
-            // Escape hatch: `ZTM_NO_SUPERBLOCK=1` disables superblock
-            // stepping (every instruction is its own scheduler event).
-            superblocks: !crate::env_flag("ZTM_NO_SUPERBLOCK"),
-            superblock_steps: 0,
-            sb_cooldown: vec![0; cpus],
+            pipeline: crate::env_usize("ZTM_ISSUE_WIDTH")
+                .filter(|&w| w > 1)
+                .map(|w| PipelineState::new(w as u64, cpus, config.latency.lsu_ports)),
+            coalesce: true,
             sim_threads: crate::env_usize("ZTM_SIM_THREADS").unwrap_or(1),
             step_log: None,
             sharded_local_steps: 0,
-            par_round_min: crate::env_usize("ZTM_SHARD_ROUND_MIN").unwrap_or(96),
+            par_round_min: Self::SHARD_ROUND_MIN,
             pending_log: Vec::new(),
             pending_blocks: Vec::new(),
             shard_rounds: 0,
             shard_round_max: 0,
             shard_chain_max: 0,
             config,
-        }
-    }
-
-    /// Reads `ZTM_ISSUE_WIDTH`. Absent or `1` → `None` (the scalar path is
-    /// already exactly width 1); `> 1` → engage the pipeline window; anything
-    /// else is a configuration error worth failing loudly on.
-    fn issue_width_from_env() -> Option<u64> {
-        let v = std::env::var("ZTM_ISSUE_WIDTH").ok()?;
-        match v.trim().parse::<u64>() {
-            Ok(1) => None,
-            Ok(w) if w > 1 => Some(w),
-            _ => panic!("ZTM_ISSUE_WIDTH: expected a positive issue width, got {v:?}"),
         }
     }
 
@@ -418,11 +378,10 @@ impl System {
         self.use_legacy_interpreter = legacy;
     }
 
-    /// Enables or disables same-line access coalescing (on by default;
-    /// `ZTM_NO_COALESCE=1` starts systems with it off). Either setting
-    /// produces byte-identical simulations — the lockstep differential in
-    /// `tests/coalesce.rs` pins that — so this is a speed/debug lever, not a
-    /// behavior switch.
+    /// Enables or disables same-line access coalescing (on by default).
+    /// Either setting produces byte-identical simulations — the lockstep
+    /// differential in `tests/coalesce.rs` pins that — so this is a
+    /// speed/debug lever, not a behavior switch.
     pub fn set_coalescing(&mut self, on: bool) {
         self.coalesce = on;
         if !on {
@@ -432,23 +391,12 @@ impl System {
         }
     }
 
-    /// Enables or disables superblock stepping (on by default;
-    /// `ZTM_NO_SUPERBLOCK=1` starts systems with it off). When on, the
-    /// serial scheduler retires a whole straight-line decoded region
-    /// ([`Program::superblock_end`]) as one scheduler event, hoisting the
-    /// per-step timer/PER/diag tests, view construction, hot-mirror
-    /// writeback, and heap maintenance out of the per-instruction loop.
-    /// Either setting produces byte-identical simulations — the lockstep
-    /// differential in `tests/superblock.rs` pins that — so this is a
-    /// speed/debug lever, not a behavior switch.
-    pub fn set_superblocks(&mut self, on: bool) {
-        self.superblocks = on;
-    }
-
-    /// Steps retired through the superblock fast path so far (zero when
-    /// disabled or when every block bails to the scalar path).
+    /// Always zero. Every step goes through the scalar scheduler, so no
+    /// step is retired as part of a batched straight-line block; the method
+    /// stays because the `perfbench` harness reads it as
+    /// `sim.superblock_share`, until that metric is retired.
     pub fn superblock_steps(&self) -> u64 {
-        self.superblock_steps
+        0
     }
 
     /// Sets the in-order issue width (§II.B: the zEC12 core decodes three
@@ -500,6 +448,10 @@ impl System {
     pub fn sharded_local_steps(&self) -> u64 {
         self.sharded_local_steps
     }
+
+    /// Default minimum round size (in shard-local steps) that dispatches on
+    /// scoped host threads.
+    const SHARD_ROUND_MIN: usize = 96;
 
     /// Sets the minimum round size (in shard-local steps) that dispatches
     /// on scoped host threads; smaller rounds run inline. Purely a host
@@ -791,170 +743,6 @@ impl System {
         out
     }
 
-    /// Scalar picks to take after a degenerate superblock before probing
-    /// the fast path again on that CPU. High enough that tight interleaves
-    /// pay block overhead on ~6 % of picks at worst, low enough that a CPU
-    /// whose neighbors halt or diverge re-engages quickly.
-    const SB_COOLDOWN: u32 = 15;
-
-    /// Steps a superblock must retire before the pop + push it costs over
-    /// the scalar path's in-place heap refresh pays for itself. Blocks
-    /// statically shorter than this are skipped outright
-    /// ([`block_eligible`](Self::block_eligible)); statically long blocks
-    /// that get *cut* below it trigger the cooldown. Measured on the
-    /// contended 36-CPU stepbench brackets, where cross-CPU stop keys
-    /// bound most blocks to one or two steps.
-    const SB_MIN_RUN: u64 = 4;
-
-    /// Whether CPU `i`'s next pick may route through the superblock fast
-    /// path ([`exec_block`](Self::exec_block)). Conservative: anything the
-    /// block loop does not replicate from [`exec_step`](Self::exec_step) —
-    /// issue windows, the legacy walk, the disassembling step trace, a due
-    /// (or arming-distance) timer tick, armed PER controls, a pending abort
-    /// — falls back to the scalar path. These are exactly the per-step
-    /// tests the block loop hoists: checked once per block here instead of
-    /// once per instruction.
-    #[inline]
-    fn block_eligible(&self, i: usize) -> bool {
-        self.superblocks
-            && self.pipeline.is_none()
-            && !self.use_legacy_interpreter
-            && !self.traced[i]
-            && !self.cores[i].per.enabled
-            && self.nodes[i].engine.pending_abort().is_none()
-            // A structurally short block (a branch or TX boundary within a
-            // few instructions of pc) cannot amortize the fast path's heap
-            // churn — skip it outright, *without* burning the cooldown:
-            // shortness here is a property of this pc, not of the regime,
-            // and the long block right after it should still batch.
-            && {
-                let pc = self.cores[i].pc;
-                match self.programs[i].as_deref() {
-                    Some(p) => p.superblock_end(pc) >= pc + Self::SB_MIN_RUN as usize,
-                    None => false,
-                }
-            }
-            && match self.config.timer_interval {
-                Some(t) => self.hot_clock[i] < self.nodes[i].last_timer + t,
-                None => true,
-            }
-    }
-
-    /// Executes up to one superblock's worth of instructions on CPU `i` as
-    /// a single scheduler event, hoisting every per-step obligation that
-    /// [`exec_step`](Self::exec_step) pays per instruction — the timer
-    /// test, view construction, the traced/pipeline branches, hot-mirror
-    /// writeback, and (in the caller) heap maintenance — out of the loop.
-    /// Per instruction only the pre-step tracer clock, the step itself,
-    /// and the optional step-log push remain, so the emitted event stream,
-    /// the step log, and every `StepOutcome` are byte-identical to scalar
-    /// stepping.
-    ///
-    /// The loop stops — *before* executing the next instruction — when
-    /// that instruction would not be the serial scheduler's pick or would
-    /// cross a stopping rule, keeping `step_many`/`run_for_cycles`
-    /// semantics exact:
-    ///
-    /// * the block's static end ([`Program::superblock_end`]), or any step
-    ///   that leaves the straight line (branch taken, fault-retry);
-    /// * any outcome other than a plain `Executed` (stall, abort, commit,
-    ///   halt) — handled by the scalar epilogue below, exactly as
-    ///   `exec_step` would;
-    /// * `stop_key`: the packed `(clock, cpu)` key at which another CPU
-    ///   becomes the scheduler's pick (other CPUs' clocks cannot move
-    ///   while this CPU steps, so the bound computed at block entry stays
-    ///   exact);
-    /// * the step budget (`step_many`), the cycle horizon
-    ///   (`run_for_cycles`, pre-step clock), and the next due timer tick.
-    ///
-    /// Returns how many instructions retired (≥ 1) and the last outcome.
-    fn exec_block(
-        &mut self,
-        i: usize,
-        stop_key: u64,
-        budget: u64,
-        horizon: u64,
-    ) -> (u64, StepOutcome) {
-        let timer_stop = match self.config.timer_interval {
-            Some(t) => self.nodes[i].last_timer + t,
-            None => u64::MAX,
-        };
-        let prog: &Arc<Program> = self.programs[i].as_ref().expect("program loaded");
-        let tracer_on = self.tracer.is_enabled();
-        let core = &mut self.cores[i];
-        let mut clock = core.clock;
-        let mut idx = core.pc;
-        let end = prog.superblock_end(idx);
-        let mut view = View {
-            cpu: i,
-            base: 0,
-            now: clock,
-            tracer: &self.tracer,
-            nodes: &mut self.nodes,
-            fabric: Some(&mut self.fabric),
-            mem: MemPort::Excl(&mut self.mem),
-            pages: PagePort::Direct(&mut self.pages),
-            fabric_busy: Some(&mut self.fabric_busy),
-            config: &self.config,
-            coalesce: self.coalesce,
-            hit_slot: None,
-        };
-        let mut executed = 0u64;
-        let out = loop {
-            if tracer_on {
-                view.tracer.set_clock(clock);
-            }
-            view.now = clock;
-            let out = ztm_isa::step(core, prog, &mut view);
-            executed += 1;
-            if let Some(log) = self.step_log.as_mut() {
-                log.push(StepLogEntry {
-                    clock,
-                    cpu: i,
-                    event: out.event,
-                    cycles: out.cycles,
-                });
-            }
-            if out.event != StepEvent::Executed {
-                break out;
-            }
-            // Stay on the straight line: a taken branch leaves it, and a
-            // handled-fault retry re-runs the same index (let the scalar
-            // path take that rare step so one loop iteration maps to one
-            // retired instruction).
-            let next = core.pc;
-            if next != idx + 1 || next >= end {
-                break out;
-            }
-            idx = next;
-            clock = core.clock;
-            if executed >= budget
-                || clock >= horizon
-                || clock >= timer_stop
-                || Self::pack_entry(clock, i) >= stop_key
-            {
-                break out;
-            }
-        };
-        self.hot_clock[i] = self.cores[i].clock;
-        self.hot_running[i] = self.cores[i].is_running();
-        self.steps += executed;
-        self.superblock_steps += executed;
-        // Scalar epilogue for the bail-out step, mirroring `exec_step`
-        // (the quiesce was free at block entry, so only this CPU's own
-        // broadcast-stop can have claimed it).
-        if out.event == StepEvent::Stalled {
-            self.nodes[i].stalls += 1;
-        }
-        if out.broadcast_stop {
-            self.quiesce = Some(i);
-        }
-        if self.quiesce == Some(i) && !self.hot_running[i] {
-            self.release_quiesce(i);
-        }
-        (executed, out)
-    }
-
     /// Steps up to `limit` instructions, returning the last `(cpu, outcome)`
     /// (`None` when every CPU has halted before the first step).
     ///
@@ -967,15 +755,14 @@ impl System {
     /// still holds the broadcast-stop quiesce. Anything else falls back to
     /// the full scheduling pick on the next call. Batching only amortizes
     /// the pick itself; every per-step obligation (timer, tracing, quiesce
-    /// management, heap refresh) runs inside the loop — or once per
-    /// superblock when the fast path is eligible.
+    /// management, heap refresh) runs inside the loop.
     fn step_upto(&mut self, limit: u64) -> Option<(usize, StepOutcome)> {
         self.step_upto_bounded(limit, u64::MAX)
     }
 
     /// [`step_upto`](Self::step_upto) with a cycle horizon: no step whose
     /// pre-step clock is `>= horizon` is executed (the `run_for_cycles`
-    /// stopping rule, applied inside the batch and inside superblocks).
+    /// stopping rule, applied inside the batch).
     /// The caller guarantees the first pick's clock is below `horizon`.
     fn step_upto_bounded(&mut self, limit: u64, horizon: u64) -> Option<(usize, StepOutcome)> {
         if self.hot_dirty {
@@ -993,33 +780,8 @@ impl System {
         };
         let mut done = 0u64;
         loop {
-            let out = if my_entry.is_some() && self.sb_cooldown[i] == 0 && self.block_eligible(i) {
-                // Superblock fast path. The CPU's own (fresh) entry is on
-                // top of the heap; pop it so the next-best fresh entry
-                // bounds how far the block may run before another CPU
-                // becomes the scheduler's pick.
-                self.ready.pop();
-                my_entry = None;
-                let stop_key = self.peek_fresh_entry().unwrap_or(u64::MAX);
-                let (k, out) = self.exec_block(i, stop_key, limit - done, horizon);
-                if k < Self::SB_MIN_RUN {
-                    // A statically long block got cut short dynamically — a
-                    // tight cross-CPU interleave or a stall-heavy stretch
-                    // broke it before enough steps amortized the fast
-                    // path's heap churn (a pop + push instead of the scalar
-                    // path's in-place top refresh). That regime outlives
-                    // one pick: step scalar for a while, then probe again.
-                    self.sb_cooldown[i] = Self::SB_COOLDOWN;
-                }
-                done += k;
-                out
-            } else {
-                if my_entry.is_some() && self.sb_cooldown[i] > 0 {
-                    self.sb_cooldown[i] -= 1;
-                }
-                done += 1;
-                self.exec_step(i)
-            };
+            let out = self.exec_step(i);
+            done += 1;
             // Keep this CPU's heap entry fresh. While it holds the quiesce
             // it is scheduled directly (its stale entry is skipped lazily),
             // so pushing waits until the quiesce releases — the release path
@@ -1504,15 +1266,11 @@ impl System {
     /// Panics if more than `max_steps` instructions execute system-wide
     /// (guards against livelock in tests).
     pub fn run_until_halt(&mut self, max_steps: u64) {
-        if self.sharded_active() {
-            if self.run_sharded_upto(max_steps, None) >= max_steps {
-                panic!("system did not halt within {max_steps} steps");
-            }
-            return;
-        }
-        for _ in 0..max_steps {
-            if self.step_one().is_none() {
-                return;
+        let mut done = 0;
+        while done < max_steps {
+            match self.step_many(max_steps - done) {
+                0 => return,
+                k => done += k,
             }
         }
         panic!("system did not halt within {max_steps} steps");
@@ -2362,11 +2120,11 @@ impl View<'_> {
         //   they run here exactly as the full walk runs them.
         //
         // Only the `Access` trace event remains observable; emit it and skip
-        // the walk. `ZTM_NO_COALESCE=1` (or `set_coalescing(false)`) forces
-        // the full walk; `tests/coalesce.rs` pins both paths to each other
-        // per-step. A window can only exist while coalescing is enabled
-        // (arming is gated and `set_coalescing(false)` clears them), so the
-        // window presence check doubles as the switch check.
+        // the walk. `set_coalescing(false)` forces the full walk;
+        // `tests/coalesce.rs` pins both paths to each other per-step. A
+        // window can only exist while coalescing is enabled (arming is gated
+        // and `set_coalescing(false)` clears them), so the window presence
+        // check doubles as the switch check.
         let at = self.cpu - self.base;
         if let Some(w) = self.nodes[at].last_data {
             let node = &mut self.nodes[at];

@@ -1,6 +1,6 @@
 //! Differential tests for line-window access coalescing.
 //!
-//! Coalescing (`System::set_coalescing`, escape hatch `ZTM_NO_COALESCE=1`)
+//! Coalescing (`System::set_coalescing`, on by default)
 //! elides the directory walk for consecutive accesses to the same data line.
 //! It is a host-speed optimization with *zero* simulated effect, and these
 //! tests pin that: a coalescing system and a full-walk system must agree on
