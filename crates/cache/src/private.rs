@@ -264,40 +264,6 @@ impl PrivateCache {
     // Access path
     // ------------------------------------------------------------------
 
-    /// Local lookup for an access; decides whether the fabric is needed.
-    pub fn lookup(&mut self, line: LineAddr, class: AccessClass) -> LocalHit {
-        let need_excl = class == AccessClass::Store;
-        let hit = match self.l2.peek(line).map(|e| e.state) {
-            Some(state) => {
-                if need_excl && state == CohState::ReadOnly {
-                    LocalHit::Miss {
-                        held_read_only: true,
-                    }
-                } else if self.l1.get(line).is_some() {
-                    // `get` doubles as the presence test and the LRU touch.
-                    self.l2.get(line);
-                    LocalHit::L1
-                } else {
-                    LocalHit::L2
-                }
-            }
-            None => LocalHit::Miss {
-                held_read_only: false,
-            },
-        };
-        self.tracer.emit(|| Event::Access {
-            line: line.index(),
-            store: need_excl,
-            hit: match hit {
-                LocalHit::L1 => hit_level::L1,
-                LocalHit::L2 => hit_level::L2,
-                LocalHit::Miss { .. } => hit_level::MISS,
-            },
-            tx: self.in_tx,
-        });
-        hit
-    }
-
     /// Installs a line granted by the fabric (or upgrades it), placing it in
     /// both the L2 and L1 and applying the transactional marking for the
     /// access that triggered the fetch.
@@ -331,52 +297,17 @@ impl PrivateCache {
         out
     }
 
-    /// Completes an access that hit locally ([`LocalHit::L1`]/[`LocalHit::L2`]):
-    /// installs into the L1 if needed and applies transactional marking.
-    pub fn complete_local(
-        &mut self,
-        line: LineAddr,
-        class: AccessClass,
-        tx: bool,
-    ) -> InstallOutcome {
-        let mut out = InstallOutcome::default();
-        debug_assert!(self.l2.contains(line), "local completion without L2 line");
-        // Fast path: L1-resident — one directory scan doubling as the
-        // presence test and the mark target (same transitions as `mark`).
-        if let Some(e) = self.l1.peek_mut(line) {
-            if tx {
-                match class {
-                    AccessClass::Fetch => {
-                        if !e.tx_read {
-                            e.tx_read = true;
-                            self.tx_read_marks.push(line);
-                        }
-                    }
-                    AccessClass::Store => {
-                        if !e.tx_dirty {
-                            e.tx_dirty = true;
-                            self.tx_dirty_marks.push(line);
-                        }
-                    }
-                }
-            }
-            return out;
-        }
-        self.install_l1(line, &mut out);
-        self.mark(line, class, tx);
-        out
-    }
-
-    /// Fused [`lookup`](Self::lookup) + [`complete_local`](Self::complete_local):
-    /// one pass over each directory instead of two.
+    /// The local half of an access: one pass over each directory that
+    /// decides whether the fabric is needed and, on a local hit, completes
+    /// the access.
     ///
-    /// Equivalence with the split pair is stamp-exact: the L2 is scanned once
-    /// (state check first, stamp applied only on the hit path, as
-    /// `peek`-then-`get` would), the L1 `get_index` consumes a stamp even on
-    /// a miss exactly like `get`, and the tx-marking transitions and journal
-    /// pushes are the ones `complete_local` performs. `need_excl` is the
-    /// lookup's exclusivity requirement (a store, or fetch with intent to
-    /// update); `class` is the access class used for tx marking.
+    /// The L2 is scanned once: the state check comes first and the LRU stamp
+    /// is applied only on the hit path. On that path the L1 probe consumes
+    /// an LRU stamp even when the line is not L1-resident. An L1 hit then
+    /// applies the tx marking in place; an L2 hit installs the line into the
+    /// L1 and marks it there. A miss has no completion side effects. `need_excl` is the lookup's
+    /// exclusivity requirement (a store, or fetch with intent to update);
+    /// `class` is the access class used for tx marking.
     pub fn access_local(
         &mut self,
         line: LineAddr,
@@ -386,7 +317,7 @@ impl PrivateCache {
     ) -> (LocalHit, InstallOutcome) {
         // Phase 1: the lookup — scans and LRU stamps only, no completion
         // side effects, so the `Access` event precedes any `Evict` the
-        // completion emits (same event order as the split pair).
+        // completion emits.
         let (hit, l1_at) = match self.l2.find(line) {
             None => (
                 LocalHit::Miss {
@@ -706,16 +637,6 @@ impl PrivateCache {
         self.reject_epoch += 1;
     }
 
-    /// Highest per-requester reject count (for statistics/tests).
-    pub fn reject_count(&self) -> u32 {
-        self.reject_counts
-            .iter()
-            .filter(|s| s.epoch == self.reject_epoch)
-            .map(|s| s.count)
-            .max()
-            .unwrap_or(0)
-    }
-
     // ------------------------------------------------------------------
     // Transaction lifecycle
     // ------------------------------------------------------------------
@@ -821,13 +742,16 @@ mod tests {
     fn miss_then_hit() {
         let mut u = unit();
         assert_eq!(
-            u.lookup(line(1), AccessClass::Fetch),
+            u.access_local(line(1), AccessClass::Fetch, false, false).0,
             LocalHit::Miss {
                 held_read_only: false
             }
         );
         u.install(line(1), CohState::ReadOnly, AccessClass::Fetch, false);
-        assert_eq!(u.lookup(line(1), AccessClass::Fetch), LocalHit::L1);
+        assert_eq!(
+            u.access_local(line(1), AccessClass::Fetch, false, false).0,
+            LocalHit::L1
+        );
     }
 
     #[test]
@@ -835,13 +759,16 @@ mod tests {
         let mut u = unit();
         u.install(line(1), CohState::ReadOnly, AccessClass::Fetch, false);
         assert_eq!(
-            u.lookup(line(1), AccessClass::Store),
+            u.access_local(line(1), AccessClass::Store, true, false).0,
             LocalHit::Miss {
                 held_read_only: true
             }
         );
         u.install(line(1), CohState::Exclusive, AccessClass::Store, false);
-        assert_eq!(u.lookup(line(1), AccessClass::Store), LocalHit::L1);
+        assert_eq!(
+            u.access_local(line(1), AccessClass::Store, true, false).0,
+            LocalHit::L1
+        );
     }
 
     #[test]
@@ -1021,11 +948,17 @@ mod tests {
         u.begin_outermost_tx();
         u.install(line(1), CohState::Exclusive, AccessClass::Store, true);
         u.buffer_store(line(1).base(), &[7; 8], true, false);
-        assert_eq!(u.lookup(line(1), AccessClass::Fetch), LocalHit::L1);
+        assert_eq!(
+            u.access_local(line(1), AccessClass::Fetch, false, false).0,
+            LocalHit::L1
+        );
         let writes = u.abort_tx();
         assert!(writes.is_empty(), "no NTSTG data");
         // tx-dirty line left the L1 but stays in the L2 (7-cycle refill).
-        assert_eq!(u.lookup(line(1), AccessClass::Fetch), LocalHit::L2);
+        assert_eq!(
+            u.access_local(line(1), AccessClass::Fetch, false, false).0,
+            LocalHit::L2
+        );
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! the `ztm-run` binary is a thin wrapper.
 
 use std::fmt::Write as _;
+use std::process::ExitCode;
 use ztm_core::DiagnosticControl;
 use ztm_sim::{System, SystemConfig};
 use ztm_trace::{Metrics, Recorder, Tracer};
@@ -167,8 +168,18 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
                     return Err("cpus must be 1..=144".into());
                 }
             }
-            "--ops" => o.ops = value()?.parse().map_err(|_| "ops must be a number")?,
-            "--pool" => o.pool = value()?.parse().map_err(|_| "pool must be a number")?,
+            "--ops" => {
+                o.ops = value()?.parse().map_err(|_| "ops must be a number")?;
+                if o.ops == 0 {
+                    return Err("ops must be at least 1".into());
+                }
+            }
+            "--pool" => {
+                o.pool = value()?.parse().map_err(|_| "pool must be a number")?;
+                if o.pool == 0 {
+                    return Err("pool must be at least 1".into());
+                }
+            }
             "--vars" => {
                 o.vars = value()?.parse().map_err(|_| "vars must be a number")?;
                 if !(1..=4).contains(&o.vars) {
@@ -218,7 +229,8 @@ fn build_system(o: &Options) -> Result<System, String> {
 ///
 /// # Errors
 ///
-/// Returns a message when the method name does not fit the workload.
+/// Returns a message when the method name does not fit the workload, or
+/// when the method cannot run with the given options.
 pub fn execute(o: &Options) -> Result<String, String> {
     let mut sys = build_system(o)?;
     if let Some(cpu) = o.trace_cpu {
@@ -251,6 +263,9 @@ pub fn execute(o: &Options) -> Result<String, String> {
                 "none" => SyncMethod::None,
                 m => return Err(format!("pool does not know method `{m}`")),
             };
+            if method == SyncMethod::FineLock && o.vars != 1 {
+                return Err("pool method `fine` needs --vars 1 (one lock per variable)".into());
+            }
             let wl = PoolWorkload::new(PoolLayout::new(o.pool, o.vars), method, o.seed);
             wl.run(&mut sys, o.ops)
         }
@@ -512,11 +527,18 @@ pub fn summarize_trace(text: &str) -> Result<String, String> {
     Ok(out)
 }
 
-/// Runs and prints, mapping errors to stderr (used by the binary).
-pub fn run(o: &Options) {
+/// Runs and prints, mapping errors to stderr and a failing exit code (used
+/// by the binary).
+pub fn run(o: &Options) -> ExitCode {
     match execute(o) {
-        Ok(report) => print!("{report}"),
-        Err(e) => eprintln!("error: {e}"),
+        Ok(report) => {
+            print!("{report}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
     }
 }
 
@@ -565,6 +587,27 @@ mod tests {
         assert!(parse_args(&args("--workload nope")).is_err());
         assert!(parse_args(&args("--bogus 1")).is_err());
         assert!(parse_args(&args("--cpus")).is_err());
+    }
+
+    #[test]
+    fn rejects_zero_ops() {
+        // Each workload loops on BRCTG, which decrements before it tests, so
+        // a zero op count would wrap around and never halt.
+        let e = parse_args(&args("--ops 0")).unwrap_err();
+        assert!(e.contains("ops must be at least 1"), "{e}");
+    }
+
+    #[test]
+    fn rejects_an_empty_pool() {
+        let e = parse_args(&args("--pool 0")).unwrap_err();
+        assert!(e.contains("pool must be at least 1"), "{e}");
+    }
+
+    #[test]
+    fn rejects_fine_locking_on_multi_variable_ops() {
+        let o = parse_args(&args("--method fine --vars 2 --cpus 2 --ops 5")).unwrap();
+        let e = execute(&o).unwrap_err();
+        assert!(e.contains("--vars 1"), "{e}");
     }
 
     #[test]

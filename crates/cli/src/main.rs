@@ -39,10 +39,7 @@ fn main() -> ExitCode {
         };
     }
     match parse_args(&args) {
-        Ok(opts) => {
-            run(&opts);
-            ExitCode::SUCCESS
-        }
+        Ok(opts) => run(&opts),
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!();

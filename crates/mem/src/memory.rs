@@ -234,15 +234,6 @@ impl MainMemory {
             None => [0u8; LINE_SIZE as usize],
         }
     }
-
-    /// The arena slot for `line` without consulting or updating the front
-    /// cache — safe to call concurrently from several threads (the front
-    /// memo mutates `Cell`s under `&self` and is therefore single-thread
-    /// only).
-    #[inline]
-    pub fn line_slot_nofront(&self, line: LineAddr) -> Option<u32> {
-        self.index.get(&line).copied()
-    }
 }
 
 /// A thread-shareable window onto a [`MainMemory`] for the sharded
@@ -296,13 +287,6 @@ impl SharedMem {
         assert!((slot as usize) < self.arena_len, "stale arena slot");
         // SAFETY: in-bounds, and no concurrent writer for a line being read.
         unsafe { &*self.arena.add(slot as usize) }
-    }
-
-    /// Whether `line` has a backing arena slot (i.e. has ever been stored
-    /// to). Stores through a `SharedMem` require one.
-    #[inline]
-    pub fn has_line_slot(&self, line: LineAddr) -> bool {
-        self.slot_of(line).is_some()
     }
 
     /// The arena slot backing `line`, if any (see

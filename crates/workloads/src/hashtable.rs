@@ -9,7 +9,7 @@ use crate::harness::{convention, emit_tx_with_fallback, WorkloadReport};
 use ztm_isa::{gr::*, Assembler, MemOperand, Program, RegOrImm};
 use ztm_mem::Address;
 use ztm_sim::System;
-use ztm_stm::{HtmBody, Stm, StmLayout, TxBody};
+use ztm_stm::{HtmBody, Stm, TxBody};
 
 /// Synchronization of the hashtable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,12 +77,6 @@ impl HashTable {
 
     fn bucket_addr(&self, b: u64) -> u64 {
         self.table_base + b * 8
-    }
-
-    /// The STM layout behind the software-TM modes, for callers that drive
-    /// `program()` manually and must `install` the layout themselves.
-    pub fn stm_layout(&self) -> &StmLayout {
-        &self.stm.layout
     }
 
     /// Pre-populates the table host-side with `keys.len()` entries (key →
