@@ -8,8 +8,8 @@
 
 use std::time::Instant;
 use ztm_bench::{
-    bench_tag, cpu_counts, print_header, print_row, quick, reference_throughput, run_pool, sweep,
-    write_bench_json_sweep, SweepTable, Timing,
+    bench_tag, cpu_counts, print_header, print_row, quick, reference_throughput, results_dir,
+    run_pool, sweep, write_bench_json, SweepTable, Timing,
 };
 use ztm_workloads::pool::SyncMethod;
 
@@ -79,9 +79,7 @@ fn main() {
         top_row = row;
     }
     // The printed figure, exported verbatim so `results/plot_fig5e_full.py`
-    // can render it offline. Series names are distinct from the headline
-    // keys below (the digest-only artifact diff grep-extracts headline
-    // lines by key, which must stay unique per file).
+    // can render it offline.
     let sweep_table = SweepTable {
         x: "cpus",
         series: &[
@@ -101,7 +99,8 @@ fn main() {
     };
     let tbc_pct = 100.0 * tbc / none;
     println!("TBEGINC at {cpus} CPUs = {tbc_pct:.1}% of unsynchronized throughput (paper: 99.8%)",);
-    match write_bench_json_sweep(
+    match write_bench_json(
+        &results_dir(),
         &bench_tag("fig5a_pools"),
         &[
             ("cpus_max", cpus as f64),
@@ -118,6 +117,9 @@ fn main() {
         Some(&timing),
     ) {
         Ok(path) => println!("metrics: {}", path.display()),
-        Err(e) => eprintln!("metrics export failed: {e}"),
+        Err(e) => {
+            eprintln!("metrics export failed: {e}");
+            std::process::exit(1);
+        }
     }
 }

@@ -10,8 +10,8 @@
 
 use std::time::Instant;
 use ztm_bench::{
-    bench_tag, cpu_counts, digest_only, full, ops_for, print_header, print_row, quick, sweep,
-    system_config, write_bench_json_digest, write_bench_json_sweep, SweepTable, Timing,
+    bench_tag, cpu_counts, full, ops_for, print_header, print_row, quick, results_dir, sweep,
+    system_config, write_bench_json, SweepTable, Timing,
 };
 use ztm_sim::System;
 use ztm_trace::{Recorder, Tracer};
@@ -69,9 +69,7 @@ fn main() {
         rows.push((n, vec![lock_top, elision_top, unsync_top]));
     }
     // The printed figure, exported verbatim so `results/plot_fig5e_full.py`
-    // can render it offline. Named "cpus"/"lock"/... — the digest-only
-    // artifact diff grep-extracts headline keys like "threads", which must
-    // stay unique in this file.
+    // can render it offline.
     let sweep_table = SweepTable {
         x: "cpus",
         series: &["lock", "elision", "unsync"],
@@ -82,53 +80,36 @@ fn main() {
     let ipc = results.last().unwrap().1.ipc();
     println!("\nmeasured IPC (1-CPU unsync row): {ipc:.3}");
     // Re-run the widest elision point traced for the metrics trajectory
-    // (serial: the recorder is thread-local by construction). Under
-    // `ZTM_DIGEST_ONLY=1` the re-run attaches the digest-only sink instead:
-    // same event stream, same digest, no ring or metrics — the artifact
-    // carries just the digest + event count for CI to diff.
+    // (serially, outside the sweep, so one recorder sees the whole run).
     let top = *threads.last().unwrap();
-    let headlines = [
-        ("threads", top as f64),
-        ("lock_normalized", lock_top),
-        ("elision_normalized", elision_top),
-        ("unsync_normalized", unsync_top),
-        ("elision_speedup", elision_top / lock_top),
-        ("unsync_ipc", ipc),
-    ];
     let t = HashTable::new(512, 2048, 20, TableMethod::Elision);
     let mut sys = System::new(system_config(top).seed(42));
-    let written = if digest_only() {
-        let (tracer, sink) = Tracer::digest_only();
-        sys.set_tracer(tracer);
-        let t0 = Instant::now();
-        t.populate(&mut sys, &(0..1024).collect::<Vec<_>>());
-        t.run(&mut sys, ops_for(top).min(150));
-        timing.add_run(t0.elapsed(), &sys.report());
-        write_bench_json_digest(
-            &bench_tag("fig5e_hashtable_digest"),
-            &headlines,
-            sink.digest(),
-            sink.events(),
-            Some(&timing),
-        )
-    } else {
-        let (tracer, recorder) = Tracer::recording(Recorder::DEFAULT_CAPACITY);
-        sys.set_tracer(tracer);
-        let t0 = Instant::now();
-        t.populate(&mut sys, &(0..1024).collect::<Vec<_>>());
-        t.run(&mut sys, ops_for(top).min(150));
-        timing.add_run(t0.elapsed(), &sys.report());
-        let rec = recorder.lock().unwrap();
-        write_bench_json_sweep(
-            &bench_tag("fig5e_hashtable"),
-            &headlines,
-            Some(&sweep_table),
-            Some(&rec),
-            Some(&timing),
-        )
-    };
-    match written {
+    let (tracer, recorder) = Tracer::recording(Recorder::DEFAULT_CAPACITY);
+    sys.set_tracer(tracer);
+    let t0 = Instant::now();
+    t.populate(&mut sys, &(0..1024).collect::<Vec<_>>());
+    t.run(&mut sys, ops_for(top).min(150));
+    timing.add_run(t0.elapsed(), &sys.report());
+    let rec = recorder.lock().unwrap();
+    match write_bench_json(
+        &results_dir(),
+        &bench_tag("fig5e_hashtable"),
+        &[
+            ("threads", top as f64),
+            ("lock_normalized", lock_top),
+            ("elision_normalized", elision_top),
+            ("unsync_normalized", unsync_top),
+            ("elision_speedup", elision_top / lock_top),
+            ("unsync_ipc", ipc),
+        ],
+        Some(&sweep_table),
+        Some(&rec),
+        Some(&timing),
+    ) {
         Ok(path) => println!("\nmetrics: {}", path.display()),
-        Err(e) => eprintln!("metrics export failed: {e}"),
+        Err(e) => {
+            eprintln!("metrics export failed: {e}");
+            std::process::exit(1);
+        }
     }
 }

@@ -14,8 +14,8 @@
 
 use std::time::{Duration, Instant};
 use ztm_bench::{
-    bench_tag, cpu_counts, full, ops_for, print_header, print_row, quick, sweep, system_config,
-    write_bench_json, Timing,
+    bench_tag, cpu_counts, full, ops_for, print_header, print_row, quick, results_dir, sweep,
+    system_config, write_bench_json, Timing,
 };
 use ztm_sim::System;
 use ztm_trace::{Recorder, Tracer};
@@ -166,13 +166,18 @@ fn main() {
         timing.add_run(wall, &rep.system);
         let rec = recorder.lock().unwrap();
         match write_bench_json(
+            &results_dir(),
             &bench_tag(&format!("hybrid_{workload}")),
             &headlines,
+            None,
             Some(&rec),
             Some(&timing),
         ) {
             Ok(path) => println!("  metrics: {}\n", path.display()),
-            Err(e) => eprintln!("  metrics export failed: {e}\n"),
+            Err(e) => {
+                eprintln!("  metrics export failed: {e}");
+                std::process::exit(1);
+            }
         }
     }
 }

@@ -6,7 +6,7 @@
 //! is perfectly predictable).
 
 use std::time::Instant;
-use ztm_bench::{run_pool, run_pool_traced, sweep, write_bench_json, Timing};
+use ztm_bench::{results_dir, run_pool, run_pool_traced, sweep, write_bench_json, Timing};
 use ztm_workloads::pool::SyncMethod;
 
 fn main() {
@@ -46,6 +46,7 @@ fn main() {
     println!("TBEGINC vs TBEGIN          : {c_vs_nc:.2}%   (paper: ~0.4%)");
     let rec = recorder.lock().unwrap();
     match write_bench_json(
+        &results_dir(),
         "E1_uncontended",
         &[
             ("lock_cycles_per_op", lock.avg_op_cycles()),
@@ -54,10 +55,14 @@ fn main() {
             ("tbegin_advantage_pct", tx_vs_lock),
             ("tbeginc_vs_tbegin_pct", c_vs_nc),
         ],
+        None,
         Some(&rec),
         Some(&timing),
     ) {
         Ok(path) => println!("metrics: {}", path.display()),
-        Err(e) => eprintln!("metrics export failed: {e}"),
+        Err(e) => {
+            eprintln!("metrics export failed: {e}");
+            std::process::exit(1);
+        }
     }
 }

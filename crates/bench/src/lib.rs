@@ -20,7 +20,7 @@
 //! `cargo run --release -p ztm-bench --bin fig5b`.
 //! Set `ZTM_QUICK=1` for a reduced sweep.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use ztm_sim::{System, SystemConfig, SystemReport};
@@ -121,16 +121,16 @@ pub fn sim_threads() -> usize {
 /// and returns the results **in input order**.
 ///
 /// Each point is an independent simulation: `f` constructs its own
-/// [`System`] (a `System` is not `Send` — its tracer hands out `Rc`s — so it
-/// must live and die inside the worker that runs it). Determinism is
+/// [`System`] inside the worker that runs it, so no simulator state crosses
+/// threads and only the configs and results must be shareable. Determinism is
 /// unaffected: a simulation's outcome depends only on its config and seed,
 /// never on which host thread runs it, so the result vector — and therefore
 /// the table printed from it — is byte-identical for any thread count,
 /// including 1. Workers claim points dynamically (an atomic cursor), which
 /// load-balances sweeps whose cost grows steeply with the CPU count.
 ///
-/// Traced runs (those that keep a `Recorder` for metrics export) should stay
-/// outside `sweep`, since the recorder is thread-local by construction.
+/// Traced runs (those that keep a `Recorder` for metrics export) stay
+/// outside `sweep`: each binary exports one recorder from a serial re-run.
 pub fn sweep<C, R, F>(configs: Vec<C>, f: F) -> Vec<R>
 where
     C: Sync,
@@ -297,60 +297,34 @@ fn commit_id() -> String {
         .clone()
 }
 
-/// Writes `BENCH_<name>.json` into the results directory (`ZTM_RESULTS_DIR`,
-/// default `results/`): the benchmark's headline numbers plus, when a
-/// recorder is given, the run's full [`ztm_trace::Metrics`] document — so
-/// every figure binary leaves a machine-readable perf trajectory behind.
-/// A [`Timing`], when given, lands on one `"timing"` line (see there).
-///
-/// # Errors
-///
-/// Propagates filesystem errors from creating the directory or writing.
-pub fn write_bench_json(
-    name: &str,
-    headlines: &[(&str, f64)],
-    recorder: Option<&Recorder>,
-    timing: Option<&Timing>,
-) -> std::io::Result<PathBuf> {
-    write_bench_json_sweep(name, headlines, None, recorder, timing)
+/// The results directory: `ZTM_RESULTS_DIR`, default `results/`.
+pub fn results_dir() -> PathBuf {
+    PathBuf::from(std::env::var("ZTM_RESULTS_DIR").unwrap_or_else(|_| "results".into()))
 }
 
-/// [`write_bench_json`] plus an optional per-point sweep table: the rows
-/// the binary printed as its figure, exported verbatim so offline tooling
-/// (`results/plot_fig5e_full.py`) can re-render the figure without
-/// re-running the simulator. The table is deterministic output and is
-/// diffed by CI like every other non-timing field.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from creating the directory or writing.
-pub fn write_bench_json_sweep(
-    name: &str,
-    headlines: &[(&str, f64)],
-    sweep: Option<&SweepTable>,
-    recorder: Option<&Recorder>,
-    timing: Option<&Timing>,
-) -> std::io::Result<PathBuf> {
-    let dir = PathBuf::from(std::env::var("ZTM_RESULTS_DIR").unwrap_or_else(|_| "results".into()));
-    write_bench_json_to(&dir, name, headlines, sweep, recorder, timing)
-}
-
-/// A figure's per-point rows for [`write_bench_json_sweep`]: the x column
-/// name, one name per y series, and `(x, ys)` rows with one y per series.
-/// Series names must not collide with headline keys of the digest-only
-/// artifact shape (CI grep-extracts headline lines by key across the two
-/// shapes).
+/// A figure's per-point rows for [`write_bench_json`]: the x column name,
+/// one name per y series, and `(x, ys)` rows with one y per series.
 pub struct SweepTable<'a> {
     pub x: &'a str,
     pub series: &'a [&'a str],
     pub rows: Vec<(usize, Vec<f64>)>,
 }
 
-/// [`write_bench_json_sweep`] with an explicit target directory — the
-/// testable core (tests must not mutate `ZTM_RESULTS_DIR`, which is
-/// process-global and races with any parallel test reading it).
-pub fn write_bench_json_to(
-    dir: &std::path::Path,
+/// Writes `BENCH_<name>.json` into `dir` (figure binaries pass
+/// [`results_dir`]): the benchmark's headline numbers, an optional
+/// per-point sweep table, and, when a recorder is given, the run's full
+/// [`ztm_trace::Metrics`] document, so every figure binary leaves a
+/// machine-readable perf trajectory behind. The sweep table holds the rows
+/// the binary printed as its figure, so offline tooling
+/// (`results/plot_fig5e_full.py`) can re-render the figure without
+/// re-running the simulator. Everything but the [`Timing`] line is
+/// deterministic and diffed by CI.
+///
+/// # Errors
+///
+/// Propagates filesystem errors from creating the directory or writing.
+pub fn write_bench_json(
+    dir: &Path,
     name: &str,
     headlines: &[(&str, f64)],
     sweep: Option<&SweepTable>,
@@ -396,67 +370,6 @@ pub fn write_bench_json_to(
         }
         None => body.push_str("  \"metrics\": null\n"),
     }
-    body.push_str("}\n");
-    std::fs::write(&path, body)?;
-    Ok(path)
-}
-
-/// Whether the digest-only tracing tier is engaged (`ZTM_DIGEST_ONLY=1`,
-/// and only the value "1"): figure binaries then attach `ztm-trace`'s
-/// digest-only sink to their traced re-run instead of a full recorder and
-/// export via [`write_bench_json_digest`] — the cheapest way to keep the
-/// determinism check while skipping ring buffering and metrics.
-pub fn digest_only() -> bool {
-    ztm_sim::env_flag("ZTM_DIGEST_ONLY")
-}
-
-/// The digest-only variant of [`write_bench_json`]: the same headline and
-/// timing layout, but the metrics object carries only what the digest-only
-/// sink knows — the FNV-1a trace digest (formatted exactly as the full
-/// metrics document formats it, so a `grep '"digest"'` line from this file
-/// diffs clean against the full-recorder artifact) and the events-digested
-/// count.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from creating the directory or writing.
-pub fn write_bench_json_digest(
-    name: &str,
-    headlines: &[(&str, f64)],
-    digest: u64,
-    events: u64,
-    timing: Option<&Timing>,
-) -> std::io::Result<PathBuf> {
-    let dir = PathBuf::from(std::env::var("ZTM_RESULTS_DIR").unwrap_or_else(|_| "results".into()));
-    write_bench_json_digest_to(&dir, name, headlines, digest, events, timing)
-}
-
-/// [`write_bench_json_digest`] with an explicit target directory (the
-/// testable core, mirroring [`write_bench_json_to`]).
-pub fn write_bench_json_digest_to(
-    dir: &std::path::Path,
-    name: &str,
-    headlines: &[(&str, f64)],
-    digest: u64,
-    events: u64,
-    timing: Option<&Timing>,
-) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("BENCH_{name}.json"));
-    let mut body = String::from("{\n");
-    body.push_str(&format!("  \"bench\": \"{name}\",\n"));
-    let hl: Vec<String> = headlines
-        .iter()
-        .map(|(k, v)| format!("    \"{k}\": {v}"))
-        .collect();
-    body.push_str(&format!("  \"headlines\": {{\n{}\n  }},\n", hl.join(",\n")));
-    if let Some(t) = timing {
-        body.push_str(&format!("  \"timing\": {},\n", t.json_value()));
-    }
-    body.push_str("  \"metrics\": {\n");
-    body.push_str(&format!("    \"digest\": \"{digest:#018x}\",\n"));
-    body.push_str(&format!("    \"events\": {events}\n"));
-    body.push_str("  }\n");
     body.push_str("}\n");
     std::fs::write(&path, body)?;
     Ok(path)
@@ -510,7 +423,7 @@ mod tests {
         let (report, recorder) = run_pool_traced(SyncMethod::Tbegin, 2, 4, 1, 7);
         let mut timing = Timing::default();
         timing.add_run(std::time::Duration::from_millis(5), &report.system);
-        let path = write_bench_json_to(
+        let path = write_bench_json(
             &dir,
             "test",
             &[("cycles_per_op", report.avg_op_cycles())],
@@ -547,43 +460,15 @@ mod tests {
     }
 
     #[test]
-    fn digest_only_json_digest_line_matches_the_full_export() {
-        // The digest-only artifact must render its "digest" and "events"
-        // lines byte-identically to the full-recorder export, so CI can
-        // grep-extract and diff them across the two artifact shapes.
-        let dir = std::env::temp_dir().join("ztm-bench-digest-json-test");
-        let (report, recorder) = run_pool_traced(SyncMethod::Tbegin, 2, 4, 1, 7);
-        let rec = recorder.lock().unwrap();
-        let full = write_bench_json_to(
-            &dir,
-            "full",
-            &[("cycles_per_op", report.avg_op_cycles())],
-            None,
-            Some(&rec),
-            None,
-        )
-        .unwrap();
-        let digest = write_bench_json_digest_to(
-            &dir,
-            "digest",
-            &[("cycles_per_op", report.avg_op_cycles())],
-            rec.digest(),
-            rec.metrics().events,
-            None,
-        )
-        .unwrap();
-        let pick = |path: &std::path::Path, key: &str| -> String {
-            std::fs::read_to_string(path)
-                .unwrap()
-                .lines()
-                .find(|l| l.contains(key))
-                .unwrap_or_else(|| panic!("{key} missing in {}", path.display()))
-                .trim_end_matches(',')
-                .to_string()
-        };
-        assert_eq!(pick(&full, "\"digest\":"), pick(&digest, "\"digest\":"));
-        assert_eq!(pick(&full, "\"events\":"), pick(&digest, "\"events\":"));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn bench_json_fails_when_the_results_dir_is_a_file() {
+        // A results "directory" that is a regular file must surface as an
+        // error, so a figure binary can exit non-zero instead of claiming
+        // an export it never wrote.
+        let file = std::env::temp_dir().join("ztm-bench-json-not-a-dir");
+        std::fs::write(&file, "").unwrap();
+        let written = write_bench_json(&file, "test", &[("x", 1.0)], None, None, None);
+        assert!(written.is_err(), "{written:?}");
+        let _ = std::fs::remove_file(&file);
     }
 
     #[test]

@@ -62,9 +62,6 @@ pub struct Options {
     pub trace_out: Option<String>,
     /// Write a metrics JSON document here.
     pub metrics_out: Option<String>,
-    /// Trace with the digest-only sink (no ring, no metrics): print the
-    /// stream digest and event count only.
-    pub digest_only: bool,
     /// Print a per-CPU measurement table.
     pub per_cpu: bool,
 }
@@ -85,7 +82,6 @@ impl Default for Options {
             trace_cpu: None,
             trace_out: None,
             metrics_out: None,
-            digest_only: false,
             per_cpu: false,
         }
     }
@@ -123,9 +119,6 @@ OPTIONS:
                         (load in Perfetto / chrome://tracing)
     --metrics <path>    write machine-readable metrics JSON (counters,
                         abort-code and latency histograms, trace digest)
-    --digest-only       trace with the digest-only sink: report the stream
-                        digest + event count, skip ring buffer and metrics
-                        (conflicts with --trace/--metrics)
     --per-cpu           print a per-CPU measurement table
     -h, --help          this help
 "
@@ -200,14 +193,8 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--trace" => o.trace_out = Some(value()?),
             "--metrics" => o.metrics_out = Some(value()?),
-            "--digest-only" => o.digest_only = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
-    }
-    if o.digest_only && (o.trace_out.is_some() || o.metrics_out.is_some()) {
-        return Err(
-            "--digest-only conflicts with --trace/--metrics (those need the recorder)".into(),
-        );
     }
     Ok(o)
 }
@@ -243,13 +230,6 @@ pub fn execute(o: &Options) -> Result<String, String> {
         let (tracer, recorder) = Tracer::recording(Recorder::DEFAULT_CAPACITY);
         sys.set_tracer(tracer);
         Some(recorder)
-    } else {
-        None
-    };
-    let digest_sink = if o.digest_only {
-        let (tracer, sink) = Tracer::digest_only();
-        sys.set_tracer(tracer);
-        Some(sink)
     } else {
         None
     };
@@ -397,14 +377,6 @@ pub fn execute(o: &Options) -> Result<String, String> {
                 m.ops, st.commits, st.aborts
             );
         }
-    }
-    if let Some(sink) = &digest_sink {
-        let _ = writeln!(
-            out,
-            "trace digest      : {:#018x} ({} events digested)",
-            sink.digest(),
-            sink.events()
-        );
     }
     if let Some(rec) = &recorder {
         let rec = rec.lock().unwrap();
@@ -690,7 +662,6 @@ mod tests {
             "--trace-cpu",
             "--trace",
             "--metrics",
-            "--digest-only",
             "summarize-trace",
         ] {
             assert!(u.contains(flag), "usage missing {flag}");
@@ -722,40 +693,6 @@ mod tests {
         assert!(metrics.contains("\"abort_codes\""), "{metrics}");
         let _ = std::fs::remove_file(&trace_path);
         let _ = std::fs::remove_file(&metrics_path);
-    }
-
-    #[test]
-    fn digest_only_reports_the_recorder_digest() {
-        // The same run through the digest-only sink and through a full
-        // recorder must print the identical digest.
-        let dir = std::env::temp_dir();
-        let metrics_path = dir.join("ztm-cli-test-digest-only-metrics.json");
-        let base = "--cpus 4 --ops 30 --pool 2";
-        let d = parse_args(&args(&format!("{base} --digest-only"))).unwrap();
-        let digest_report = execute(&d).unwrap();
-        assert!(digest_report.contains("events digested"), "{digest_report}");
-        let r = parse_args(&args(&format!(
-            "{base} --metrics {}",
-            metrics_path.display()
-        )))
-        .unwrap();
-        let recorder_report = execute(&r).unwrap();
-        let digest_of = |report: &str| {
-            report
-                .lines()
-                .find_map(|l| l.split("digest").nth(1))
-                .and_then(|tail| tail.split_whitespace().find(|w| w.starts_with("0x")))
-                .map(str::to_string)
-                .unwrap_or_else(|| panic!("no digest in {report}"))
-        };
-        assert_eq!(digest_of(&digest_report), digest_of(&recorder_report));
-        let _ = std::fs::remove_file(&metrics_path);
-    }
-
-    #[test]
-    fn digest_only_conflicts_with_recorder_outputs() {
-        assert!(parse_args(&args("--digest-only --trace t.json")).is_err());
-        assert!(parse_args(&args("--digest-only --metrics m.json")).is_err());
     }
 
     #[test]

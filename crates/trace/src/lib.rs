@@ -632,67 +632,45 @@ pub trait TraceSink {
 /// derives a clone whose emissions are attributed to a given CPU.
 #[derive(Clone, Default)]
 pub struct Tracer {
-    sink: Option<Sink>,
+    sink: Option<Arc<Mutex<dyn TraceSink + Send>>>,
     clock: Arc<AtomicU64>,
     cpu: u16,
 }
 
-/// The attached consumer: either a shared dynamic [`TraceSink`] (recorder,
-/// per-shard event buffers, test sinks) or the allocation-free digest-only
-/// fold. Dispatching on the variant in [`Tracer::emit`] keeps the
-/// digest-only path free of the lock and virtual call the general sink
-/// needs.
-#[derive(Clone)]
-enum Sink {
-    Shared(Arc<Mutex<dyn TraceSink + Send>>),
-    Digest(Arc<DigestSink>),
-}
-
-/// A digest-only sink: folds every stamped event straight into a streaming
-/// FNV-1a state — no lock, no ring buffering, no event materialization. The
-/// digest is bit-identical to what a [`Recorder`] fed the same stream
-/// reports (both fold through the same byte stream);
-/// [`events`](DigestSink::events) counts how many events were digested.
-///
-/// The state lives in relaxed atomics only so the handle is `Sync`; the
-/// simulator feeds any single sink from one thread at a time (sharded runs
-/// buffer per shard and replay through the sink on the coordinator), so the
-/// non-atomic read-modify-write of `fold` never races.
-#[derive(Debug)]
+/// A streaming trace digest: folds every stamped event into an FNV-1a state
+/// and counts the events, keeping nothing else. [`Recorder`] digests through
+/// one of these, so any sink that embeds a `DigestSink` reports the
+/// recorder's digest for the same stream.
+#[derive(Debug, Clone)]
 pub struct DigestSink {
-    state: AtomicU64,
-    events: AtomicU64,
+    state: u64,
+    events: u64,
 }
 
 impl DigestSink {
     /// An empty sink (digest of the empty stream).
     pub fn new() -> DigestSink {
         DigestSink {
-            state: AtomicU64::new(FNV_OFFSET),
-            events: AtomicU64::new(0),
+            state: FNV_OFFSET,
+            events: 0,
         }
     }
 
-    /// Folds one stamped event. Shared-reference so it is callable through
-    /// the `Arc` the [`Tracer`] clones hold.
+    /// Folds one stamped event.
     #[inline]
-    pub fn fold(&self, clock: u64, cpu: u16, event: &Event) {
-        self.state.store(
-            fold_digest(self.state.load(Ordering::Relaxed), clock, cpu, event),
-            Ordering::Relaxed,
-        );
-        self.events
-            .store(self.events.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    pub fn fold(&mut self, clock: u64, cpu: u16, event: &Event) {
+        self.state = fold_digest(self.state, clock, cpu, event);
+        self.events += 1;
     }
 
     /// The running digest over everything folded so far.
     pub fn digest(&self) -> u64 {
-        self.state.load(Ordering::Relaxed)
+        self.state
     }
 
     /// How many events have been folded.
     pub fn events(&self) -> u64 {
-        self.events.load(Ordering::Relaxed)
+        self.events
     }
 }
 
@@ -720,40 +698,16 @@ impl Tracer {
     /// A tracer feeding a fresh bounded [`Recorder`]; returns both.
     pub fn recording(capacity: usize) -> (Tracer, Arc<Mutex<Recorder>>) {
         let recorder = Arc::new(Mutex::new(Recorder::new(capacity)));
-        let sink: Arc<Mutex<dyn TraceSink + Send>> = recorder.clone();
-        (
-            Tracer {
-                sink: Some(Sink::Shared(sink)),
-                clock: Arc::new(AtomicU64::new(0)),
-                cpu: 0,
-            },
-            recorder,
-        )
+        (Tracer::with_sink(recorder.clone()), recorder)
     }
 
     /// A tracer over an arbitrary sink.
     pub fn with_sink(sink: Arc<Mutex<dyn TraceSink + Send>>) -> Tracer {
         Tracer {
-            sink: Some(Sink::Shared(sink)),
+            sink: Some(sink),
             clock: Arc::new(AtomicU64::new(0)),
             cpu: 0,
         }
-    }
-
-    /// A tracer that keeps only the running digest and an event count — the
-    /// cheapest enabled sink, for callers (CI determinism checks, bench
-    /// sweeps, differential tests) that never read events back. The digest
-    /// is bit-identical to a [`Recorder`]'s for the same stream.
-    pub fn digest_only() -> (Tracer, Arc<DigestSink>) {
-        let sink = Arc::new(DigestSink::new());
-        (
-            Tracer {
-                sink: Some(Sink::Digest(sink.clone())),
-                clock: Arc::new(AtomicU64::new(0)),
-                cpu: 0,
-            },
-            sink,
-        )
     }
 
     /// A tracer feeding a fresh [`EventBuffer`] that stamps every event with
@@ -763,15 +717,7 @@ impl Tracer {
     /// replays them into the real sink.
     pub fn buffering(seq: Arc<AtomicU64>) -> (Tracer, Arc<Mutex<EventBuffer>>) {
         let buffer = Arc::new(Mutex::new(EventBuffer::new(seq)));
-        let sink: Arc<Mutex<dyn TraceSink + Send>> = buffer.clone();
-        (
-            Tracer {
-                sink: Some(Sink::Shared(sink)),
-                clock: Arc::new(AtomicU64::new(0)),
-                cpu: 0,
-            },
-            buffer,
-        )
+        (Tracer::with_sink(buffer.clone()), buffer)
     }
 
     /// Whether a sink is attached.
@@ -802,29 +748,17 @@ impl Tracer {
     /// sink is attached.
     #[inline]
     pub fn emit(&self, f: impl FnOnce() -> Event) {
-        match &self.sink {
-            None => {}
-            Some(Sink::Shared(sink)) => {
-                sink.lock()
-                    .expect("trace sink poisoned")
-                    .record(self.clock(), self.cpu, f())
-            }
-            Some(Sink::Digest(sink)) => sink.fold(self.clock(), self.cpu, &f()),
-        }
+        self.emit_at(self.cpu, f);
     }
 
     /// Emits an event attributed to an explicit CPU (used by the shared
     /// fabric, which acts on behalf of a requester).
     #[inline]
     pub fn emit_at(&self, cpu: u16, f: impl FnOnce() -> Event) {
-        match &self.sink {
-            None => {}
-            Some(Sink::Shared(sink)) => {
-                sink.lock()
-                    .expect("trace sink poisoned")
-                    .record(self.clock(), cpu, f())
-            }
-            Some(Sink::Digest(sink)) => sink.fold(self.clock(), cpu, &f()),
+        if let Some(sink) = &self.sink {
+            sink.lock()
+                .expect("trace sink poisoned")
+                .record(self.clock(), cpu, f());
         }
     }
 }
@@ -1298,7 +1232,7 @@ pub struct Recorder {
     ring: VecDeque<TracedEvent>,
     capacity: usize,
     dropped: u64,
-    digest: u64,
+    digest: DigestSink,
     metrics: Metrics,
 }
 
@@ -1321,7 +1255,7 @@ impl Recorder {
             ring: VecDeque::with_capacity(capacity.min(4096)),
             capacity,
             dropped: 0,
-            digest: FNV_OFFSET,
+            digest: DigestSink::new(),
             metrics: Metrics::default(),
         }
     }
@@ -1343,7 +1277,7 @@ impl Recorder {
 
     /// Order- and content-sensitive digest over the full stream.
     pub fn digest(&self) -> u64 {
-        self.digest
+        self.digest.digest()
     }
 
     /// Full-stream aggregates.
@@ -1358,7 +1292,7 @@ impl Recorder {
 
     /// Renders the metrics JSON document (counters, histograms, digest).
     pub fn metrics_json(&self) -> String {
-        self.metrics.to_json(self.digest, self.dropped)
+        self.metrics.to_json(self.digest(), self.dropped)
     }
 
     /// Renders the retained events as Chrome trace-event JSON.
@@ -1368,13 +1302,13 @@ impl Recorder {
     /// its [`Event::encode`] string under `args.enc`, which
     /// [`parse_chrome_trace`] uses to reconstruct the stream losslessly.
     pub fn chrome_trace_json(&self) -> String {
-        chrome_trace_json(&self.snapshot(), self.digest, self.dropped)
+        chrome_trace_json(&self.snapshot(), self.digest(), self.dropped)
     }
 }
 
 impl TraceSink for Recorder {
     fn record(&mut self, clock: u64, cpu: u16, event: Event) {
-        self.digest = fold_digest(self.digest, clock, cpu, &event);
+        self.digest.fold(clock, cpu, &event);
         self.metrics.observe(clock, cpu, &event);
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
@@ -1829,27 +1763,23 @@ mod tests {
     }
 
     #[test]
-    fn digest_only_sink_matches_recorder_bit_for_bit() {
-        // Feed the identical stamped stream (every variant, varied clocks
-        // and CPUs) into a full recorder and the digest-only sink: the
-        // digests must agree exactly, and the event counts too.
-        let (rec_t, rec) = Tracer::recording(8); // tiny ring: digest ignores wraparound
-        let (dig_t, dig) = Tracer::digest_only();
-        assert!(dig_t.is_enabled());
+    fn digest_sink_matches_recorder_bit_for_bit() {
+        // Fold every variant (varied clocks and CPUs) straight into a
+        // `DigestSink` and emit the same stamped stream through a tracer
+        // into a full recorder: the digests and event counts must agree.
+        let (t, rec) = Tracer::recording(8); // tiny ring: digest ignores wraparound
+        let mut dig = DigestSink::default();
         for (i, ev) in sample_events().into_iter().enumerate() {
             let clock = 10 * i as u64 + 3;
             let cpu = (i % 5) as u16;
-            rec_t.set_clock(clock);
-            dig_t.set_clock(clock);
-            rec_t.for_cpu(cpu).emit(|| ev);
-            dig_t.for_cpu(cpu).emit(|| ev);
+            t.set_clock(clock);
+            t.for_cpu(cpu).emit(|| ev);
+            dig.fold(clock, cpu, &ev);
         }
-        // Also exercise the explicit-CPU emission path on both sinks.
-        rec_t.emit_at(17, || Event::TxCommit);
-        dig_t.emit_at(17, || Event::TxCommit);
         let r = rec.lock().unwrap();
         assert_eq!(dig.digest(), r.digest());
         assert_eq!(dig.events(), r.metrics().events);
+        assert_eq!(dig.events(), sample_events().len() as u64);
         assert_ne!(dig.digest(), FNV_OFFSET, "stream must have been folded");
     }
 
