@@ -299,7 +299,16 @@ fn commit_id() -> String {
 
 /// The results directory: `ZTM_RESULTS_DIR`, default `results/`.
 pub fn results_dir() -> PathBuf {
-    PathBuf::from(std::env::var("ZTM_RESULTS_DIR").unwrap_or_else(|_| "results".into()))
+    results_dir_from(std::env::var("ZTM_RESULTS_DIR").ok())
+}
+
+/// [`results_dir`] for a given `ZTM_RESULTS_DIR` value. Absent or empty
+/// (the workspace's "unset") means `results/`, never the working directory.
+fn results_dir_from(var: Option<String>) -> PathBuf {
+    match var {
+        Some(dir) if !dir.trim().is_empty() => PathBuf::from(dir),
+        _ => PathBuf::from("results"),
+    }
 }
 
 /// A figure's per-point rows for [`write_bench_json`]: the x column name,
@@ -457,6 +466,20 @@ mod tests {
         assert!(timing_lines[0].contains("\"commit\""));
         assert!(timing_lines[0].contains("\"host_threads\""));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn empty_results_dir_means_the_default() {
+        assert_eq!(results_dir_from(None), PathBuf::from("results"));
+        assert_eq!(
+            results_dir_from(Some(String::new())),
+            PathBuf::from("results")
+        );
+        assert_eq!(results_dir_from(Some(" ".into())), PathBuf::from("results"));
+        assert_eq!(
+            results_dir_from(Some("out/figs".into())),
+            PathBuf::from("out/figs")
+        );
     }
 
     #[test]

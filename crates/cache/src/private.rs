@@ -118,13 +118,6 @@ pub struct PrivateCache {
     tx_read_marks: Vec<LineAddr>,
     /// Journal of lines marked tx-dirty during the current transaction.
     tx_dirty_marks: Vec<LineAddr>,
-    /// Bumped whenever directory state changes *outside* this CPU's own
-    /// access path: an incoming XI (including internal LRU XIs) or a
-    /// transaction boundary. A caller that caches "my last access to line L
-    /// hit the L1" can keep trusting that verdict exactly while this counter
-    /// stands still (its own later accesses replace the cached verdict, so
-    /// they need no bump).
-    gen: u64,
     tracer: Tracer,
 }
 
@@ -149,40 +142,8 @@ impl PrivateCache {
             reject_epoch: 0,
             tx_read_marks: Vec::new(),
             tx_dirty_marks: Vec::new(),
-            gen: 0,
             tracer: Tracer::disabled(),
         }
-    }
-
-    /// The external-mutation generation (see the `gen` field).
-    pub fn generation(&self) -> u64 {
-        self.gen
-    }
-
-    /// Whether `line` holds the hot (directory-wide MRU) slot of *both* the
-    /// L1 and the L2. When it does, a full repeat walk of the line would
-    /// re-stamp nothing at either level, so eliding the walk is LRU-pure —
-    /// the arming precondition for `ztm-sim`'s line-window coalescing.
-    pub fn line_is_hot(&self, line: LineAddr) -> bool {
-        self.l1.is_hot(line) && self.l2.is_hot(line)
-    }
-
-    /// The tx-read / tx-dirty marks of `line`'s L1 entry, or `None` when the
-    /// line is not L1-resident. A pure probe (no LRU effect); the line-window
-    /// fast path uses it to prove an elided in-tx walk would journal nothing.
-    pub fn l1_tx_marks(&self, line: LineAddr) -> Option<(bool, bool)> {
-        self.l1.peek(line).map(|e| (e.tx_read, e.tx_dirty))
-    }
-
-    /// Re-emits the `Access` event a repeated L1-hit lookup of `line` would
-    /// have produced, for callers that elide the directory walk itself.
-    pub fn emit_repeat_access(&self, line: LineAddr, store: bool) {
-        self.tracer.emit(|| Event::Access {
-            line: line.index(),
-            store,
-            hit: hit_level::L1,
-            tx: self.in_tx,
-        });
     }
 
     /// Creates a private cache unit with the XI-reject table pre-sized for
@@ -593,7 +554,6 @@ impl PrivateCache {
     }
 
     fn apply_xi_transition(&mut self, xi: Xi) -> XiOutcome {
-        self.gen += 1;
         // Losing (or downgrading) the line forces pending non-transactional
         // stores for it out of the gathering store cache first.
         self.store_cache.drain_line(xi.line);
@@ -663,7 +623,6 @@ impl PrivateCache {
     /// cache entries (§III.B/§III.D).
     pub fn begin_outermost_tx(&mut self) {
         self.in_tx = true;
-        self.gen += 1;
         self.reject_epoch += 1;
         self.clear_tx_marks();
         self.lru_ext.fill(false);
@@ -674,7 +633,6 @@ impl PrivateCache {
     /// the buffered stores for application to committed memory.
     pub fn commit_tx(&mut self) -> Vec<DrainWrite> {
         self.in_tx = false;
-        self.gen += 1;
         self.clear_tx_marks();
         self.lru_ext.fill(false);
         self.store_cache.commit_tx()
@@ -685,7 +643,6 @@ impl PrivateCache {
     /// stores, and returns the NTSTG writes that must still be committed.
     pub fn abort_tx(&mut self) -> Vec<DrainWrite> {
         self.in_tx = false;
-        self.gen += 1;
         for i in 0..self.tx_dirty_marks.len() {
             let line = self.tx_dirty_marks[i];
             // Journal entries can be stale: only remove lines whose live L1

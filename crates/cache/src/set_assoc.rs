@@ -244,14 +244,6 @@ impl<E> SetAssoc<E> {
         self.peek(line).is_some()
     }
 
-    /// Whether `line` occupies the hot (directory-wide most-recently-used)
-    /// slot. A repeat lookup of the hot line re-stamps nothing, so a walk of
-    /// it can be elided without perturbing LRU order — the precondition the
-    /// line-window coalescing in `ztm-sim` checks before arming.
-    pub fn is_hot(&self, line: LineAddr) -> bool {
-        matches!(self.hot, Some((hot_line, _)) if hot_line == line)
-    }
-
     /// Inserts a line, returning the evicted `(line, entry)` if the class was
     /// full. The victim is the present slot with the lowest
     /// `evict_priority(line, entry)`, ties broken by LRU.

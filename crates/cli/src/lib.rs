@@ -343,7 +343,6 @@ pub fn execute(o: &Options) -> Result<String, String> {
     }
     let _ = writeln!(out, "xi [ex,dm,ro,lru] : {:?}", r.xi_counts);
     let _ = writeln!(out, "stall retries     : {}", r.stalls);
-    let _ = writeln!(out, "coalesced accesses: {}", r.coalesced_accesses);
     if r.sharding.rounds > 0 {
         let s = &r.sharding;
         let _ = writeln!(

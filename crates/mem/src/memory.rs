@@ -128,24 +128,11 @@ impl MainMemory {
     /// The arena slot backing `line`, if the line has ever been stored to.
     ///
     /// Slots are immutable once handed out — lines are never freed and the
-    /// arena never reorders — so a cached slot stays valid for the lifetime
-    /// of the memory image. The simulator's line-window coalescing caches
-    /// one per core and serves repeat same-line loads through
-    /// [`load_u64_at_slot`](Self::load_u64_at_slot) without re-probing the
-    /// index.
+    /// arena never reorders — so a slot stays valid for the lifetime of the
+    /// memory image.
     #[inline]
     pub fn line_slot(&self, line: LineAddr) -> Option<u32> {
         self.slot_of(line)
-    }
-
-    /// Reads a big-endian `u64` at `offset` inside the line backed by `slot`
-    /// (a handle from [`line_slot`](Self::line_slot)). The read must not
-    /// cross the line end (`offset + 8 <= LINE_SIZE`), which callers
-    /// guarantee by checking the access fits in the line first.
-    #[inline]
-    pub fn load_u64_at_slot(&self, slot: u32, offset: usize) -> u64 {
-        let line = &self.arena[slot as usize];
-        u64::from_be_bytes(line[offset..offset + 8].try_into().expect("8-byte slice"))
     }
 
     /// Reads `buf.len()` bytes starting at `addr`. The access may span lines;
@@ -294,14 +281,6 @@ impl SharedMem {
     #[inline]
     pub fn line_slot(&self, line: LineAddr) -> Option<u32> {
         self.slot_of(line)
-    }
-
-    /// Reads a big-endian `u64` at `offset` inside the line backed by
-    /// `slot`; mirror of [`MainMemory::load_u64_at_slot`].
-    #[inline]
-    pub fn load_u64_at_slot(&self, slot: u32, offset: usize) -> u64 {
-        let line = self.line(slot);
-        u64::from_be_bytes(line[offset..offset + 8].try_into().expect("8-byte slice"))
     }
 
     /// Reads `buf.len()` bytes starting at `addr`; mirror of

@@ -112,9 +112,10 @@ pub struct SystemReport {
     pub tx: TxStats,
     /// XIs sent, by kind: `[exclusive, demote, read-only, lru]`.
     pub xi_counts: [u64; 4],
-    /// Data accesses served by the line-window coalescing fast path without
-    /// a directory walk (zero with coalescing off). A host-speed
-    /// statistic: coalescing changes no simulated outcome.
+    /// Always zero. Every data access takes the full directory walk in
+    /// `View::prepare`, so none skips it; the field stays because the
+    /// `perfbench` harness reads it as `sim.coalesced_share`, until that
+    /// metric is retired.
     pub coalesced_accesses: u64,
     /// Merged software-TM statistics (all zero unless an STM or hybrid
     /// sync mode ran).

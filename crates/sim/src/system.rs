@@ -54,40 +54,8 @@ struct Node {
     last_ifetch_installs: u64,
     /// Page-residency epoch observed at the `last_ifetch` fetch.
     last_ifetch_page_epoch: u64,
-    /// The line window armed by the last completed full data-access walk,
-    /// feeding the same-line coalescing fast path in `View::prepare` (see
-    /// there for the validity argument).
-    last_data: Option<LineWindow>,
-    /// Data accesses served by the line window without a directory walk.
-    coalesced: u64,
     /// Software-TM statistics observed via `STMNOTE` markers.
     stm: crate::report::StmCounts,
-}
-
-/// A per-core *line window*: the data line the previous full directory walk
-/// resolved, plus the snapshots that keep its "an access to this line would
-/// hit the L1 with nothing to re-stamp" verdict valid. Armed only when the
-/// line ended the walk as the hot (MRU) slot of both private directories;
-/// any offset or length within the line is then served without walking.
-#[derive(Debug, Clone, Copy)]
-struct LineWindow {
-    line: LineAddr,
-    /// Ownership level the arming walk established: an exclusive window
-    /// (`true`) serves stores and fetches, a shared one only fetches.
-    excl: bool,
-    /// [`PrivateCache::generation`] observed when the walk completed.
-    gen: u64,
-    /// [`PageTable::epoch`] observed when the walk completed.
-    page_epoch: u64,
-    /// [`MainMemory::line_slot`] of the window line, resolved lazily on the
-    /// first window hit (`None` = not looked up yet) so arming a window
-    /// that never gets hit costs no memory index probe. Slots are immutable
-    /// once allocated, so the resolved handle needs no revalidation: a
-    /// full-width load served by the window reads straight from the
-    /// committed arena. `Some(None)` means the line had never been stored
-    /// to at resolution time — such reads keep the normal zero-fill path,
-    /// which also stays correct if the line is allocated later.
-    slot: Option<Option<u32>>,
 }
 
 /// One record of the per-CPU execution trace (see [`System::set_trace`]).
@@ -205,12 +173,6 @@ pub struct System {
     /// is identical either way — the window only re-times retirement
     /// (see `ztm_isa::step_pipelined`).
     pipeline: Option<PipelineState>,
-    /// Same-line access coalescing (the line-window fast path in
-    /// `View::prepare`). On by default; turning it off with
-    /// [`set_coalescing`](Self::set_coalescing) forces every data access
-    /// through the full directory walk. Results are identical either way —
-    /// only host speed differs (pinned by `tests/coalesce.rs`).
-    coalesce: bool,
     /// Host threads for the sharded run path (`ZTM_SIM_THREADS` /
     /// [`set_sim_threads`](Self::set_sim_threads)). `1` (the default) keeps
     /// the serial scheduler; above `1` the run methods route through the
@@ -287,8 +249,6 @@ impl System {
                 icache_installs: 0,
                 last_ifetch_installs: 0,
                 last_ifetch_page_epoch: 0,
-                last_data: None,
-                coalesced: 0,
                 stm: crate::report::StmCounts::default(),
             })
             .collect();
@@ -318,7 +278,6 @@ impl System {
             pipeline: crate::env_usize("ZTM_ISSUE_WIDTH")
                 .filter(|&w| w > 1)
                 .map(|w| PipelineState::new(w as u64, cpus, config.latency.lsu_ports)),
-            coalesce: true,
             sim_threads: crate::env_usize("ZTM_SIM_THREADS").unwrap_or(1),
             step_log: None,
             sharded_local_steps: 0,
@@ -376,19 +335,6 @@ impl System {
     /// identical outcomes — the differential tests flip this switch.
     pub fn set_legacy_interpreter(&mut self, legacy: bool) {
         self.use_legacy_interpreter = legacy;
-    }
-
-    /// Enables or disables same-line access coalescing (on by default).
-    /// Either setting produces byte-identical simulations — the lockstep
-    /// differential in `tests/coalesce.rs` pins that — so this is a
-    /// speed/debug lever, not a behavior switch.
-    pub fn set_coalescing(&mut self, on: bool) {
-        self.coalesce = on;
-        if !on {
-            for n in &mut self.nodes {
-                n.last_data = None;
-            }
-        }
     }
 
     /// Always zero. Every step goes through the scalar scheduler, so no
@@ -667,8 +613,6 @@ impl System {
             pages: PagePort::Direct(&mut self.pages),
             fabric_busy: Some(&mut self.fabric_busy),
             config: &self.config,
-            coalesce: self.coalesce,
-            hit_slot: None,
         };
         let traced = self.traced[i];
         let (pre_clock, pre_pc) = (self.hot_clock[i], self.cores[i].pc);
@@ -877,7 +821,6 @@ impl System {
             &self.pages,
             SlotView::Main(&self.mem),
             &self.config,
-            self.coalesce,
         )
     }
 
@@ -1173,7 +1116,6 @@ impl System {
         let pages = &self.pages;
         let config = &self.config;
         let programs = &self.programs[..];
-        let coalesce = self.coalesce;
 
         let results: Vec<ShardRunResult> = if run_parallel {
             std::thread::scope(|scope| {
@@ -1190,7 +1132,7 @@ impl System {
                     handles.push(scope.spawn(move || {
                         run_shard_steps(
                             &work, cap, base, nodes, cores, clocks, running, shared, pages, config,
-                            programs, coalesce, tracer, buf, want_log,
+                            programs, tracer, buf, want_log,
                         )
                     }));
                 }
@@ -1219,7 +1161,6 @@ impl System {
                     pages,
                     config,
                     programs,
-                    coalesce,
                     &shard_tracers[s],
                     shard_bufs.get(s),
                     want_log,
@@ -1354,7 +1295,7 @@ impl System {
             stalls: self.nodes.iter().map(|n| n.stalls).sum(),
             tx,
             xi_counts: self.fabric.xi_counts(),
-            coalesced_accesses: self.nodes.iter().map(|n| n.coalesced).sum(),
+            coalesced_accesses: 0,
             stm,
             sharding: self.sharding_stats(),
         }
@@ -1419,7 +1360,6 @@ fn run_shard_steps(
     pages: &PageTable,
     config: &SystemConfig,
     programs: &[Option<Arc<Program>>],
-    coalesce: bool,
     tracer: &Tracer,
     buf: Option<&Arc<Mutex<EventBuffer>>>,
     want_log: bool,
@@ -1450,8 +1390,6 @@ fn run_shard_steps(
                 pages: PagePort::Check(pages),
                 fabric_busy: None,
                 config,
-                coalesce,
-                hit_slot: None,
             };
             let out = ztm_isa::step(&mut cores[at], prog, &mut view);
             debug_assert!(
@@ -1492,7 +1430,6 @@ fn run_shard_steps(
                 pages,
                 SlotView::Shared(shared),
                 config,
-                coalesce,
             );
             if c.global {
                 break;
@@ -1549,7 +1486,6 @@ fn classify_step_at(
     pages: &PageTable,
     slots: SlotView<'_>,
     config: &SystemConfig,
-    coalesce: bool,
 ) -> Candidate {
     let global = Candidate {
         cpu,
@@ -1602,7 +1538,7 @@ fn classify_step_at(
     }
     let data = |want_excl: bool, class: AccessClass| {
         classify_data_at(
-            cpu, clock, node, core, d, want_excl, class, pages, slots, config, coalesce,
+            cpu, clock, node, core, d, want_excl, class, pages, slots, config,
         )
     };
     match d.op {
@@ -1676,11 +1612,11 @@ fn classify_step_at(
 }
 
 /// Classifies the single data access of a load/store-class instruction:
-/// local iff the line window would serve it or the full directory walk
-/// provably ends in an L1/L2 hit with sufficient ownership (an L2 hit
-/// only re-installs into the L1 — nothing leaves the node), the page
-/// is resident, any speculative-prefetch dice roll provably misses,
-/// and a write-through store has a committed-arena slot to land in.
+/// local iff the directory walk provably ends in an L1/L2 hit with
+/// sufficient ownership (an L2 hit only re-installs into the L1 — nothing
+/// leaves the node), the page is resident, any speculative-prefetch dice
+/// roll provably misses, and a write-through store has a committed-arena
+/// slot to land in.
 #[allow(clippy::too_many_arguments)]
 fn classify_data_at(
     cpu: usize,
@@ -1693,7 +1629,6 @@ fn classify_data_at(
     pages: &PageTable,
     slots: SlotView<'_>,
     config: &SystemConfig,
-    coalesce: bool,
 ) -> Candidate {
     let global = Candidate {
         cpu,
@@ -1709,29 +1644,11 @@ fn classify_data_at(
     }
     let line = ea.line();
     let in_tx = node.engine.in_tx();
-    // Mirror of the `View::prepare` fast path.
-    let window_ok = coalesce
-        && node.last_data.is_some_and(|w| {
-            w.line == line
-                && (w.excl || !excl)
-                && w.gen == node.cache.generation()
-                && w.page_epoch == pages.epoch()
-                && (!in_tx
-                    || node
-                        .cache
-                        .l1_tx_marks(line)
-                        .is_some_and(|(read, dirty)| match class {
-                            AccessClass::Fetch => read,
-                            AccessClass::Store => dirty,
-                        }))
-        });
-    if !window_ok {
-        if pages.check(ea).is_err() {
-            return global; // page fault → OS page-in
-        }
-        if node.cache.probe_local(line, excl).is_none() {
-            return global; // L2 miss or ownership upgrade → fabric fetch
-        }
+    if pages.check(ea).is_err() {
+        return global; // page fault → OS page-in
+    }
+    if node.cache.probe_local(line, excl).is_none() {
+        return global; // L2 miss or ownership upgrade → fabric fetch
     }
     // A transactional fetch rolls the speculative-prefetch dice; a
     // firing prefetch reaches the fabric. Peek the roll on a clone of
@@ -1805,24 +1722,10 @@ enum MemPort<'a> {
 const CLASSIFIER_BUG: &str = "shard-local step reached a serialized resource (classifier bug)";
 
 impl MemPort<'_> {
-    fn line_slot(&self, line: LineAddr) -> Option<u32> {
-        match self {
-            MemPort::Excl(m) => m.line_slot(line),
-            MemPort::Shared(s) => s.line_slot(line),
-        }
-    }
-
     fn load_u64(&self, addr: Address) -> u64 {
         match self {
             MemPort::Excl(m) => m.load_u64(addr),
             MemPort::Shared(s) => s.load_u64(addr),
-        }
-    }
-
-    fn load_u64_at_slot(&self, slot: u32, offset: usize) -> u64 {
-        match self {
-            MemPort::Excl(m) => m.load_u64_at_slot(slot, offset),
-            MemPort::Shared(s) => s.load_u64_at_slot(slot, offset),
         }
     }
 
@@ -1919,13 +1822,6 @@ struct View<'a> {
     pages: PagePort<'a>,
     fabric_busy: Option<&'a mut [u64]>,
     config: &'a SystemConfig,
-    /// Same-line coalescing switch ([`System::set_coalescing`]).
-    coalesce: bool,
-    /// Committed-arena slot of the line the most recent [`View::prepare`]
-    /// served via the line window. Lets the data read that follows skip
-    /// the memory index probe; reset at the top of every `prepare`, so it
-    /// never outlives its access.
-    hit_slot: Option<u32>,
 }
 
 impl View<'_> {
@@ -2096,92 +1992,6 @@ impl View<'_> {
             return Err(AccessResult::Fault(ProgramException::Specification));
         }
         let line = addr.line();
-        self.hit_slot = None;
-        // Line-window coalescing: consecutive accesses to the same data line
-        // (field-by-field struct reads, adjacent stack pushes, spin polls)
-        // repeat the directory walk the previous access just completed. The
-        // walk can be skipped when its verdict provably recurs:
-        //
-        // - the window's line ended the arming walk as the hot (MRU) slot of
-        //   *both* private directories, and repeat lookups of the hot line
-        //   re-stamp nothing (`SetAssoc`'s hot-slot invariant), so the
-        //   elided walk is LRU-pure;
-        // - no XI, transaction boundary, or store-cache drain intervened on
-        //   this CPU since (`PrivateCache::generation`), and page residency
-        //   is unchanged (`PageTable::epoch`) — same line means same 4K
-        //   page, so the elided page check would succeed again;
-        // - the window's established ownership covers this access
-        //   (`w.excl || !excl`): an exclusive window serves stores and
-        //   fetches, a shared one only fetches;
-        // - inside a transaction, the line's L1 entry must already carry the
-        //   tx mark this access class would set, so the elided marking
-        //   transition and journal push are no-ops. The constrained-footprint
-        //   noting and the speculative-prefetch dice roll are NOT elidable —
-        //   they run here exactly as the full walk runs them.
-        //
-        // Only the `Access` trace event remains observable; emit it and skip
-        // the walk. `set_coalescing(false)` forces the full walk;
-        // `tests/coalesce.rs` pins both paths to each other per-step. A
-        // window can only exist while coalescing is enabled (arming is gated
-        // and `set_coalescing(false)` clears them), so the window presence
-        // check doubles as the switch check.
-        let at = self.cpu - self.base;
-        if let Some(w) = self.nodes[at].last_data {
-            let node = &mut self.nodes[at];
-            let tx = node.engine.in_tx();
-            let valid = w.line == line
-                && (w.excl || !excl)
-                && w.gen == node.cache.generation()
-                && w.page_epoch == self.pages.epoch()
-                && (!tx
-                    || node
-                        .cache
-                        .l1_tx_marks(line)
-                        .is_some_and(|(read, dirty)| match class {
-                            AccessClass::Fetch => read,
-                            AccessClass::Store => dirty,
-                        }));
-            if valid {
-                node.cache.emit_repeat_access(line, excl);
-                node.coalesced += 1;
-                self.hit_slot = match w.slot {
-                    Some(resolved) => resolved,
-                    None => {
-                        let resolved = self.mem.line_slot(line);
-                        if let Some(win) = self.nodes[at].last_data.as_mut() {
-                            win.slot = Some(resolved);
-                        }
-                        resolved
-                    }
-                };
-                if tx {
-                    if self.me().engine.note_data_access(addr, len as u64).is_err() {
-                        self.me()
-                            .engine
-                            .set_pending(AbortCause::UnfilteredProgramException(
-                                ProgramException::ConstraintViolation,
-                            ));
-                    }
-                    // The full walk would roll the speculative-prefetch dice
-                    // after resolving the access; the RNG stream (and any
-                    // resulting prefetch) must be preserved exactly. The
-                    // prefetch install can evict this very line without a
-                    // generation bump (it is this CPU's own access path), so
-                    // it drops the window.
-                    let prefetch_p = self.config.prefetch_probability;
-                    if class == AccessClass::Fetch
-                        && self.config.speculative_prefetch
-                        && prefetch_p > 0.0
-                        && !self.me().engine.speculation_disabled()
-                        && self.me().rng.gen_bool(prefetch_p)
-                    {
-                        self.speculative_prefetch(line);
-                        self.me().last_data = None;
-                    }
-                }
-                return Ok(self.config.latency.l1_hit);
-            }
-        }
         if self.pages.access(addr).is_err() {
             return Err(AccessResult::Fault(ProgramException::PageFault {
                 address: addr.raw(),
@@ -2229,28 +2039,6 @@ impl View<'_> {
         {
             self.speculative_prefetch(line);
         }
-        // Arm the line window (see the fast path above), but only when
-        // coalescing is enabled (the escape hatch must step the exact
-        // pre-window path) and the line verifiably ended this walk as the
-        // hot slot of both directories. Two walks end otherwise: an ownership upgrade that
-        // found the line already L1-resident (the install early-returns
-        // without re-stamping the L1), and a speculative prefetch that left
-        // the *next* line hot — arming either would let a repeat elide
-        // stamps the full walk applies. Transactional boundaries need no
-        // disarm of their own: TBEGIN/TEND bump the cache generation, which
-        // already invalidates any window armed across them.
-        let window = if self.coalesce && self.node().cache.line_is_hot(line) {
-            Some(LineWindow {
-                line,
-                excl,
-                gen: self.node().cache.generation(),
-                page_epoch: self.pages.epoch(),
-                slot: None,
-            })
-        } else {
-            None
-        };
-        self.me().last_data = window;
         Ok(cycles)
     }
 
@@ -2259,14 +2047,6 @@ impl View<'_> {
         // (spinners and read-mostly code never populate the store cache).
         // One fixed-size memory read, no forwarding scan, no byte loop.
         if len == 8 && self.node().cache.store_cache().is_empty() {
-            // The window (or its arming walk) already resolved the line's
-            // committed-arena slot; slots never move, so the value is one
-            // array read away — no memory index probe.
-            if let Some(slot) = self.hit_slot {
-                return self
-                    .mem
-                    .load_u64_at_slot(slot, addr.offset_in_line() as usize);
-            }
             return self.mem.load_u64(addr);
         }
         let mut buf = [0u8; 8];

@@ -6,7 +6,15 @@
 //! reproduce them bit-for-bit: any scheduling or coherence divergence —
 //! a different CPU picked on a clock tie, a stale heap entry acted on, a
 //! missed quiesce clock bump — lands here before it lands in a figure.
+//!
+//! The two 4-CPU pins at the end (a contended-counter program and the
+//! elided hashtable) guard the private-cache directory walk that every
+//! data access takes: same-line bursts, XI traffic and transactional
+//! re-marking all run through it.
 
+use ztm::core::TbeginParams;
+use ztm::isa::gr::*;
+use ztm::isa::{Assembler, MemOperand, Program};
 use ztm::sim::{System, SystemConfig};
 use ztm::trace::{Recorder, Tracer};
 use ztm::workloads::hashtable::{HashTable, TableMethod};
@@ -116,4 +124,78 @@ fn committed_digests_hold_when_sim_threads_are_requested() {
     t.populate(&mut sys, &(0..1024).collect::<Vec<_>>());
     t.run(&mut sys, 150);
     assert_eq!(recorder.lock().unwrap().digest(), FIG5E_DIGEST);
+}
+
+/// A 4-CPU contended-counter program: same-line fetch bursts (struct
+/// walks), a read-modify-write line every CPU writes (XI traffic),
+/// adjacent same-line stores, and a transaction revisiting one line at
+/// several offsets with both access classes.
+fn counter_program() -> Program {
+    let mut a = Assembler::new(0);
+    a.lghi(R6, 200);
+    a.label("loop");
+    for k in 0..4 {
+        a.lg(R1, MemOperand::absolute(0x8000 + k * 8));
+    }
+    a.lg(R2, MemOperand::absolute(0x1000));
+    a.aghi(R2, 1);
+    a.stg(R2, MemOperand::absolute(0x1000));
+    for k in 0..4 {
+        a.stg(R2, MemOperand::absolute(0x9000 + k * 8));
+    }
+    a.tbegin(TbeginParams::new());
+    a.jnz("fallback");
+    for k in 0..4 {
+        a.lg(R3, MemOperand::absolute(0xA000 + k * 8));
+    }
+    a.aghi(R3, 1);
+    for k in 0..4 {
+        a.stg(R3, MemOperand::absolute(0xA020 + k * 8));
+    }
+    a.tend();
+    a.j("joined");
+    a.label("fallback");
+    a.ppa(R0);
+    a.delay(16);
+    a.label("joined");
+    a.brctg(R6, "loop");
+    a.halt();
+    a.assemble().expect("counter program assembles")
+}
+
+/// Steps and trace digest of [`counter_program`] on 4 CPUs, seed 42.
+const COUNTER4_STEPS: u64 = 18_601;
+const COUNTER4_DIGEST: u64 = 0x3fb03d33035e23c4;
+
+#[test]
+fn counter_program_steps_and_digest_match_the_pinned_baseline() {
+    let mut sys = System::new(SystemConfig::with_cpus(4).seed(42));
+    let (tracer, recorder) = Tracer::recording(Recorder::DEFAULT_CAPACITY);
+    sys.set_tracer(tracer);
+    sys.load_program_all(&counter_program());
+    sys.run_until_halt(2_000_000);
+    let steps = sys.report().steps;
+    assert_eq!(
+        (steps, recorder.lock().unwrap().digest()),
+        (COUNTER4_STEPS, COUNTER4_DIGEST)
+    );
+}
+
+/// Steps and trace digest of the lock-elided hashtable on 4 CPUs: 256 keys,
+/// 60 ops/CPU, seed 42.
+const HT4_STEPS: u64 = 7_819;
+const HT4_DIGEST: u64 = 0x1a1c6216b041f7ce;
+
+#[test]
+fn elision_hashtable_steps_and_digest_match_the_pinned_baseline() {
+    let t = HashTable::new(512, 2048, 20, TableMethod::Elision);
+    let mut sys = System::new(SystemConfig::with_cpus(4).seed(42));
+    let (tracer, recorder) = Tracer::recording(Recorder::DEFAULT_CAPACITY);
+    sys.set_tracer(tracer);
+    t.populate(&mut sys, &(0..256).collect::<Vec<_>>());
+    let rep = t.run(&mut sys, 60);
+    assert_eq!(
+        (rep.system.steps, recorder.lock().unwrap().digest()),
+        (HT4_STEPS, HT4_DIGEST)
+    );
 }
