@@ -55,10 +55,12 @@ struct LineState {
 ///
 /// Tracks, per line: which private cache units hold it (exclusive or
 /// read-only), which chips' L3s and which MCMs' L4s have a copy (for latency
-/// source selection). L3/L4 presence is modeled as monotone within a run —
-/// the 48 MB / 384 MB shared caches are far larger than any benchmark's
-/// working set, so shared-cache capacity evictions are not simulated (see
-/// DESIGN.md).
+/// source selection). L3 capacity is modelled: each chip keeps a 48 MB,
+/// 16,384 × 12 L3 directory, and an associativity overflow there clears the
+/// victim's L3-presence bit and sends LRU XIs to the private caches on that
+/// chip (§III.A; DESIGN.md point 6). Only L4 presence is monotone within a
+/// run: the 384 MB L4s are far larger than any benchmark's working set, so
+/// their capacity evictions are not simulated.
 ///
 /// # Examples
 ///

@@ -11,7 +11,10 @@ struct Slot<E> {
 
 /// A set-associative directory keyed by [`LineAddr`].
 ///
-/// Used for both the L1 and L2 directories. Replacement is true LRU within a
+/// Used for the L1, L2 and L1-I directories and the per-chip L3 directories.
+/// Storage is occupancy-sized: a congruence class owns no slots until its
+/// first insert, so a 16,384 × 12 L3 that a run touches in a few thousand
+/// classes costs those rows only. Replacement is true LRU within a
 /// congruence class, refined by an eviction-priority function supplied at
 /// insert time: the victim is the slot with the *lowest* priority, ties
 /// broken by least-recent use. This is how the private cache prefers to evict
@@ -33,14 +36,19 @@ struct Slot<E> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssoc<E> {
-    /// Flat `sets × ways` slot storage: row `c` occupies
-    /// `slots[c*ways .. (c+1)*ways]`. One contiguous allocation — a lookup
-    /// touches a single row instead of chasing a per-set `Vec` — with the
-    /// invariant that each row's occupied slots form a compacted prefix
+    /// Slot arena, grown one `ways`-slot row at a time: a congruence class
+    /// gets its row on its first insert, so a directory costs memory in
+    /// proportion to the classes a run touches, not to its geometry. Arena
+    /// row 0 is a shared, never-written empty row that every untouched
+    /// class maps to, so a lookup there misses without a branch or an
+    /// allocation. Each row's occupied slots form a compacted prefix
     /// (every `Some` precedes every `None`), so scans stop at the first
-    /// empty slot. Slot order within a row reproduces the push/swap-remove
+    /// empty slot; slot order within a row reproduces the push/swap-remove
     /// order a per-set `Vec` would have.
     slots: Vec<Option<Slot<E>>>,
+    /// Arena row of each congruence class; 0 (the empty row) until the
+    /// class's first insert.
+    rows: Vec<u32>,
     sets: usize,
     ways: usize,
     /// `sets - 1` when `sets` is a power of two (the common geometries); the
@@ -62,11 +70,14 @@ impl<E> SetAssoc<E> {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` or `ways` is zero.
+    /// Panics if `sets` or `ways` is zero, or if `sets` does not fit a
+    /// `u32` row index.
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets > 0 && ways > 0, "geometry must be non-zero");
+        assert!(u32::try_from(sets).is_ok(), "too many congruence classes");
         SetAssoc {
-            slots: (0..sets * ways).map(|_| None).collect(),
+            slots: (0..ways).map(|_| None).collect(),
+            rows: vec![0; sets],
             sets,
             ways,
             pow2_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
@@ -98,13 +109,32 @@ impl<E> SetAssoc<E> {
         self.stamp
     }
 
+    /// Flat arena index of a class's first slot (the empty row's for a
+    /// class that has never held a line).
+    fn base(&self, class: usize) -> usize {
+        self.rows[class] as usize * self.ways
+    }
+
     fn row(&self, class: usize) -> &[Option<Slot<E>>] {
-        &self.slots[class * self.ways..(class + 1) * self.ways]
+        let base = self.base(class);
+        &self.slots[base..base + self.ways]
     }
 
     fn row_mut(&mut self, class: usize) -> &mut [Option<Slot<E>>] {
+        let base = self.base(class);
         let ways = self.ways;
-        &mut self.slots[class * ways..(class + 1) * ways]
+        &mut self.slots[base..base + ways]
+    }
+
+    /// The class's row, appending one to the arena on its first insert.
+    fn row_for_insert(&mut self, class: usize) -> usize {
+        if self.rows[class] == 0 {
+            let row = self.slots.len() / self.ways;
+            self.rows[class] = row as u32;
+            self.slots
+                .resize_with(self.slots.len() + self.ways, || None);
+        }
+        self.base(class)
     }
 
     /// Looks up a line without touching LRU state.
@@ -140,10 +170,8 @@ impl<E> SetAssoc<E> {
             }
         }
         let stamp = self.next_stamp();
-        let class = self.class_of(line);
-        let ways = self.ways;
-        let base = class * ways;
-        for at in base..base + ways {
+        let base = self.base(self.class_of(line));
+        for at in base..base + self.ways {
             match self.slots[at].as_mut() {
                 Some(slot) if slot.line == line => {
                     slot.lru = stamp;
@@ -165,10 +193,8 @@ impl<E> SetAssoc<E> {
                 return Some(idx);
             }
         }
-        let class = self.class_of(line);
-        let ways = self.ways;
-        let base = class * ways;
-        for at in base..base + ways {
+        let base = self.base(self.class_of(line));
+        for at in base..base + self.ways {
             match self.slots[at].as_ref() {
                 Some(slot) if slot.line == line => return Some(at),
                 Some(_) => {}
@@ -263,11 +289,11 @@ impl<E> SetAssoc<E> {
             "line {line} already present in directory"
         );
         let stamp = self.next_stamp();
-        let class = self.class_of(line);
+        let base = self.row_for_insert(self.class_of(line));
         // Slots may move below and a victim may leave; the new line becomes
         // the MRU either way.
         self.hot = None;
-        let row = self.row_mut(class);
+        let row = &mut self.slots[base..base + self.ways];
         let filled = row.iter().take_while(|s| s.is_some()).count();
         let (evicted, at) = if filled == row.len() {
             let victim = row
@@ -293,7 +319,7 @@ impl<E> SetAssoc<E> {
             lru: stamp,
             entry,
         });
-        self.hot = Some((line, class * self.ways + at));
+        self.hot = Some((line, base + at));
         evicted
     }
 
@@ -322,7 +348,10 @@ impl<E> SetAssoc<E> {
             .map(|s| (s.line, &s.entry))
     }
 
-    /// Iterates over all `(line, entry)` pairs.
+    /// Iterates over all `(line, entry)` pairs, in row allocation order
+    /// (the order classes first received a line), not class order. No
+    /// simulator path iterates a whole directory, so the order is not
+    /// observable in any digest or artifact.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &E)> {
         self.slots
             .iter()
@@ -330,7 +359,8 @@ impl<E> SetAssoc<E> {
             .map(|s| (s.line, &s.entry))
     }
 
-    /// Mutable iteration over all `(line, entry)` pairs.
+    /// Mutable iteration over all `(line, entry)` pairs, in the same row
+    /// allocation order as [`iter`](Self::iter).
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (LineAddr, &mut E)> {
         self.slots
             .iter_mut()
@@ -415,6 +445,50 @@ mod tests {
         let mut d: SetAssoc<u32> = SetAssoc::new(2, 1);
         d.insert(LineAddr::new(0), 0, flat);
         d.insert(LineAddr::new(0), 1, flat);
+    }
+
+    /// Arena rows owned by classes (the shared empty row excluded).
+    fn owned_rows<E>(d: &SetAssoc<E>) -> usize {
+        d.slots.len() / d.ways - 1
+    }
+
+    #[test]
+    fn rows_are_allocated_on_first_insert() {
+        let mut d: SetAssoc<u32> = SetAssoc::new(1024, 4);
+        assert_eq!(owned_rows(&d), 0);
+        assert!(d.rows.iter().all(|&r| r == 0));
+        let cap = d.slots.capacity();
+        // Lookups and removes on untouched classes miss without allocating.
+        for i in 0..2048 {
+            let line = LineAddr::new(i);
+            assert!(d.peek(line).is_none());
+            assert!(d.get(line).is_none());
+            assert!(d.get_index(line).is_none());
+            assert!(d.find(line).is_none());
+            assert!(d.peek_mut(line).is_none());
+            assert!(!d.contains(line));
+            assert!(d.remove(line).is_none());
+            assert_eq!(d.iter_class(d.class_of(line)).count(), 0);
+        }
+        assert_eq!(owned_rows(&d), 0);
+        assert_eq!(d.slots.capacity(), cap);
+        // Touching k distinct classes (several lines each) owns exactly k rows.
+        let classes = [3u64, 17, 500, 1023, 0];
+        for (k, &c) in classes.iter().enumerate() {
+            for j in 0..6 {
+                let line = LineAddr::new(c + j * 1024);
+                d.insert(line, 0, flat);
+            }
+            assert_eq!(owned_rows(&d), k + 1);
+        }
+        assert_eq!(d.len(), classes.len() * 4);
+        // Emptying a class keeps its row for the next install.
+        for j in 0..6 {
+            d.remove(LineAddr::new(3 + j * 1024));
+        }
+        assert_eq!(d.iter_class(3).count(), 0);
+        d.insert(LineAddr::new(3), 0, flat);
+        assert_eq!(owned_rows(&d), classes.len());
     }
 
     #[test]

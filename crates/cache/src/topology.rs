@@ -93,7 +93,8 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `cpus` is 0, or `cores_per_chip`/`chips_per_mcm` is 0, or
-    /// more than 8 MCMs would be needed (directory bitmask width).
+    /// more than 8 MCMs or more than 64 chips would be needed (the widths of
+    /// the fabric's L4- and L3-presence bitmasks).
     pub fn new(cpus: usize, cores_per_chip: usize, chips_per_mcm: usize) -> Self {
         assert!(cpus > 0, "topology needs at least one CPU");
         assert!(cores_per_chip > 0 && chips_per_mcm > 0);
@@ -103,11 +104,19 @@ impl Topology {
             cpus,
             8 * chips_per_mcm * cores_per_chip
         );
-        Topology {
+        let topology = Topology {
             cpus,
             cores_per_chip,
             chips_per_mcm,
-        }
+        };
+        assert!(
+            topology.chip_count() <= 64,
+            "at most 64 chips are supported ({} CPUs at {} per chip need {})",
+            cpus,
+            cores_per_chip,
+            topology.chip_count()
+        );
+        topology
     }
 
     /// Number of CPUs in the system.
@@ -232,6 +241,18 @@ mod tests {
     #[should_panic(expected = "zEC12 has at most 144 cores")]
     fn too_many_cpus_panics() {
         let _ = Topology::zec12(145);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 chips are supported")]
+    fn too_many_chips_panics() {
+        // 128 one-core chips fit in 8 MCMs of 16 but not in a u64 L3 mask.
+        let _ = Topology::new(128, 1, 16);
+    }
+
+    #[test]
+    fn sixty_four_chips_fit() {
+        assert_eq!(Topology::new(64, 1, 8).chip_count(), 64);
     }
 
     #[test]

@@ -29,6 +29,72 @@ fn store_strategy() -> impl Strategy<Value = (u64, Vec<u8>, bool)> {
         })
 }
 
+/// One reference slot: line, LRU stamp and `(value, eviction priority)`.
+type RefSlot = (LineAddr, u64, (u64, u8));
+
+/// The reference directory for the `SetAssoc` differential test: one `Vec`
+/// per class, 1024 classes of 4 ways, a stamp consumed per lookup/insert.
+#[derive(Default)]
+struct RefDir {
+    classes: HashMap<usize, Vec<RefSlot>>,
+    stamp: u64,
+}
+
+impl RefDir {
+    fn class(line: LineAddr) -> usize {
+        line.congruence_class(1024)
+    }
+
+    fn insert(&mut self, line: LineAddr, entry: (u64, u8)) -> Option<(LineAddr, (u64, u8))> {
+        self.stamp += 1;
+        let row = self.classes.entry(Self::class(line)).or_default();
+        let evicted = if row.len() == 4 {
+            let victim = (0..row.len())
+                .min_by_key(|&i| (row[i].2 .1, row[i].1))
+                .unwrap();
+            let (l, _, e) = row.swap_remove(victim);
+            Some((l, e))
+        } else {
+            None
+        };
+        row.push((line, self.stamp, entry));
+        evicted
+    }
+
+    fn touch(&mut self, line: LineAddr) -> Option<&mut (u64, u8)> {
+        self.stamp += 1;
+        let stamp = self.stamp;
+        let slot = self
+            .classes
+            .get_mut(&Self::class(line))?
+            .iter_mut()
+            .find(|s| s.0 == line)?;
+        slot.1 = stamp;
+        Some(&mut slot.2)
+    }
+
+    fn peek(&self, line: LineAddr) -> Option<(u64, u8)> {
+        self.classes
+            .get(&Self::class(line))?
+            .iter()
+            .find(|s| s.0 == line)
+            .map(|s| s.2)
+    }
+
+    fn remove(&mut self, line: LineAddr) -> Option<(u64, u8)> {
+        let row = self.classes.get_mut(&Self::class(line))?;
+        let idx = row.iter().position(|s| s.0 == line)?;
+        Some(row.swap_remove(idx).2)
+    }
+
+    fn class_order(&self, class: usize) -> Vec<(LineAddr, (u64, u8))> {
+        self.classes
+            .get(&class)
+            .map(|row| row.iter().map(|s| (s.0, s.2)).collect())
+            .unwrap_or_default()
+    }
+}
+
 proptest! {
     /// Committing a transaction applies exactly the transactional bytes;
     /// aborting applies exactly the NTSTG-marked doublewords. Compared
@@ -130,6 +196,70 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// SetAssoc against a reference directory of per-class `Vec`s (push,
+    /// `swap_remove`, victim = min (priority, LRU stamp)). Lines are sparse
+    /// over 1024 classes, so most classes never own a row; every eviction,
+    /// lookup result and per-class slot order must still match.
+    #[test]
+    fn set_assoc_matches_per_class_vec_reference(
+        ops in prop::collection::vec(
+            (0u8..6, 0u64..16, 0u64..8, 0u8..3, any::<u64>()),
+            1..300,
+        ),
+    ) {
+        const SETS: usize = 1024;
+        const WAYS: usize = 4;
+        let mut dir: SetAssoc<(u64, u8)> = SetAssoc::new(SETS, WAYS);
+        let mut reference = RefDir::default();
+        for (op, pick, tag, prio, value) in ops {
+            // 16 scattered classes, 8 tags each: two lines per way.
+            let class = (pick * 61 + 7) % SETS as u64;
+            let line = LineAddr::new(tag * SETS as u64 + class);
+            match op {
+                0 | 1 => {
+                    if !dir.contains(line) {
+                        let evicted = dir.insert(line, (value, prio), |_, e| e.1);
+                        prop_assert_eq!(evicted, reference.insert(line, (value, prio)));
+                    }
+                }
+                2 => {
+                    let got = dir.get(line).map(|e| {
+                        e.0 = e.0.wrapping_add(1);
+                        *e
+                    });
+                    let want = reference.touch(line).map(|e| {
+                        e.0 = e.0.wrapping_add(1);
+                        *e
+                    });
+                    prop_assert_eq!(got, want);
+                }
+                3 => {
+                    prop_assert_eq!(dir.peek(line).copied(), reference.peek(line));
+                }
+                4 => {
+                    let at = dir.find(line);
+                    prop_assert_eq!(at.map(|at| *dir.entry_at(at)), reference.peek(line));
+                    if let Some(at) = at {
+                        dir.touch_index(at);
+                        reference.touch(line);
+                    }
+                }
+                _ => {
+                    prop_assert_eq!(dir.remove(line), reference.remove(line));
+                }
+            }
+            let order: Vec<_> = dir.iter_class(class as usize).map(|(l, e)| (l, *e)).collect();
+            prop_assert_eq!(order, reference.class_order(class as usize));
+        }
+        let mut total = 0;
+        for class in 0..SETS {
+            let order: Vec<_> = dir.iter_class(class).map(|(l, e)| (l, *e)).collect();
+            total += order.len();
+            prop_assert_eq!(order, reference.class_order(class));
+        }
+        prop_assert_eq!(dir.len(), total);
     }
 
     /// Fabric invariant: after any sequence of fetches with fully accepted
