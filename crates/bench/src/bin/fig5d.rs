@@ -5,8 +5,10 @@
 //! lock-word line between CPUs and cap throughput; transactional readers
 //! share everything read-only and scale almost linearly.
 
-use ztm_bench::{cpu_counts, ops_for, print_header, print_row, quick, reference_throughput, sweep};
-use ztm_sim::{System, SystemConfig};
+use ztm_bench::{
+    cpu_counts, ops_for, print_header, print_row, quick, reference_throughput, sweep, system_config,
+};
+use ztm_sim::System;
 use ztm_workloads::rwlock::{ReadMethod, ReadWorkload};
 
 fn main() {
@@ -22,7 +24,7 @@ fn main() {
         .collect();
     let results = sweep(points, |&(m, cpus)| {
         let wl = ReadWorkload::new(pool, m);
-        let mut sys = System::new(SystemConfig::with_cpus(cpus).seed(42));
+        let mut sys = System::new(system_config(cpus).seed(42));
         wl.run(&mut sys, ops_for(cpus))
             .normalized_throughput(reference)
     });

@@ -188,29 +188,9 @@ impl TxEngine {
         self.speculation_disabled
     }
 
-    /// The effective AR/FPR/PIFC controls of the nest.
-    pub fn effective_controls(&self) -> EffectiveControls {
-        self.effective
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &TxStats {
         &self.stats
-    }
-
-    /// Mutable statistics (the simulator records broadcast stops here).
-    pub fn stats_mut(&mut self) -> &mut TxStats {
-        &mut self.stats
-    }
-
-    /// Changes the diagnostic control (an OS action, §II.E.3).
-    pub fn set_diagnostic_control(&mut self, dc: DiagnosticControl) {
-        self.tdc = dc;
-    }
-
-    /// Consecutive aborts of the pending constrained transaction.
-    pub fn constrained_abort_count(&self) -> u32 {
-        self.retry.abort_count()
     }
 
     /// Abort code of the most recently processed abort (0 before any).

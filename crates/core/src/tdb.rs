@@ -77,11 +77,6 @@ impl Tdb {
         Tdb { bytes: b }
     }
 
-    /// Parses a TDB image from raw bytes (e.g. read back from memory).
-    pub fn from_bytes(bytes: [u8; TDB_SIZE]) -> Self {
-        Tdb { bytes }
-    }
-
     /// The raw 256-byte image.
     pub fn as_bytes(&self) -> &[u8; TDB_SIZE] {
         &self.bytes

@@ -187,7 +187,7 @@ fn encode_cond(c: CmpCond) -> u8 {
     }
 }
 
-/// Decodes the condition code produced by [`encode_cond`].
+/// Decodes the condition code produced by the private `encode_cond`.
 pub fn decode_cond(code: u8) -> CmpCond {
     match code {
         0 => CmpCond::Eq,

@@ -432,11 +432,6 @@ impl System {
         self.hot_dirty = false;
     }
 
-    /// A CPU's transaction engine (set diagnostic control, read stats).
-    pub fn engine_mut(&mut self, cpu: usize) -> &mut TxEngine {
-        &mut self.nodes[cpu].engine
-    }
-
     /// A CPU's transactional statistics.
     pub fn tx_stats(&self, cpu: usize) -> &TxStats {
         self.nodes[cpu].engine.stats()
@@ -1217,8 +1212,8 @@ impl System {
         panic!("system did not halt within {max_steps} steps");
     }
 
-    /// Steps up to `limit` instructions (batched scheduling, see
-    /// [`step_upto`](Self::step_upto)), returning how many executed —
+    /// Steps up to `limit` instructions (batched scheduling, see the private
+    /// `step_upto`), returning how many executed —
     /// 0 means every CPU has halted.
     pub fn step_many(&mut self, limit: u64) -> u64 {
         if self.sharded_active() {

@@ -136,8 +136,8 @@ impl StmLayout {
         self.ctx_base + cpu as u64 * self.ctx_stride
     }
 
-    /// Points every CPU's [`CTX_REG`] at its context block. Call after
-    /// `load_program_all` (which resets registers) and before running.
+    /// Points every CPU's [`CTX_REG`] at its context block. Call before
+    /// running; loading a program leaves the registers alone.
     pub fn install(&self, sys: &mut System) {
         for i in 0..sys.cpus() {
             sys.core_mut(i).set_gr(CTX_REG, self.ctx_addr(i));
@@ -488,12 +488,6 @@ impl TxBody<'_, '_> {
     /// The underlying assembler, for uninstrumented instructions.
     pub fn asm(&mut self) -> &mut Assembler {
         self.a
-    }
-
-    /// The shared abort label (`{p}_stm_abort`), for bodies that bail out
-    /// manually.
-    pub fn abort_label(&self) -> String {
-        format!("{}_stm_abort", self.p)
     }
 
     /// Emits a transactional 8-byte read: `dst = *addr`, validated TL2

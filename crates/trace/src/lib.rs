@@ -292,11 +292,11 @@ impl Event {
 
     /// Streams the [`encode`](Event::encode) bytes into any [`fmt::Write`]
     /// without materializing a `String`. The digest path folds through this
-    /// (see [`fold_digest`]), so digest bytes and `encode()` output are
-    /// identical by construction.
+    /// (see the private `fold_digest`), so digest bytes and `encode()`
+    /// output are identical by construction.
     ///
     /// Every value in the encoding is an unsigned decimal integer, so the
-    /// fields are written with [`write_dec`] rather than through
+    /// fields are written with the private `write_dec` rather than through
     /// `fmt::Arguments` — the `write!` interpreter cost per field was the
     /// dominant term of the digest fold on the hot path.
     pub fn encode_into<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {

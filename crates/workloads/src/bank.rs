@@ -6,7 +6,7 @@
 //! global invariant — the sum of all balances never changes — holds only if
 //! every debit+credit pair is atomic and isolated.
 
-use crate::harness::{convention, emit_tx_with_fallback, WorkloadReport};
+use crate::harness::{self, emit_locked, emit_tx_with_fallback, timed, WorkloadReport};
 use ztm_core::GrSaveMask;
 use ztm_isa::{gr::*, Assembler, MemOperand, Program, RegOrImm};
 use ztm_mem::Address;
@@ -105,89 +105,56 @@ impl Bank {
         h.write(R2, R9);
     }
 
-    fn emit_locked(&self, a: &mut Assembler, p: &str) {
-        a.label(&format!("{p}_acq"));
-        a.ltg(R1, MemOperand::absolute(self.lock));
-        a.jz(&format!("{p}_try"));
-        a.delay(24);
-        a.j(&format!("{p}_acq"));
-        a.label(&format!("{p}_try"));
-        a.lghi(R2, 0);
-        a.lghi(R3, 1);
-        a.csg(R2, R3, MemOperand::absolute(self.lock));
-        a.jnz(&format!("{p}_acq"));
-        self.emit_transfer(a);
-        a.lghi(R2, 0);
-        a.stg(R2, MemOperand::absolute(self.lock));
-    }
-
     /// Builds the transfer program.
     pub fn program(&self, ops_per_cpu: u64) -> Program {
-        let mut a = Assembler::new(0);
-        a.lghi(convention::OPS_LEFT, ops_per_cpu as i64);
-        a.lghi(convention::OP_CYCLES, 0);
-        a.lghi(convention::OPS_DONE, 0);
-        a.label("op_loop");
-        a.rand_mod(R8, RegOrImm::Imm(self.accounts));
-        a.rand_mod(R9, RegOrImm::Imm(self.accounts));
-        a.rand_mod(R10, RegOrImm::Imm(100)); // amount
-        a.sllg(R8, R8, 8);
-        a.aghi(R8, self.base as i64);
-        a.sllg(R9, R9, 8);
-        a.aghi(R9, self.base as i64);
-        a.rdclk(convention::T_START);
-        match self.method {
-            BankMethod::Lock => self.emit_locked(&mut a, "bk"),
-            BankMethod::Tbeginc => {
-                a.tbeginc(GrSaveMask::ALL);
-                self.emit_transfer(&mut a);
-                a.tend();
-            }
-            BankMethod::Tbegin => emit_tx_with_fallback(
-                &mut a,
-                "tx",
-                self.lock,
-                6,
-                |a| self.emit_transfer(a),
-                |a| self.emit_locked(a, "fb"),
-            ),
-            BankMethod::PureStm => {
-                self.stm
-                    .emit_tx(&mut a, "st", &[], |tx| self.emit_transfer_stm(tx));
-            }
-            BankMethod::HtmStmFallback => {
-                self.stm.emit_hybrid_tx(
-                    &mut a,
-                    "hy",
-                    R5,
-                    6,
-                    &[],
-                    |h| self.emit_transfer_htm(h),
-                    |tx| self.emit_transfer_stm(tx),
-                );
-            }
-        }
-        a.rdclk(convention::T_END);
-        a.sgr(convention::T_END, convention::T_START);
-        a.agr(convention::OP_CYCLES, convention::T_END);
-        a.aghi(convention::OPS_DONE, 1);
-        a.brctg(convention::OPS_LEFT, "op_loop");
-        a.halt();
-        a.assemble().expect("bank workload assembles")
+        let lock = MemOperand::absolute(self.lock);
+        let transfer = |a: &mut Assembler| self.emit_transfer(a);
+        harness::op_loop(ops_per_cpu, |a| {
+            a.rand_mod(R8, RegOrImm::Imm(self.accounts));
+            a.rand_mod(R9, RegOrImm::Imm(self.accounts));
+            a.rand_mod(R10, RegOrImm::Imm(100)); // amount
+            a.sllg(R8, R8, 8);
+            a.aghi(R8, self.base as i64);
+            a.sllg(R9, R9, 8);
+            a.aghi(R9, self.base as i64);
+            timed(a, |a| match self.method {
+                BankMethod::Lock => emit_locked(a, "bk", lock, transfer),
+                BankMethod::Tbeginc => {
+                    a.tbeginc(GrSaveMask::ALL);
+                    transfer(a);
+                    a.tend();
+                }
+                BankMethod::Tbegin => emit_tx_with_fallback(a, "tx", lock, 6, transfer, |a| {
+                    emit_locked(a, "fb", lock, transfer)
+                }),
+                BankMethod::PureStm => {
+                    self.stm
+                        .emit_tx(a, "st", &[], |tx| self.emit_transfer_stm(tx));
+                }
+                BankMethod::HtmStmFallback => {
+                    self.stm.emit_hybrid_tx(
+                        a,
+                        "hy",
+                        R5,
+                        6,
+                        &[],
+                        |h| self.emit_transfer_htm(h),
+                        |tx| self.emit_transfer_stm(tx),
+                    );
+                }
+            });
+        })
     }
 
     /// Runs the workload on every CPU.
     pub fn run(&self, sys: &mut System, ops_per_cpu: u64) -> WorkloadReport {
-        let prog = self.program(ops_per_cpu);
-        sys.load_program_all(&prog);
         if matches!(
             self.method,
             BankMethod::PureStm | BankMethod::HtmStmFallback
         ) {
             self.stm.layout.install(sys);
         }
-        sys.run_until_halt(2_000_000_000);
-        WorkloadReport::collect(sys)
+        harness::run(sys, &self.program(ops_per_cpu), None)
     }
 }
 

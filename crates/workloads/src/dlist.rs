@@ -7,7 +7,7 @@
 //! the node and its two neighbors — at most 3–4 aligned octowords, within
 //! the 4-octoword budget, in ≤ 32 straight-line instructions.
 
-use crate::harness::{convention, WorkloadReport};
+use crate::harness::{self, emit_locked, timed, WorkloadReport, ARENA_SIZE};
 use ztm_core::GrSaveMask;
 use ztm_isa::{gr::*, Assembler, MemOperand, Program};
 use ztm_mem::Address;
@@ -35,7 +35,6 @@ pub struct DoublyLinkedList {
     anchor: u64,
     lock: u64,
     arena_base: u64,
-    arena_size: u64,
 }
 
 impl DoublyLinkedList {
@@ -46,7 +45,6 @@ impl DoublyLinkedList {
             anchor: 0x4000_0000,
             lock: 0x4000_0100,
             arena_base: 0x4100_0000,
-            arena_size: 0x10_0000,
         }
     }
 
@@ -58,7 +56,7 @@ impl DoublyLinkedList {
         mem.store_u64(Address::new(self.anchor + 8), self.anchor); // next
         let mut pred = self.anchor;
         for i in 0..n {
-            let node = self.arena_base - self.arena_size + 32 * i;
+            let node = self.arena_base - ARENA_SIZE + 32 * i;
             mem.store_u64(Address::new(node), pred); // prev
             mem.store_u64(Address::new(node + 8), self.anchor); // next
             mem.store_u64(Address::new(node + 16), i); // value
@@ -133,61 +131,29 @@ impl DoublyLinkedList {
         }
     }
 
-    fn emit_locked(&self, a: &mut Assembler) {
-        a.label("dl_acq");
-        a.ltg(R1, MemOperand::absolute(self.lock));
-        a.jz("dl_try");
-        a.delay(24);
-        a.j("dl_acq");
-        a.label("dl_try");
-        a.lghi(R2, 0);
-        a.lghi(R3, 1);
-        a.csg(R2, R3, MemOperand::absolute(self.lock));
-        a.jnz("dl_acq");
-        self.emit_insert(a, false);
-        self.emit_delete(a, false, "dl_ops");
-        a.lghi(R2, 0);
-        a.stg(R2, MemOperand::absolute(self.lock));
-    }
-
     /// Builds the benchmark program (one insert + one delete per op).
     pub fn program(&self, ops_per_cpu: u64) -> Program {
-        let mut a = Assembler::new(0);
-        a.lghi(convention::OPS_LEFT, ops_per_cpu as i64);
-        a.lghi(convention::OP_CYCLES, 0);
-        a.lghi(convention::OPS_DONE, 0);
-        a.label("op_loop");
-        // Pre-initialize the node to insert (private memory).
-        a.lghi(R2, 0x77);
-        a.stg(R2, MemOperand::based(R7, 16)); // value
-        a.rdclk(convention::T_START);
-        match self.method {
-            ListMethod::Lock => self.emit_locked(&mut a),
-            ListMethod::Tbeginc => {
-                self.emit_insert(&mut a, true);
-                self.emit_delete(&mut a, true, "c_ops");
-            }
-        }
-        a.rdclk(convention::T_END);
-        a.sgr(convention::T_END, convention::T_START);
-        a.agr(convention::OP_CYCLES, convention::T_END);
-        a.aghi(R7, 32); // bump allocator (node is now owned by the list)
-        a.aghi(convention::OPS_DONE, 1);
-        a.brctg(convention::OPS_LEFT, "op_loop");
-        a.halt();
-        a.assemble().expect("dlist workload assembles")
+        harness::op_loop(ops_per_cpu, |a| {
+            // Pre-initialize the node to insert (private memory).
+            a.lghi(R2, 0x77);
+            a.stg(R2, MemOperand::based(R7, 16)); // value
+            timed(a, |a| match self.method {
+                ListMethod::Lock => emit_locked(a, "dl", MemOperand::absolute(self.lock), |a| {
+                    self.emit_insert(a, false);
+                    self.emit_delete(a, false, "dl_ops");
+                }),
+                ListMethod::Tbeginc => {
+                    self.emit_insert(a, true);
+                    self.emit_delete(a, true, "c_ops");
+                }
+            });
+            a.aghi(R7, 32); // bump allocator (node is now owned by the list)
+        })
     }
 
     /// Seeds per-CPU arenas and runs the workload.
     pub fn run(&self, sys: &mut System, ops_per_cpu: u64) -> WorkloadReport {
-        let prog = self.program(ops_per_cpu);
-        sys.load_program_all(&prog);
-        for i in 0..sys.cpus() {
-            let arena = self.arena_base + i as u64 * self.arena_size;
-            sys.core_mut(i).set_gr(R7, arena);
-        }
-        sys.run_until_halt(2_000_000_000);
-        WorkloadReport::collect(sys)
+        harness::run(sys, &self.program(ops_per_cpu), Some(self.arena_base))
     }
 }
 

@@ -1,44 +1,114 @@
-//! Measurement conventions shared by all workloads.
+//! The §IV program skeleton shared by every workload, and its measurement.
 //!
-//! Every workload program follows the paper's §IV methodology:
+//! Every workload program follows the paper's §IV methodology, and the
+//! emitters here are the only place it is written down:
 //!
-//! * the time of each operation is measured "between each lock/tbegin and
-//!   unlock/tend" with the clock (our `RDCLK` stands in for Store Clock
-//!   Fast), accumulated in **R14**;
-//! * completed operations are counted in **R15**;
-//! * random-number generation is excluded from the measurement (the `RAND`
-//!   pseudo-instruction costs zero cycles and executes before the timed
-//!   section);
-//! * throughput is `CPUs / average-time-per-update`, normalized to 100 for
-//!   a reference run (2 CPUs updating a single variable from a pool of 1).
+//! * [`op_loop`] wraps one operation in the per-CPU loop: **R6** counts the
+//!   operations left (`BRCTG`), **R15** the operations done, and the loop
+//!   head is the label `op_loop`;
+//! * [`timed`] brackets the measured section: the time of each operation is
+//!   taken "between each lock/tbegin and unlock/tend" with the clock (our
+//!   `RDCLK` stands in for Store Clock Fast) into **R12**/**R13** and
+//!   accumulated in **R14**. Random-number generation stays outside the
+//!   bracket (the `RAND` pseudo-instruction costs zero cycles anyway);
+//! * `emit_locked` is the test-and-test-and-set lock of the locked
+//!   baselines, and [`emit_tx_with_fallback`] the Figure 1 elision ladder
+//!   whose fallback path is that lock. Both wait for a held lock in the one
+//!   spin loop (`LTG`/`JZ`/`DELAY 24`/`J`, probing into **R1**); the lock
+//!   word is taken with `CSG` in **R2**/**R3**;
+//! * [`run`] loads a program on every CPU, points each CPU's bump pointer
+//!   **R7** at its own `ARENA_SIZE` arena when the workload allocates,
+//!   runs to completion and collects a [`WorkloadReport`].
+//!
+//! Throughput is `CPUs / average-time-per-update`, normalized to 100 for a
+//! reference run (2 CPUs updating a single variable from a pool of 1).
 
 use ztm_core::TbeginParams;
-use ztm_isa::gr::{R0, R1};
-use ztm_isa::{Assembler, MemOperand};
+use ztm_isa::gr::{R0, R1, R12, R13, R14, R15, R2, R3, R6, R7};
+use ztm_isa::{Assembler, MemOperand, Program, Reg};
 use ztm_sim::{System, SystemReport};
 
-/// Register conventions of the workload programs.
-pub mod convention {
-    use ztm_isa::gr::*;
-    use ztm_isa::Reg;
+/// Loop counter: operations remaining.
+const OPS_LEFT: Reg = R6;
+/// Accumulated in-section cycles.
+const OP_CYCLES: Reg = R14;
+/// Completed operations.
+const OPS_DONE: Reg = R15;
+/// Timestamp scratch (start).
+const T_START: Reg = R12;
+/// Timestamp scratch (end).
+const T_END: Reg = R13;
 
-    /// Loop counter: operations remaining.
-    pub const OPS_LEFT: Reg = R6;
-    /// Accumulated in-section cycles.
-    pub const OP_CYCLES: Reg = R14;
-    /// Completed operations.
-    pub const OPS_DONE: Reg = R15;
-    /// Timestamp scratch (start).
-    pub const T_START: Reg = R12;
-    /// Timestamp scratch (end).
-    pub const T_END: Reg = R13;
+/// Bytes of each CPU's private bump-allocation arena (see [`run`]).
+pub(crate) const ARENA_SIZE: u64 = 0x10_0000;
+
+/// Assembles the per-CPU operation loop around `op`, which emits one
+/// operation: untimed set-up, a [`timed`] section, and any untimed
+/// bookkeeping after it. It may branch back to the label `op_loop` to
+/// start the operation over. The program runs `ops_per_cpu` operations and
+/// halts.
+pub fn op_loop(ops_per_cpu: u64, op: impl FnOnce(&mut Assembler)) -> Program {
+    let mut a = Assembler::new(0);
+    a.lghi(OPS_LEFT, ops_per_cpu as i64);
+    a.lghi(OP_CYCLES, 0);
+    a.lghi(OPS_DONE, 0);
+    a.label("op_loop");
+    op(&mut a);
+    a.aghi(OPS_DONE, 1);
+    a.brctg(OPS_LEFT, "op_loop");
+    a.halt();
+    a.assemble().expect("workload program assembles")
+}
+
+/// Emits `section` between two clock reads and adds the elapsed cycles to
+/// the per-CPU total.
+pub fn timed(a: &mut Assembler, section: impl FnOnce(&mut Assembler)) {
+    a.rdclk(T_START);
+    section(a);
+    a.rdclk(T_END);
+    a.sgr(T_END, T_START);
+    a.agr(OP_CYCLES, T_END);
+}
+
+/// The wait for a held lock: at label `wait`, probes `lock` into R1 and
+/// jumps to `free` once it reads zero, pausing 24 cycles between probes to
+/// cut coherence traffic.
+fn emit_spin(a: &mut Assembler, wait: &str, lock: MemOperand, free: &str) {
+    a.label(wait);
+    a.ltg(R1, lock);
+    a.jz(free);
+    a.delay(24);
+    a.j(wait);
+}
+
+/// Emits a test-and-test-and-set critical section: spin until `lock` reads
+/// free, take it with `CSG` (back to the spin if another CPU won), run
+/// `body`, then release the lock with a plain store. Labels are prefixed
+/// with `p`; R1–R3 are clobbered.
+pub(crate) fn emit_locked(
+    a: &mut Assembler,
+    p: &str,
+    lock: MemOperand,
+    body: impl FnOnce(&mut Assembler),
+) {
+    let acquire = format!("{p}_acq");
+    let take = format!("{p}_try");
+    emit_spin(a, &acquire, lock, &take);
+    a.label(&take);
+    a.lghi(R2, 0);
+    a.lghi(R3, 1);
+    a.csg(R2, R3, lock);
+    a.jnz(&acquire);
+    body(a);
+    a.lghi(R2, 0);
+    a.stg(R2, lock);
 }
 
 /// Emits the Figure 1 lock-elision ladder shared by every TBEGIN workload:
 /// a transaction that tests the elided `lock` (aborting with code 256 while
 /// it is held), a retry loop with `PPA` backoff that gives up after
 /// `retry_limit` transient aborts (immediately on a persistent CC3 abort),
-/// a wait-for-lock-free loop before each retry, and the `fallback` path.
+/// a wait-for-lock-free spin before each retry, and the `fallback` path.
 ///
 /// `body` emits the critical section (runs inside the transaction, after
 /// the lock test); `fallback` emits the lock-based path. Labels are
@@ -46,7 +116,7 @@ pub mod convention {
 pub fn emit_tx_with_fallback<B, F>(
     a: &mut Assembler,
     p: &str,
-    lock: u64,
+    lock: MemOperand,
     retry_limit: i64,
     body: B,
     fallback: F,
@@ -58,7 +128,7 @@ pub fn emit_tx_with_fallback<B, F>(
     a.label(&format!("{p}_retry"));
     a.tbegin(TbeginParams::new());
     a.jnz(&format!("{p}_abort"));
-    a.ltg(R1, MemOperand::absolute(lock));
+    a.ltg(R1, lock);
     a.jnz(&format!("{p}_busy"));
     body(a);
     a.tend();
@@ -69,18 +139,33 @@ pub fn emit_tx_with_fallback<B, F>(
     a.jo(&format!("{p}_fallback")); // CC3: no retry
     a.aghi(R0, 1);
     a.cgij_ge(R0, retry_limit, &format!("{p}_fallback"));
-    a.ppa(R0); // machine-tuned random delay
-               // Figure 1: "potentially wait for lock to become free" before
-               // jumping back, so retries don't burn attempts while a
-               // fallback holder is in its critical section.
-    a.label(&format!("{p}_wait"));
-    a.ltg(R1, MemOperand::absolute(lock));
-    a.jz(&format!("{p}_retry"));
-    a.delay(24);
-    a.j(&format!("{p}_wait"));
+    // Machine-tuned random delay, then Figure 1's "potentially wait for
+    // lock to become free" before jumping back, so retries don't burn
+    // attempts while a fallback holder is in its critical section.
+    a.ppa(R0);
+    emit_spin(a, &format!("{p}_wait"), lock, &format!("{p}_retry"));
     a.label(&format!("{p}_fallback"));
     fallback(a);
     a.label(&format!("{p}_done"));
+}
+
+/// Loads `prog` onto every CPU of `sys`, runs it to completion and collects
+/// the measurements. With `arena_base`, CPU `i`'s bump pointer R7 starts at
+/// `arena_base + i * ARENA_SIZE` (1 MiB).
+///
+/// # Panics
+///
+/// Panics if the system has not halted after 2 billion steps (contention
+/// can stretch runs by orders of magnitude, but not that far).
+pub fn run(sys: &mut System, prog: &Program, arena_base: Option<u64>) -> WorkloadReport {
+    sys.load_program_all(prog);
+    if let Some(base) = arena_base {
+        for i in 0..sys.cpus() {
+            sys.core_mut(i).set_gr(R7, base + i as u64 * ARENA_SIZE);
+        }
+    }
+    sys.run_until_halt(2_000_000_000);
+    WorkloadReport::collect(sys)
 }
 
 /// Per-CPU measurement extracted after a run.
@@ -106,8 +191,8 @@ impl WorkloadReport {
     pub fn collect(sys: &System) -> Self {
         let per_cpu = (0..sys.cpus())
             .map(|i| CpuMeasurement {
-                ops: sys.core(i).gr(convention::OPS_DONE),
-                op_cycles: sys.core(i).gr(convention::OP_CYCLES),
+                ops: sys.core(i).gr(OPS_DONE),
+                op_cycles: sys.core(i).gr(OP_CYCLES),
             })
             .collect();
         WorkloadReport {

@@ -5,7 +5,7 @@
 //! with transactions. Under the global lock, throughput is flat no matter
 //! how many threads run; with elision it scales almost linearly (§IV).
 
-use crate::harness::{convention, emit_tx_with_fallback, WorkloadReport};
+use crate::harness::{self, emit_locked, emit_tx_with_fallback, timed, WorkloadReport, ARENA_SIZE};
 use ztm_isa::{gr::*, Assembler, MemOperand, Program, RegOrImm};
 use ztm_mem::Address;
 use ztm_sim::System;
@@ -50,7 +50,6 @@ pub struct HashTable {
     table_base: u64,
     lock: u64,
     arena_base: u64,
-    arena_size: u64,
     stm: Stm,
 }
 
@@ -70,7 +69,6 @@ impl HashTable {
             table_base: 0x1000_0000,
             lock: 0x0FFF_0000,
             arena_base: 0x2000_0000,
-            arena_size: 0x10_0000,
             stm: Stm::new(),
         }
     }
@@ -82,7 +80,7 @@ impl HashTable {
     /// Pre-populates the table host-side with `keys.len()` entries (key →
     /// key*10), using a dedicated init arena.
     pub fn populate(&self, sys: &mut System, keys: &[u64]) {
-        let mut node = self.arena_base - self.arena_size; // init arena below CPU 0's
+        let mut node = self.arena_base - ARENA_SIZE; // init arena below CPU 0's
         for &key in keys {
             let b = key & (self.buckets - 1);
             let head_addr = Address::new(self.bucket_addr(b));
@@ -257,91 +255,58 @@ impl HashTable {
         h.asm().label(&format!("{p}_done"));
     }
 
-    fn emit_locked(&self, a: &mut Assembler, p: &str) {
-        a.label(&format!("{p}_acq"));
-        a.ltg(R1, MemOperand::absolute(self.lock));
-        a.jz(&format!("{p}_try"));
-        a.delay(24);
-        a.j(&format!("{p}_acq"));
-        a.label(&format!("{p}_try"));
-        a.lghi(R2, 0);
-        a.lghi(R3, 1);
-        a.csg(R2, R3, MemOperand::absolute(self.lock));
-        a.jnz(&format!("{p}_acq"));
-        self.emit_op(a, &format!("{p}_op"));
-        a.lghi(R2, 0);
-        a.stg(R2, MemOperand::absolute(self.lock));
-    }
-
     /// Builds the benchmark program.
     pub fn program(&self, ops_per_cpu: u64) -> Program {
-        let mut a = Assembler::new(0);
-        a.lghi(convention::OPS_LEFT, ops_per_cpu as i64);
-        a.lghi(convention::OP_CYCLES, 0);
-        a.lghi(convention::OPS_DONE, 0);
-        a.label("op_loop");
-        a.rand_mod(R8, RegOrImm::Imm(self.key_space)); // key
-        a.rand_mod(R9, RegOrImm::Imm(100)); // op selector
-        a.cgij_lt(R9, self.put_percent as i64, "is_put");
-        a.lghi(R9, 0); // get
-        a.j("selected");
-        a.label("is_put");
-        a.lghi(R9, 1);
-        a.label("selected");
-        a.rdclk(convention::T_START);
-        match self.method {
-            TableMethod::GlobalLock => self.emit_locked(&mut a, "gl"),
-            TableMethod::Unsync => self.emit_op(&mut a, "un"),
-            TableMethod::Elision => emit_tx_with_fallback(
-                &mut a,
-                "tx",
-                self.lock,
-                6,
-                |a| self.emit_op(a, "tx_op"),
-                |a| self.emit_locked(a, "fb"),
-            ),
-            TableMethod::PureStm => {
-                self.stm
-                    .emit_tx(&mut a, "st", &[R7], |tx| self.emit_op_stm(tx, "st_op"));
-            }
-            TableMethod::HtmStmFallback => {
-                self.stm.emit_hybrid_tx(
-                    &mut a,
-                    "hy",
-                    R10,
+        let lock = MemOperand::absolute(self.lock);
+        harness::op_loop(ops_per_cpu, |a| {
+            a.rand_mod(R8, RegOrImm::Imm(self.key_space)); // key
+            a.rand_mod(R9, RegOrImm::Imm(100)); // op selector
+            a.cgij_lt(R9, self.put_percent as i64, "is_put");
+            a.lghi(R9, 0); // get
+            a.j("selected");
+            a.label("is_put");
+            a.lghi(R9, 1);
+            a.label("selected");
+            timed(a, |a| match self.method {
+                TableMethod::GlobalLock => emit_locked(a, "gl", lock, |a| self.emit_op(a, "gl_op")),
+                TableMethod::Unsync => self.emit_op(a, "un"),
+                TableMethod::Elision => emit_tx_with_fallback(
+                    a,
+                    "tx",
+                    lock,
                     6,
-                    &[R7],
-                    |h| self.emit_op_htm(h, "hy_op"),
-                    |tx| self.emit_op_stm(tx, "hy_sop"),
-                );
-            }
-        }
-        a.rdclk(convention::T_END);
-        a.sgr(convention::T_END, convention::T_START);
-        a.agr(convention::OP_CYCLES, convention::T_END);
-        a.aghi(convention::OPS_DONE, 1);
-        a.brctg(convention::OPS_LEFT, "op_loop");
-        a.halt();
-        a.assemble().expect("hashtable workload assembles")
+                    |a| self.emit_op(a, "tx_op"),
+                    |a| emit_locked(a, "fb", lock, |a| self.emit_op(a, "fb_op")),
+                ),
+                TableMethod::PureStm => {
+                    self.stm
+                        .emit_tx(a, "st", &[R7], |tx| self.emit_op_stm(tx, "st_op"));
+                }
+                TableMethod::HtmStmFallback => {
+                    self.stm.emit_hybrid_tx(
+                        a,
+                        "hy",
+                        R10,
+                        6,
+                        &[R7],
+                        |h| self.emit_op_htm(h, "hy_op"),
+                        |tx| self.emit_op_stm(tx, "hy_sop"),
+                    );
+                }
+            });
+        })
     }
 
-    /// Loads programs, seeds the per-CPU arenas (bump pointer in R7), runs,
-    /// and collects measurements.
+    /// Seeds the per-CPU arenas (bump pointer in R7), runs, and collects
+    /// measurements.
     pub fn run(&self, sys: &mut System, ops_per_cpu: u64) -> WorkloadReport {
-        let prog = self.program(ops_per_cpu);
-        sys.load_program_all(&prog);
         if matches!(
             self.method,
             TableMethod::PureStm | TableMethod::HtmStmFallback
         ) {
             self.stm.layout.install(sys);
         }
-        for i in 0..sys.cpus() {
-            let arena = self.arena_base + i as u64 * self.arena_size;
-            sys.core_mut(i).set_gr(R7, arena);
-        }
-        sys.run_until_halt(2_000_000_000);
-        WorkloadReport::collect(sys)
+        harness::run(sys, &self.program(ops_per_cpu), Some(self.arena_base))
     }
 }
 

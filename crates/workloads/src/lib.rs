@@ -13,8 +13,10 @@
 //!   constrained operation (3 octowords per op).
 //! * [`bank`] — bank transfers with a money-conservation invariant (the
 //!   classic TM consistency stress).
-//! * [`harness`] — measurement conventions (per-op timing with RDCLK,
-//!   throughput = CPUs / avg-time-per-update, normalization).
+//! * [`harness`] — the §IV program skeleton every workload shares (the op
+//!   loop with its RDCLK timing, the spin lock, the Figure 1 elision ladder
+//!   and the run driver) and the measurements (throughput = CPUs /
+//!   avg-time-per-update, normalization).
 
 pub mod bank;
 pub mod dlist;

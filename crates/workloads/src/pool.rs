@@ -6,7 +6,7 @@
 //! locks, non-constrained transactions with the Figure 1 retry/fallback
 //! structure, constrained transactions (Figure 3), or nothing at all.
 
-use crate::harness::{convention, emit_tx_with_fallback, WorkloadReport};
+use crate::harness::{self, emit_locked, emit_tx_with_fallback, timed, WorkloadReport};
 use ztm_core::GrSaveMask;
 use ztm_isa::{gr::*, Assembler, MemOperand, Program, Reg, RegOrImm};
 use ztm_sim::System;
@@ -48,11 +48,6 @@ impl PoolLayout {
     /// Address of pool variable `i`.
     pub fn var_addr(&self, i: u64) -> u64 {
         self.pool_base + i * 256
-    }
-
-    /// Address of the fine-grained lock guarding variable `i`.
-    pub fn fine_lock_addr(&self, i: u64) -> u64 {
-        self.fine_locks_base + i * 256
     }
 }
 
@@ -122,123 +117,64 @@ impl PoolWorkload {
         }
     }
 
-    /// Emits a coarse-lock acquire/critical-section/release with unique
-    /// label `prefix`.
-    fn emit_locked_section(&self, a: &mut Assembler, lock: u64, prefix: &str) {
-        let acquire = format!("{prefix}_acquire");
-        let try_ = format!("{prefix}_try");
-        a.label(&acquire);
-        a.ltg(R1, MemOperand::absolute(lock));
-        a.jz(&try_);
-        // Bounded pause before re-probing (cuts coherence traffic).
-        a.delay(24);
-        a.j(&acquire);
-        a.label(&try_);
-        a.lghi(R2, 0);
-        a.lghi(R3, 1);
-        a.csg(R2, R3, MemOperand::absolute(lock));
-        a.jnz(&acquire);
-        self.emit_body(a);
-        a.lghi(R2, 0);
-        a.stg(R2, MemOperand::absolute(lock));
-    }
-
     /// Builds the benchmark program executing `ops_per_cpu` operations.
     pub fn program(&self, ops_per_cpu: u64) -> Program {
         let l = &self.layout;
-        let mut a = Assembler::new(0);
-        a.lghi(convention::OPS_LEFT, ops_per_cpu as i64);
-        a.lghi(convention::OP_CYCLES, 0);
-        a.lghi(convention::OPS_DONE, 0);
-        a.label("op_loop");
-
-        // Pick random distinct-ish variables and compute their addresses.
-        // With a pool of 1 variable and 4 vars per op, the paper uses 4
-        // consecutive cache lines.
-        for (k, &r) in ADDR_REGS[..l.vars_per_op].iter().enumerate() {
-            if l.pool_size == 1 {
-                a.lghi(r, (l.var_addr(0) + k as u64 * 256) as i64);
-            } else {
-                a.rand_mod(r, RegOrImm::Imm(l.pool_size));
-                if self.method == SyncMethod::FineLock {
-                    // Keep the raw index for the lock address.
-                    a.lgr(R5, r);
-                }
-                a.sllg(r, r, 8);
-                a.aghi(r, l.pool_base as i64);
-            }
-        }
-
-        a.rdclk(convention::T_START);
-        match self.method {
-            SyncMethod::None => self.emit_body(&mut a),
-            SyncMethod::CoarseLock => {
-                self.emit_locked_section(&mut a, l.coarse_lock, "c");
-            }
-            SyncMethod::FineLock => {
-                assert_eq!(
-                    l.vars_per_op, 1,
-                    "fine-grained locking is defined for single-variable ops"
-                );
-                // Lock address = fine_locks_base + idx*256 (idx in R5; for
-                // pool of 1 the index is 0).
+        let coarse = MemOperand::absolute(l.coarse_lock);
+        let body = |a: &mut Assembler| self.emit_body(a);
+        harness::op_loop(ops_per_cpu, |a| {
+            // Pick random distinct-ish variables and compute their
+            // addresses. With a pool of 1 variable and 4 vars per op, the
+            // paper uses 4 consecutive cache lines.
+            for (k, &r) in ADDR_REGS[..l.vars_per_op].iter().enumerate() {
                 if l.pool_size == 1 {
-                    a.lghi(R5, 0);
+                    a.lghi(r, (l.var_addr(0) + k as u64 * 256) as i64);
+                } else {
+                    a.rand_mod(r, RegOrImm::Imm(l.pool_size));
+                    if self.method == SyncMethod::FineLock {
+                        // Keep the raw index for the lock address.
+                        a.lgr(R5, r);
+                    }
+                    a.sllg(r, r, 8);
+                    a.aghi(r, l.pool_base as i64);
                 }
-                a.sllg(R5, R5, 8);
-                a.aghi(R5, l.fine_locks_base as i64);
-                a.label("f_acquire");
-                a.ltg(R1, MemOperand::based(R5, 0));
-                a.jz("f_try");
-                a.delay(24);
-                a.j("f_acquire");
-                a.label("f_try");
-                a.lghi(R2, 0);
-                a.lghi(R3, 1);
-                a.csg(R2, R3, MemOperand::based(R5, 0));
-                a.jnz("f_acquire");
-                self.emit_body(&mut a);
-                a.lghi(R2, 0);
-                a.stg(R2, MemOperand::based(R5, 0));
             }
-            SyncMethod::Tbegin => {
+            timed(a, |a| match self.method {
+                SyncMethod::None => body(a),
+                SyncMethod::CoarseLock => emit_locked(a, "c", coarse, body),
+                SyncMethod::FineLock => {
+                    assert_eq!(
+                        l.vars_per_op, 1,
+                        "fine-grained locking is defined for single-variable ops"
+                    );
+                    // Lock address = fine_locks_base + idx*256 (idx in R5;
+                    // for pool of 1 the index is 0).
+                    if l.pool_size == 1 {
+                        a.lghi(R5, 0);
+                    }
+                    a.sllg(R5, R5, 8);
+                    a.aghi(R5, l.fine_locks_base as i64);
+                    emit_locked(a, "f", MemOperand::based(R5, 0), body);
+                }
                 // Figure 1 (see `emit_tx_with_fallback`).
-                emit_tx_with_fallback(
-                    &mut a,
-                    "tx",
-                    l.coarse_lock,
-                    6,
-                    |a| self.emit_body(a),
-                    |a| self.emit_locked_section(a, l.coarse_lock, "fb"),
-                );
-            }
-            SyncMethod::Tbeginc => {
-                // Figure 3: no lock test, no fallback path (assuming no
-                // lock-based code is mixed in, as the paper notes).
-                a.tbeginc(GrSaveMask::ALL);
-                self.emit_body(&mut a);
-                a.tend();
-            }
-        }
-        a.rdclk(convention::T_END);
-        a.sgr(convention::T_END, convention::T_START);
-        a.agr(convention::OP_CYCLES, convention::T_END);
-        a.aghi(convention::OPS_DONE, 1);
-        a.brctg(convention::OPS_LEFT, "op_loop");
-        a.halt();
-        a.assemble().expect("pool workload assembles")
+                SyncMethod::Tbegin => emit_tx_with_fallback(a, "tx", coarse, 6, body, |a| {
+                    emit_locked(a, "fb", coarse, body)
+                }),
+                SyncMethod::Tbeginc => {
+                    // Figure 3: no lock test, no fallback path (assuming no
+                    // lock-based code is mixed in, as the paper notes).
+                    a.tbeginc(GrSaveMask::ALL);
+                    body(a);
+                    a.tend();
+                }
+            });
+        })
     }
 
     /// Loads the program onto every CPU of `sys`, runs to completion, and
     /// collects the measurements.
     pub fn run(&self, sys: &mut System, ops_per_cpu: u64) -> WorkloadReport {
-        let prog = self.program(ops_per_cpu);
-        sys.load_program_all(&prog);
-        // Generous step bound: contention can stretch runs by orders of
-        // magnitude.
-        let bound = 2_000_000_000;
-        sys.run_until_halt(bound);
-        WorkloadReport::collect(sys)
+        harness::run(sys, &self.program(ops_per_cpu), None)
     }
 
     /// Sum of all pool variables (to check update counts).

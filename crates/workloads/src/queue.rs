@@ -4,7 +4,7 @@
 //! implemented with constrained transactions, throughput exceeded locks by
 //! a factor of about 2.
 
-use crate::harness::{convention, emit_tx_with_fallback, WorkloadReport};
+use crate::harness::{self, emit_locked, emit_tx_with_fallback, timed, WorkloadReport};
 use ztm_core::GrSaveMask;
 use ztm_isa::{gr::*, Assembler, MemOperand, Program, RegOrImm};
 use ztm_mem::Address;
@@ -43,7 +43,6 @@ pub struct ConcurrentQueue {
     lock: u64,
     seed_arena: u64,
     arena_base: u64,
-    arena_size: u64,
     stm: Stm,
 }
 
@@ -57,7 +56,6 @@ impl ConcurrentQueue {
             lock: 0x3000_0200,
             seed_arena: 0x3100_0000,
             arena_base: 0x3200_0000,
-            arena_size: 0x10_0000,
             stm: Stm::new(),
         }
     }
@@ -174,101 +172,71 @@ impl ConcurrentQueue {
         h.asm().label(&format!("{p}_empty"));
     }
 
-    fn emit_locked(&self, a: &mut Assembler, p: &str) {
-        a.label(&format!("{p}_acq"));
-        a.ltg(R1, MemOperand::absolute(self.lock));
-        a.jz(&format!("{p}_try"));
-        a.delay(24);
-        a.j(&format!("{p}_acq"));
-        a.label(&format!("{p}_try"));
-        a.lghi(R2, 0);
-        a.lghi(R3, 1);
-        a.csg(R2, R3, MemOperand::absolute(self.lock));
-        a.jnz(&format!("{p}_acq"));
-        self.emit_ops(a, &format!("{p}_ops"), false);
-        a.lghi(R2, 0);
-        a.stg(R2, MemOperand::absolute(self.lock));
-    }
-
     /// Builds the benchmark program.
     pub fn program(&self, ops_per_cpu: u64) -> Program {
-        let mut a = Assembler::new(0);
-        a.lghi(convention::OPS_LEFT, ops_per_cpu as i64);
-        a.lghi(convention::OP_CYCLES, 0);
-        a.lghi(convention::OPS_DONE, 0);
-        a.label("op_loop");
-        // Pre-initialize the node to enqueue (private memory, outside the
-        // timed section and the transaction).
-        a.rand_mod(R8, RegOrImm::Imm(1_000_000));
-        a.stg(R8, MemOperand::based(R7, 0)); // value
-        a.lghi(R2, 0);
-        a.stg(R2, MemOperand::based(R7, 8)); // next = 0
-        a.rdclk(convention::T_START);
-        match self.method {
-            QueueMethod::Lock => self.emit_locked(&mut a, "q"),
-            QueueMethod::Tbeginc => self.emit_ops(&mut a, "q", true),
-            QueueMethod::Elision => emit_tx_with_fallback(
-                &mut a,
-                "q",
-                self.lock,
-                6,
-                |a| self.emit_ops(a, "q_ops", false),
-                |a| self.emit_locked(a, "qfb"),
-            ),
-            QueueMethod::PureStm => {
-                self.stm
-                    .emit_tx(&mut a, "qe", &[], |tx| self.emit_enqueue_stm(tx));
-                a.aghi(R7, 32); // bump allocator (after commit: it is certain)
-                self.stm
-                    .emit_tx(&mut a, "qd", &[], |tx| self.emit_dequeue_stm(tx, "qd_op"));
-            }
-            QueueMethod::HtmStmFallback => {
-                self.stm.emit_hybrid_tx(
-                    &mut a,
-                    "he",
-                    R9,
+        let lock = MemOperand::absolute(self.lock);
+        let locked = |a: &mut Assembler, p: &str| {
+            emit_locked(a, p, lock, |a| self.emit_ops(a, &format!("{p}_ops"), false))
+        };
+        harness::op_loop(ops_per_cpu, |a| {
+            // Pre-initialize the node to enqueue (private memory, outside
+            // the timed section and the transaction).
+            a.rand_mod(R8, RegOrImm::Imm(1_000_000));
+            a.stg(R8, MemOperand::based(R7, 0)); // value
+            a.lghi(R2, 0);
+            a.stg(R2, MemOperand::based(R7, 8)); // next = 0
+            timed(a, |a| match self.method {
+                QueueMethod::Lock => locked(a, "q"),
+                QueueMethod::Tbeginc => self.emit_ops(a, "q", true),
+                QueueMethod::Elision => emit_tx_with_fallback(
+                    a,
+                    "q",
+                    lock,
                     6,
-                    &[],
-                    |h| self.emit_enqueue_htm(h),
-                    |tx| self.emit_enqueue_stm(tx),
-                );
-                a.aghi(R7, 32);
-                self.stm.emit_hybrid_tx(
-                    &mut a,
-                    "hd",
-                    R9,
-                    6,
-                    &[],
-                    |h| self.emit_dequeue_htm(h, "hd_op"),
-                    |tx| self.emit_dequeue_stm(tx, "hd_sop"),
-                );
-            }
-        }
-        a.rdclk(convention::T_END);
-        a.sgr(convention::T_END, convention::T_START);
-        a.agr(convention::OP_CYCLES, convention::T_END);
-        a.aghi(convention::OPS_DONE, 1);
-        a.brctg(convention::OPS_LEFT, "op_loop");
-        a.halt();
-        a.assemble().expect("queue workload assembles")
+                    |a| self.emit_ops(a, "q_ops", false),
+                    |a| locked(a, "qfb"),
+                ),
+                QueueMethod::PureStm => {
+                    self.stm
+                        .emit_tx(a, "qe", &[], |tx| self.emit_enqueue_stm(tx));
+                    a.aghi(R7, 32); // bump allocator (after commit: it is certain)
+                    self.stm
+                        .emit_tx(a, "qd", &[], |tx| self.emit_dequeue_stm(tx, "qd_op"));
+                }
+                QueueMethod::HtmStmFallback => {
+                    self.stm.emit_hybrid_tx(
+                        a,
+                        "he",
+                        R9,
+                        6,
+                        &[],
+                        |h| self.emit_enqueue_htm(h),
+                        |tx| self.emit_enqueue_stm(tx),
+                    );
+                    a.aghi(R7, 32);
+                    self.stm.emit_hybrid_tx(
+                        a,
+                        "hd",
+                        R9,
+                        6,
+                        &[],
+                        |h| self.emit_dequeue_htm(h, "hd_op"),
+                        |tx| self.emit_dequeue_stm(tx, "hd_sop"),
+                    );
+                }
+            });
+        })
     }
 
     /// Seeds per-CPU arenas and runs the workload.
     pub fn run(&self, sys: &mut System, ops_per_cpu: u64) -> WorkloadReport {
-        let prog = self.program(ops_per_cpu);
-        sys.load_program_all(&prog);
         if matches!(
             self.method,
             QueueMethod::PureStm | QueueMethod::HtmStmFallback
         ) {
             self.stm.layout.install(sys);
         }
-        for i in 0..sys.cpus() {
-            let arena = self.arena_base + i as u64 * self.arena_size;
-            sys.core_mut(i).set_gr(R7, arena);
-        }
-        sys.run_until_halt(2_000_000_000);
-        WorkloadReport::collect(sys)
+        harness::run(sys, &self.program(ops_per_cpu), Some(self.arena_base))
     }
 }
 

@@ -6,10 +6,10 @@
 //! Transactions only *read* shared state, so all readers stay in read-only
 //! (shared) cache state and scale almost linearly (§IV).
 
-use crate::harness::{convention, WorkloadReport};
+use crate::harness::{self, timed, WorkloadReport};
 use crate::pool::PoolLayout;
 use ztm_core::GrSaveMask;
-use ztm_isa::{gr::*, Assembler, MemOperand, Program, Reg, RegOrImm};
+use ztm_isa::{gr::*, MemOperand, Program, Reg, RegOrImm};
 use ztm_sim::System;
 
 /// Address registers for the four variables read per operation.
@@ -54,64 +54,50 @@ impl ReadWorkload {
         let l = &self.layout;
         let rc = self.rw_word;
         let wflag = self.rw_word + 8;
-        let mut a = Assembler::new(0);
-        a.lghi(convention::OPS_LEFT, ops_per_cpu as i64);
-        a.lghi(convention::OP_CYCLES, 0);
-        a.lghi(convention::OPS_DONE, 0);
-        a.label("op_loop");
-        for r in ADDR_REGS {
-            a.rand_mod(r, RegOrImm::Imm(l.pool_size));
-            a.sllg(r, r, 8);
-            a.aghi(r, l.pool_base as i64);
-        }
-        a.rdclk(convention::T_START);
-        match self.method {
-            ReadMethod::RwLock => {
-                // Enter: no writer, then atomically bump the reader count.
-                a.label("rd_enter");
-                a.lg(R1, MemOperand::absolute(wflag));
-                a.cghi(R1, 0);
-                a.jnz("rd_enter");
-                a.lg(R2, MemOperand::absolute(rc));
-                a.label("rc_inc");
-                a.lgr(R3, R2);
-                a.aghi(R3, 1);
-                a.csg(R2, R3, MemOperand::absolute(rc));
-                a.jnz("rc_inc");
-                for r in ADDR_REGS {
-                    a.lg(R2, MemOperand::based(r, 0));
-                }
-                // Leave: atomically drop the reader count.
-                a.lg(R2, MemOperand::absolute(rc));
-                a.label("rc_dec");
-                a.lgr(R3, R2);
-                a.aghi(R3, -1);
-                a.csg(R2, R3, MemOperand::absolute(rc));
-                a.jnz("rc_dec");
+        harness::op_loop(ops_per_cpu, |a| {
+            for r in ADDR_REGS {
+                a.rand_mod(r, RegOrImm::Imm(l.pool_size));
+                a.sllg(r, r, 8);
+                a.aghi(r, l.pool_base as i64);
             }
-            ReadMethod::Tbeginc => {
-                a.tbeginc(GrSaveMask::ALL);
-                for r in ADDR_REGS {
-                    a.lg(R2, MemOperand::based(r, 0));
+            timed(a, |a| match self.method {
+                ReadMethod::RwLock => {
+                    // Enter: no writer, then atomically bump the reader count.
+                    a.label("rd_enter");
+                    a.lg(R1, MemOperand::absolute(wflag));
+                    a.cghi(R1, 0);
+                    a.jnz("rd_enter");
+                    a.lg(R2, MemOperand::absolute(rc));
+                    a.label("rc_inc");
+                    a.lgr(R3, R2);
+                    a.aghi(R3, 1);
+                    a.csg(R2, R3, MemOperand::absolute(rc));
+                    a.jnz("rc_inc");
+                    for r in ADDR_REGS {
+                        a.lg(R2, MemOperand::based(r, 0));
+                    }
+                    // Leave: atomically drop the reader count.
+                    a.lg(R2, MemOperand::absolute(rc));
+                    a.label("rc_dec");
+                    a.lgr(R3, R2);
+                    a.aghi(R3, -1);
+                    a.csg(R2, R3, MemOperand::absolute(rc));
+                    a.jnz("rc_dec");
                 }
-                a.tend();
-            }
-        }
-        a.rdclk(convention::T_END);
-        a.sgr(convention::T_END, convention::T_START);
-        a.agr(convention::OP_CYCLES, convention::T_END);
-        a.aghi(convention::OPS_DONE, 1);
-        a.brctg(convention::OPS_LEFT, "op_loop");
-        a.halt();
-        a.assemble().expect("read workload assembles")
+                ReadMethod::Tbeginc => {
+                    a.tbeginc(GrSaveMask::ALL);
+                    for r in ADDR_REGS {
+                        a.lg(R2, MemOperand::based(r, 0));
+                    }
+                    a.tend();
+                }
+            });
+        })
     }
 
     /// Runs the workload on every CPU of `sys`.
     pub fn run(&self, sys: &mut System, ops_per_cpu: u64) -> WorkloadReport {
-        let prog = self.program(ops_per_cpu);
-        sys.load_program_all(&prog);
-        sys.run_until_halt(2_000_000_000);
-        WorkloadReport::collect(sys)
+        harness::run(sys, &self.program(ops_per_cpu), None)
     }
 }
 

@@ -11,6 +11,10 @@
 //! elided hashtable) guard the private-cache directory walk that every
 //! data access takes: same-line bursts, XI traffic and transactional
 //! re-marking all run through it.
+//!
+//! The program pins at the end fold the listing of every §IV workload ×
+//! method program into one digest each, so how the workloads are emitted
+//! can change only if the instructions and their addresses do not.
 
 use ztm::core::TbeginParams;
 use ztm::isa::gr::*;
@@ -198,4 +202,134 @@ fn elision_hashtable_steps_and_digest_match_the_pinned_baseline() {
         (rep.system.steps, recorder.lock().unwrap().digest()),
         (HT4_STEPS, HT4_DIGEST)
     );
+}
+
+/// FNV-1a over a program's address-annotated listing: every instruction's
+/// byte address and disassembly, branch targets included.
+fn listing_digest(p: &Program) -> u64 {
+    p.listing().bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Every §IV workload × method program (100 ops per CPU), by name.
+fn workload_programs() -> Vec<(String, Program)> {
+    use ztm::workloads::{
+        Bank, BankMethod, ConcurrentQueue, DoublyLinkedList, ListMethod, QueueMethod, ReadMethod,
+        ReadWorkload,
+    };
+    const OPS: u64 = 100;
+    let mut out = Vec::new();
+    for pool in [1, 100] {
+        for vars in [1, 4] {
+            for m in [
+                SyncMethod::CoarseLock,
+                SyncMethod::FineLock,
+                SyncMethod::Tbegin,
+                SyncMethod::Tbeginc,
+                SyncMethod::None,
+            ] {
+                if m == SyncMethod::FineLock && vars != 1 {
+                    continue;
+                }
+                let wl = PoolWorkload::new(PoolLayout::new(pool, vars), m, 0);
+                out.push((format!("pool {pool}x{vars} {m:?}"), wl.program(OPS)));
+            }
+        }
+    }
+    for m in [ReadMethod::RwLock, ReadMethod::Tbeginc] {
+        let wl = ReadWorkload::new(100, m);
+        out.push((format!("read {m:?}"), wl.program(OPS)));
+    }
+    for m in [
+        TableMethod::GlobalLock,
+        TableMethod::Elision,
+        TableMethod::PureStm,
+        TableMethod::HtmStmFallback,
+        TableMethod::Unsync,
+    ] {
+        let t = HashTable::new(512, 2048, 20, m);
+        out.push((format!("hashtable {m:?}"), t.program(OPS)));
+    }
+    for m in [
+        QueueMethod::Lock,
+        QueueMethod::Tbeginc,
+        QueueMethod::Elision,
+        QueueMethod::PureStm,
+        QueueMethod::HtmStmFallback,
+    ] {
+        out.push((format!("queue {m:?}"), ConcurrentQueue::new(m).program(OPS)));
+    }
+    for m in [ListMethod::Lock, ListMethod::Tbeginc] {
+        out.push((
+            format!("dlist {m:?}"),
+            DoublyLinkedList::new(m).program(OPS),
+        ));
+    }
+    for m in [
+        BankMethod::Lock,
+        BankMethod::Tbeginc,
+        BankMethod::Tbegin,
+        BankMethod::PureStm,
+        BankMethod::HtmStmFallback,
+    ] {
+        out.push((format!("bank {m:?}"), Bank::new(64, m).program(OPS)));
+    }
+    out
+}
+
+/// Listing digests of [`workload_programs`], in the same order. They pin the
+/// programs instruction for instruction, so a refactor of how the workloads
+/// are emitted must reproduce them exactly.
+const PROGRAM_DIGESTS: [(&str, u64); 37] = [
+    ("pool 1x1 CoarseLock", 0x2c7b3c80998d71b2),
+    ("pool 1x1 FineLock", 0x720dd76fe5fc9972),
+    ("pool 1x1 Tbegin", 0xffcbc571d31bf097),
+    ("pool 1x1 Tbeginc", 0xb624befc3bf6e284),
+    ("pool 1x1 None", 0x9f73087a054a719b),
+    ("pool 1x4 CoarseLock", 0x161ef80755148b72),
+    ("pool 1x4 Tbegin", 0xfd7bea1993777772),
+    ("pool 1x4 Tbeginc", 0xbfbbc26cb48e159b),
+    ("pool 1x4 None", 0xa337ca4272fcbf85),
+    ("pool 100x1 CoarseLock", 0xa286309cdca877d2),
+    ("pool 100x1 FineLock", 0x14c45e9f16d89491),
+    ("pool 100x1 Tbegin", 0xbca8c1f6e6a402a5),
+    ("pool 100x1 Tbeginc", 0x49136a7526de8b64),
+    ("pool 100x1 None", 0x127baf10e26104cd),
+    ("pool 100x4 CoarseLock", 0x3463406f7ed7cb12),
+    ("pool 100x4 Tbegin", 0x5bc790f2867bfc47),
+    ("pool 100x4 Tbeginc", 0xfb38fcfbf848b5a2),
+    ("pool 100x4 None", 0x6a93cecf003b99ca),
+    ("read RwLock", 0xee4466beec1577ec),
+    ("read Tbeginc", 0x5918ec97a828fb03),
+    ("hashtable GlobalLock", 0x94f1c0c68c8e4717),
+    ("hashtable Elision", 0x87f66c7df7d4adfe),
+    ("hashtable PureStm", 0x5efa8744d4fcf4dd),
+    ("hashtable HtmStmFallback", 0x1219ac748377c9f8),
+    ("hashtable Unsync", 0x0bcd5b89327d4e06),
+    ("queue Lock", 0x1340487bf1d83854),
+    ("queue Tbeginc", 0x1d8e8ac5ae41eb66),
+    ("queue Elision", 0x56e91de5014731b9),
+    ("queue PureStm", 0x5ad2ff95ef69c825),
+    ("queue HtmStmFallback", 0xc5b2a93473add38c),
+    ("dlist Lock", 0xc291a6e526a3b04a),
+    ("dlist Tbeginc", 0xc5d8fd498b6449d1),
+    ("bank Lock", 0xbc0b2182be2bf687),
+    ("bank Tbeginc", 0x3240eda18e540018),
+    ("bank Tbegin", 0x465f79bd08dce39f),
+    ("bank PureStm", 0xfe033605efe03d69),
+    ("bank HtmStmFallback", 0x926278110a90bb83),
+];
+
+#[test]
+fn workload_programs_match_the_pinned_listings() {
+    let got: Vec<(String, u64)> = workload_programs()
+        .iter()
+        .map(|(name, p)| (name.clone(), listing_digest(p)))
+        .collect();
+    let want: Vec<(String, u64)> = PROGRAM_DIGESTS
+        .iter()
+        .map(|&(name, d)| (name.to_string(), d))
+        .collect();
+    assert_eq!(got, want);
 }
