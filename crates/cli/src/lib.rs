@@ -33,13 +33,26 @@ pub enum Workload {
     Bank,
 }
 
+impl Workload {
+    /// The method run when `--method` is absent: `tbeginc` for the read
+    /// and dlist workloads, which have no TBEGIN variant, `tbegin` for the
+    /// rest.
+    pub fn default_method(self) -> &'static str {
+        match self {
+            Workload::Read | Workload::Dlist => "tbeginc",
+            _ => "tbegin",
+        }
+    }
+}
+
 /// Parsed command-line options.
 #[derive(Debug, Clone)]
 pub struct Options {
     /// Benchmark selection.
     pub workload: Workload,
-    /// Synchronization method name (validated per workload).
-    pub method: String,
+    /// Synchronization method name (validated per workload); `None` runs
+    /// the workload's [`Workload::default_method`].
+    pub method: Option<String>,
     /// CPU count.
     pub cpus: usize,
     /// Operations per CPU.
@@ -70,7 +83,7 @@ impl Default for Options {
     fn default() -> Self {
         Options {
             workload: Workload::Pool,
-            method: "tbegin".into(),
+            method: None,
             cpus: 4,
             ops: 200,
             pool: 64,
@@ -99,7 +112,8 @@ USAGE:
 
 OPTIONS:
     --workload <pool|read|hashtable|queue|dlist|bank>   (default pool)
-    --method <name>     pool: lock|fine|tbegin|tbeginc|none (default tbegin)
+    --method <name>     (default tbeginc for read and dlist, tbegin otherwise)
+                        pool: lock|fine|tbegin|tbeginc|none
                         read: rwlock|tbeginc    dlist: lock|tbeginc
                         hashtable: lock|elision|purestm|hybrid
                         queue: lock|tbeginc|elision|purestm|hybrid
@@ -152,7 +166,7 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
                     w => return Err(format!("unknown workload `{w}`")),
                 }
             }
-            "--method" => o.method = value()?,
+            "--method" => o.method = Some(value()?),
             "--cpus" => {
                 o.cpus = value()?
                     .parse()
@@ -233,9 +247,10 @@ pub fn execute(o: &Options) -> Result<String, String> {
     } else {
         None
     };
+    let method = o.method.as_deref().unwrap_or(o.workload.default_method());
     let rep: WorkloadReport = match o.workload {
         Workload::Pool => {
-            let method = match o.method.as_str() {
+            let method = match method {
                 "lock" => SyncMethod::CoarseLock,
                 "fine" => SyncMethod::FineLock,
                 "tbegin" => SyncMethod::Tbegin,
@@ -250,7 +265,7 @@ pub fn execute(o: &Options) -> Result<String, String> {
             wl.run(&mut sys, o.ops)
         }
         Workload::Read => {
-            let method = match o.method.as_str() {
+            let method = match method {
                 "rwlock" => ReadMethod::RwLock,
                 "tbeginc" => ReadMethod::Tbeginc,
                 m => return Err(format!("read does not know method `{m}`")),
@@ -258,7 +273,7 @@ pub fn execute(o: &Options) -> Result<String, String> {
             ReadWorkload::new(o.pool, method).run(&mut sys, o.ops)
         }
         Workload::Hashtable => {
-            let method = match o.method.as_str() {
+            let method = match method {
                 "lock" => TableMethod::GlobalLock,
                 "elision" | "tbegin" => TableMethod::Elision,
                 "purestm" => TableMethod::PureStm,
@@ -271,7 +286,7 @@ pub fn execute(o: &Options) -> Result<String, String> {
             t.run(&mut sys, o.ops)
         }
         Workload::Queue => {
-            let method = match o.method.as_str() {
+            let method = match method {
                 "lock" => QueueMethod::Lock,
                 "tbeginc" => QueueMethod::Tbeginc,
                 "elision" | "tbegin" => QueueMethod::Elision,
@@ -284,7 +299,7 @@ pub fn execute(o: &Options) -> Result<String, String> {
             q.run(&mut sys, o.ops)
         }
         Workload::Dlist => {
-            let method = match o.method.as_str() {
+            let method = match method {
                 "lock" => ListMethod::Lock,
                 "tbeginc" => ListMethod::Tbeginc,
                 m => return Err(format!("dlist does not know method `{m}`")),
@@ -294,7 +309,7 @@ pub fn execute(o: &Options) -> Result<String, String> {
             l.run(&mut sys, o.ops)
         }
         Workload::Bank => {
-            let method = match o.method.as_str() {
+            let method = match method {
                 "lock" => BankMethod::Lock,
                 "tbegin" => BankMethod::Tbegin,
                 "tbeginc" => BankMethod::Tbeginc,
@@ -310,7 +325,7 @@ pub fn execute(o: &Options) -> Result<String, String> {
 
     let mut out = String::new();
     let r = &rep.system;
-    let _ = writeln!(out, "workload          : {:?} / {}", o.workload, o.method);
+    let _ = writeln!(out, "workload          : {:?} / {method}", o.workload);
     let _ = writeln!(out, "cpus x ops        : {} x {}", o.cpus, o.ops);
     let _ = writeln!(out, "committed ops     : {}", rep.committed_ops());
     let _ = writeln!(out, "cycles/op (avg)   : {:.1}", rep.avg_op_cycles());
@@ -537,7 +552,7 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(o.workload, Workload::Bank);
-        assert_eq!(o.method, "tbeginc");
+        assert_eq!(o.method.as_deref(), Some("tbeginc"));
         assert_eq!(o.cpus, 6);
         assert_eq!(o.ops, 10);
         assert_eq!(o.pool, 8);
@@ -606,6 +621,20 @@ mod tests {
             )))
             .unwrap();
             let report = execute(&o).unwrap_or_else(|e| panic!("{wl}/{method}: {e}"));
+            assert!(report.contains("committed ops     : 20"), "{wl}: {report}");
+        }
+    }
+
+    #[test]
+    fn every_workload_runs_its_default_method() {
+        for wl in ["pool", "read", "hashtable", "queue", "dlist", "bank"] {
+            let o = parse_args(&args(&format!(
+                "--workload {wl} --cpus 2 --ops 10 --pool 8"
+            )))
+            .unwrap();
+            let report = execute(&o).unwrap_or_else(|e| panic!("{wl}: {e}"));
+            let method = o.workload.default_method();
+            assert!(report.contains(&format!(" / {method}\n")), "{wl}: {report}");
             assert!(report.contains("committed ops     : 20"), "{wl}: {report}");
         }
     }

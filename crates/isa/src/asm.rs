@@ -97,6 +97,15 @@ pub enum AsmError {
     UndefinedLabel(String),
     /// A label was defined twice.
     DuplicateLabel(String),
+    /// The branch at instruction `index` targets instruction `target`,
+    /// which does not exist: a label defined after the last instruction, or
+    /// a raw branch past the end.
+    BranchOutOfRange {
+        /// Index of the branch instruction.
+        index: usize,
+        /// Its target instruction index.
+        target: usize,
+    },
 }
 
 impl fmt::Display for AsmError {
@@ -104,6 +113,10 @@ impl fmt::Display for AsmError {
         match self {
             AsmError::UndefinedLabel(l) => write!(f, "undefined label `{l}`"),
             AsmError::DuplicateLabel(l) => write!(f, "duplicate label `{l}`"),
+            AsmError::BranchOutOfRange { index, target } => write!(
+                f,
+                "branch at instruction {index} targets instruction {target}, past the end"
+            ),
         }
     }
 }
@@ -175,7 +188,8 @@ impl Assembler {
     ///
     /// # Errors
     ///
-    /// Returns [`AsmError::UndefinedLabel`] or [`AsmError::DuplicateLabel`].
+    /// Returns [`AsmError::UndefinedLabel`], [`AsmError::DuplicateLabel`], or
+    /// [`AsmError::BranchOutOfRange`].
     pub fn assemble(&self) -> Result<Program, AsmError> {
         if let Some(d) = &self.duplicate {
             return Err(AsmError::DuplicateLabel(d.clone()));
@@ -189,6 +203,11 @@ impl Assembler {
             match &mut instrs[*idx] {
                 Instr::Brc(_, t) | Instr::Cgij(_, _, _, t) | Instr::Brctg(_, t) => *t = target,
                 other => unreachable!("fixup on non-branch {other:?}"),
+            }
+        }
+        for (index, instr) in instrs.iter().enumerate() {
+            if let Some(target) = instr.branch_target().filter(|&t| t >= instrs.len()) {
+                return Err(AsmError::BranchOutOfRange { index, target });
             }
         }
         let mut addrs = Vec::with_capacity(instrs.len());
@@ -477,6 +496,40 @@ mod tests {
         assert_eq!(
             a.assemble().unwrap_err(),
             AsmError::DuplicateLabel("x".into())
+        );
+    }
+
+    #[test]
+    fn label_past_the_last_instruction_errors() {
+        let mut a = Assembler::new(0);
+        a.nop();
+        a.j("end");
+        a.label("end");
+        assert_eq!(
+            a.assemble().unwrap_err(),
+            AsmError::BranchOutOfRange {
+                index: 1,
+                target: 2
+            }
+        );
+    }
+
+    #[test]
+    fn raw_branch_past_the_end_errors() {
+        let mut a = Assembler::new(0);
+        a.push(Instr::Brc(15, 99));
+        a.halt();
+        let e = a.assemble().unwrap_err();
+        assert_eq!(
+            e,
+            AsmError::BranchOutOfRange {
+                index: 0,
+                target: 99
+            }
+        );
+        assert_eq!(
+            e.to_string(),
+            "branch at instruction 0 targets instruction 99, past the end"
         );
     }
 

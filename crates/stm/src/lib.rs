@@ -37,6 +37,11 @@
 //! full software path instead of a global lock, so readers and
 //! non-conflicting writers keep running concurrently.
 //!
+//! A critical section is written once, against [`TmAccess`]: the same
+//! body emits plain loads and stores through an [`Assembler`] (locks,
+//! elision, constrained transactions), TL2 barriers inside
+//! [`Stm::emit_tx`], and stripe subscriptions on the hybrid fast path.
+//!
 //! `STMNOTE` marker instructions (zero cycles, no architectural effect)
 //! announce begins, commits, aborts, lock traffic, validation outcomes, and
 //! fallback transitions to the simulator, which turns them into typed trace
@@ -185,15 +190,15 @@ impl Stm {
 
     /// Emits a complete software transaction with label prefix `p`: begin
     /// (spill live registers, reset the read/write sets, sample the clock),
-    /// the `body` (which records accesses through [`TxBody`]), and the TL2
-    /// commit with its abort/retry path.
+    /// the `body`, and the TL2 commit with its abort/retry path. The body's
+    /// [`TmAccess`] reads and writes emit the TL2 barriers.
     ///
     /// `spill` lists the registers the body clobbers that must be restored
     /// when an abort rewinds to the retry label (at most 8; R0–R5 need not
     /// appear — they are scratch by contract).
     pub fn emit_tx<F>(&self, a: &mut Assembler, p: &str, spill: &[Reg], body: F)
     where
-        F: FnOnce(&mut TxBody),
+        F: FnOnce(&mut dyn TmAccess),
     {
         assert!(spill.len() <= 8, "at most 8 spill slots");
         let c = CTX_REG;
@@ -404,30 +409,30 @@ impl Stm {
         a.label(&format!("{p}_stm_done"));
     }
 
-    /// Emits a hybrid transaction: a TBEGIN fast path whose STM-managed
-    /// accesses go through [`HtmBody`] (subscribing to stripe locks and
-    /// publishing stripe versions + the clock transactionally), falling back
-    /// to the full software path ([`Self::emit_tx`]) after `retry_limit`
-    /// transient aborts or immediately on a persistent one.
+    /// Emits a hybrid transaction from one `body`, emitted once per path:
+    /// a TBEGIN fast path whose [`TmAccess`] accesses subscribe to stripe
+    /// locks and publish stripe versions plus the clock transactionally,
+    /// and the full software path ([`Self::emit_tx`]) it falls back to
+    /// after `retry_limit` transient aborts, or at once on a persistent
+    /// one. The body's second argument is a label prefix, `{p}_hop` on the
+    /// fast path and `{p}_sop` on the software path, so labels the body
+    /// defines stay unique.
     ///
     /// `clk` is a register free across the hardware body; it carries the
     /// new clock value (0 until the first write, so read-only fast paths
     /// never touch — and never subscribe to — the clock line). The fallback
     /// transition is marked with a `FALLBACK` note whose simulator-side
     /// counter records the hardware abort code that forced it.
-    #[allow(clippy::too_many_arguments)]
-    pub fn emit_hybrid_tx<H, S>(
+    pub fn emit_hybrid_tx<F>(
         &self,
         a: &mut Assembler,
         p: &str,
         clk: Reg,
         retry_limit: i64,
         spill: &[Reg],
-        htm_body: H,
-        stm_body: S,
+        body: F,
     ) where
-        H: FnOnce(&mut HtmBody),
-        S: FnOnce(&mut TxBody),
+        F: Fn(&mut dyn TmAccess, &str),
     {
         assert!(
             clk != R0 && clk != R1 && clk != CTX_REG,
@@ -446,7 +451,7 @@ impl Stm {
                 n: 0,
                 clk,
             };
-            htm_body(&mut h);
+            body(&mut h, &format!("{p}_hop"));
         }
         // Publish the new clock value if anything was written; read-only
         // fast paths leave the clock line untouched.
@@ -469,41 +474,104 @@ impl Stm {
         a.j(&format!("{p}_hretry"));
         a.label(&format!("{p}_hfall"));
         a.stm_note(stm_note::FALLBACK, R0);
-        self.emit_tx(a, p, spill, stm_body);
+        self.emit_tx(a, p, spill, |tx| body(tx, &format!("{p}_sop")));
         a.label(&format!("{p}_hdone"));
     }
 }
 
-/// Access recorder handed to the body of [`Stm::emit_tx`]: `read` and
-/// `write` emit the instrumented TL2 sequences; plain (transaction-private)
-/// instructions go through [`TxBody::asm`].
-pub struct TxBody<'a, 'b> {
+/// How a transactional body emits its shared-memory accesses.
+///
+/// A workload writes each critical section once, against this trait, and
+/// every synchronization method instruments the same body its own way:
+///
+/// * [`Assembler`] emits plain `LG`/`STG` — the body as it runs under a
+///   lock, inside a hardware transaction (Figure 1 elision, `TBEGINC`), or
+///   unsynchronized;
+/// * the body handed to [`Stm::emit_tx`] emits the TL2 read and write
+///   barriers;
+/// * the fast-path body of [`Stm::emit_hybrid_tx`] subscribes to stripe
+///   locks and publishes stripe versions.
+///
+/// Transaction-private instructions — arithmetic, branches, labels, stores
+/// to memory no other CPU can see yet — go through [`TmAccess::asm`]
+/// uninstrumented.
+pub trait TmAccess {
+    /// The underlying assembler, for uninstrumented instructions.
+    fn asm(&mut self) -> &mut Assembler;
+
+    /// Emits a shared 8-byte read: `dst = *addr`.
+    fn read(&mut self, dst: Reg, addr: Reg);
+
+    /// Emits a shared 8-byte write: `*addr = src`.
+    fn write(&mut self, src: Reg, addr: Reg);
+
+    /// Emits `dst = *(base + disp)`. The instrumented forms compute the
+    /// address into `scratch` with `LA` and call [`TmAccess::read`]; the
+    /// plain form folds `disp` into the load and leaves `scratch` alone.
+    fn read_at(&mut self, dst: Reg, base: Reg, disp: i64, scratch: Reg) {
+        self.asm().la(scratch, MemOperand::based(base, disp));
+        self.read(dst, scratch);
+    }
+
+    /// Emits `*(base + disp) = src`, forming the address like
+    /// [`TmAccess::read_at`].
+    fn write_at(&mut self, src: Reg, base: Reg, disp: i64, scratch: Reg) {
+        self.asm().la(scratch, MemOperand::based(base, disp));
+        self.write(src, scratch);
+    }
+}
+
+/// The uninstrumented body: plain loads and stores.
+impl TmAccess for Assembler {
+    fn asm(&mut self) -> &mut Assembler {
+        self
+    }
+
+    fn read(&mut self, dst: Reg, addr: Reg) {
+        self.lg(dst, MemOperand::based(addr, 0));
+    }
+
+    fn write(&mut self, src: Reg, addr: Reg) {
+        self.stg(src, MemOperand::based(addr, 0));
+    }
+
+    fn read_at(&mut self, dst: Reg, base: Reg, disp: i64, _scratch: Reg) {
+        self.lg(dst, MemOperand::based(base, disp));
+    }
+
+    fn write_at(&mut self, src: Reg, base: Reg, disp: i64, _scratch: Reg) {
+        self.stg(src, MemOperand::based(base, disp));
+    }
+}
+
+/// Panics unless `r` avoids the barriers' scratch registers (R0, R1) and
+/// the context pointer: an operand there would be overwritten before use.
+fn assert_operand(what: &str, r: Reg) {
+    assert!(r != R0 && r != R1 && r != CTX_REG, "{what} {r} is reserved");
+}
+
+/// The body of [`Stm::emit_tx`]: shared accesses go through the TL2 read
+/// and write sets.
+struct TxBody<'a, 'b> {
     a: &'a mut Assembler,
     stm: &'b Stm,
     p: String,
     n: u32,
 }
 
-impl TxBody<'_, '_> {
-    /// The underlying assembler, for uninstrumented instructions.
-    pub fn asm(&mut self) -> &mut Assembler {
+impl TmAccess for TxBody<'_, '_> {
+    fn asm(&mut self) -> &mut Assembler {
         self.a
     }
 
-    /// Emits a transactional 8-byte read: `dst = *addr`, validated TL2
-    /// style. Checks the write set first (newest entry wins), so a
-    /// transaction reads its own pending writes. Clobbers R0 and R1; `dst`
-    /// must avoid R0, R1, and [`CTX_REG`] (`dst == addr` is fine — the
-    /// address is consumed before the result lands).
-    pub fn read(&mut self, dst: Reg, addr: Reg) {
-        assert!(
-            dst != R0 && dst != R1 && dst != CTX_REG,
-            "dst {dst} is reserved"
-        );
-        assert!(
-            addr != R0 && addr != R1 && addr != CTX_REG,
-            "addr {addr} is reserved"
-        );
+    /// A transactional read, validated TL2 style. Checks the write set
+    /// first (newest entry wins), so a transaction reads its own pending
+    /// writes. Clobbers R0 and R1; `dst` must avoid R0, R1, and [`CTX_REG`]
+    /// (`dst == addr` is fine — the address is consumed before the result
+    /// lands).
+    fn read(&mut self, dst: Reg, addr: Reg) {
+        assert_operand("dst", dst);
+        assert_operand("addr", addr);
         let c = CTX_REG;
         let u = format!("{}_r{}", self.p, self.n);
         self.n += 1;
@@ -539,18 +607,12 @@ impl TxBody<'_, '_> {
         a.label(&format!("{u}_ok"));
     }
 
-    /// Emits a transactional 8-byte write: appends `{addr, src, stripe, 0}`
-    /// to the redo log (the store reaches memory at commit). Clobbers R0
-    /// and R1; `src`/`addr` must avoid R0, R1, and [`CTX_REG`].
-    pub fn write(&mut self, src: Reg, addr: Reg) {
-        assert!(
-            src != R0 && src != R1 && src != CTX_REG,
-            "src {src} is reserved"
-        );
-        assert!(
-            addr != R0 && addr != R1 && addr != CTX_REG,
-            "addr {addr} is reserved"
-        );
+    /// A transactional write: appends `{addr, src, stripe, 0}` to the redo
+    /// log (the store reaches memory at commit). Clobbers R0 and R1;
+    /// `src`/`addr` must avoid R0, R1, and [`CTX_REG`].
+    fn write(&mut self, src: Reg, addr: Reg) {
+        assert_operand("src", src);
+        assert_operand("addr", addr);
         let c = CTX_REG;
         let a = &mut *self.a;
         self.stm.emit_stripe(a, R1, addr);
@@ -567,11 +629,11 @@ impl TxBody<'_, '_> {
     }
 }
 
-/// Access recorder for the hardware fast path of [`Stm::emit_hybrid_tx`]:
-/// every STM-managed access tests (and thereby subscribes to) its stripe
-/// lock, and writes publish the new stripe version so concurrent software
-/// transactions validate correctly against hardware commits.
-pub struct HtmBody<'a, 'b> {
+/// The hardware fast-path body of [`Stm::emit_hybrid_tx`]: every shared
+/// access tests (and thereby subscribes to) its stripe lock, and writes
+/// publish the new stripe version so concurrent software transactions
+/// validate correctly against hardware commits.
+struct HtmBody<'a, 'b> {
     a: &'a mut Assembler,
     stm: &'b Stm,
     p: String,
@@ -580,24 +642,23 @@ pub struct HtmBody<'a, 'b> {
 }
 
 impl HtmBody<'_, '_> {
-    /// The underlying assembler, for transaction-private instructions.
-    pub fn asm(&mut self) -> &mut Assembler {
+    /// The label that aborts the hardware attempt with code 257 (stripe
+    /// held by a software committer).
+    fn busy_label(&self) -> String {
+        format!("{}_hbusy", self.p)
+    }
+}
+
+impl TmAccess for HtmBody<'_, '_> {
+    fn asm(&mut self) -> &mut Assembler {
         self.a
     }
 
-    /// The label that aborts the hardware attempt with code 257 (stripe
-    /// held by a software committer).
-    pub fn busy_label(&self) -> String {
-        format!("{}_hbusy", self.p)
-    }
-
-    /// Emits a fast-path read: subscribe to the stripe (abort if a software
+    /// A fast-path read: subscribe to the stripe (abort if a software
     /// transaction holds it), then load. Clobbers R0 and R1.
-    pub fn read(&mut self, dst: Reg, addr: Reg) {
-        assert!(
-            dst != R0 && dst != R1 && dst != CTX_REG,
-            "dst {dst} is reserved"
-        );
+    fn read(&mut self, dst: Reg, addr: Reg) {
+        assert_operand("dst", dst);
+        assert_operand("addr", addr);
         let busy = self.busy_label();
         let a = &mut *self.a;
         self.stm.emit_stripe(a, R1, addr);
@@ -606,15 +667,13 @@ impl HtmBody<'_, '_> {
         a.lg(dst, MemOperand::based(addr, 0));
     }
 
-    /// Emits a fast-path write: lazily claim the next clock value on the
-    /// first write (subscribing to the clock line only in writer
-    /// transactions), publish it as the stripe's version, then store the
-    /// data. Clobbers R0 and R1.
-    pub fn write(&mut self, src: Reg, addr: Reg) {
-        assert!(
-            src != R0 && src != R1 && src != CTX_REG,
-            "src {src} is reserved"
-        );
+    /// A fast-path write: lazily claim the next clock value on the first
+    /// write (subscribing to the clock line only in writer transactions),
+    /// publish it as the stripe's version, then store the data. Clobbers
+    /// R0 and R1.
+    fn write(&mut self, src: Reg, addr: Reg) {
+        assert_operand("src", src);
+        assert_operand("addr", addr);
         assert!(
             src != self.clk && addr != self.clk,
             "clk register collides with operands"
@@ -797,23 +856,11 @@ mod tests {
         a.lghi(R6, 25);
         a.label("loop");
         a.lghi(R8, VAR as i64);
-        stm.emit_hybrid_tx(
-            &mut a,
-            "inc",
-            R5,
-            6,
-            &[],
-            |h| {
-                h.read(R2, R8);
-                h.asm().aghi(R2, 1);
-                h.write(R2, R8);
-            },
-            |tx| {
-                tx.read(R2, R8);
-                tx.asm().aghi(R2, 1);
-                tx.write(R2, R8);
-            },
-        );
+        stm.emit_hybrid_tx(&mut a, "inc", R5, 6, &[], |t, _| {
+            t.read(R2, R8);
+            t.asm().aghi(R2, 1);
+            t.write(R2, R8);
+        });
         a.brctg(R6, "loop");
         a.halt();
         let prog = a.assemble().unwrap();
@@ -845,31 +892,16 @@ mod tests {
         let stm = Stm::new();
         let mut sys = System::new(SystemConfig::with_cpus(1).seed(11));
         let mut a = Assembler::new(0);
-        stm.emit_hybrid_tx(
-            &mut a,
-            "cap",
-            R9,
-            6,
-            &[],
-            |h| {
-                h.asm().lghi(R7, LINES);
-                h.asm().lghi(R8, BASE as i64);
-                h.asm().lghi(R2, 1);
-                h.asm().label("cap_hloop");
-                h.write(R2, R8);
-                h.asm().aghi(R8, 256);
-                h.asm().brctg(R7, "cap_hloop");
-            },
-            |tx| {
-                tx.asm().lghi(R7, LINES);
-                tx.asm().lghi(R8, BASE as i64);
-                tx.asm().lghi(R2, 1);
-                tx.asm().label("cap_sloop");
-                tx.write(R2, R8);
-                tx.asm().aghi(R8, 256);
-                tx.asm().brctg(R7, "cap_sloop");
-            },
-        );
+        stm.emit_hybrid_tx(&mut a, "cap", R9, 6, &[], |t, p| {
+            let lp = format!("{p}_loop");
+            t.asm().lghi(R7, LINES);
+            t.asm().lghi(R8, BASE as i64);
+            t.asm().lghi(R2, 1);
+            t.asm().label(&lp);
+            t.write(R2, R8);
+            t.asm().aghi(R8, 256);
+            t.asm().brctg(R7, &lp);
+        });
         a.halt();
         let prog = a.assemble().unwrap();
         sys.load_program_all(&prog);
@@ -891,6 +923,15 @@ mod tests {
                 "line {i} written by the software commit"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "addr r1 is reserved")]
+    fn fast_path_rejects_a_reserved_address_register() {
+        // The stripe lands in R1 before the data load, so an address there
+        // would load the stripe word instead of the data.
+        let mut a = Assembler::new(0);
+        Stm::new().emit_hybrid_tx(&mut a, "x", R5, 6, &[], |t, _| t.read(R2, R1));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use ztm_core::GrSaveMask;
 use ztm_isa::{gr::*, Assembler, MemOperand, Program, RegOrImm};
 use ztm_mem::Address;
 use ztm_sim::System;
-use ztm_stm::{HtmBody, Stm, TxBody};
+use ztm_stm::{Stm, TmAccess};
 
 /// Synchronization of the transfers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,34 +75,15 @@ impl Bank {
     }
 
     /// Emits one transfer: R8 → debit account address, R9 → credit account
-    /// address, R10 → amount.
-    fn emit_transfer(&self, a: &mut Assembler) {
-        a.lg(R2, MemOperand::based(R8, 0));
-        a.sgr(R2, R10);
-        a.stg(R2, MemOperand::based(R8, 0));
-        a.lg(R2, MemOperand::based(R9, 0));
-        a.agr(R2, R10);
-        a.stg(R2, MemOperand::based(R9, 0));
-    }
-
-    /// The transfer as a TL2 software-transaction body.
-    fn emit_transfer_stm(&self, tx: &mut TxBody) {
-        tx.read(R2, R8);
-        tx.asm().sgr(R2, R10);
-        tx.write(R2, R8);
-        tx.read(R2, R9);
-        tx.asm().agr(R2, R10);
-        tx.write(R2, R9);
-    }
-
-    /// The transfer on the hybrid hardware fast path.
-    fn emit_transfer_htm(&self, h: &mut HtmBody) {
-        h.read(R2, R8);
-        h.asm().sgr(R2, R10);
-        h.write(R2, R8);
-        h.read(R2, R9);
-        h.asm().agr(R2, R10);
-        h.write(R2, R9);
+    /// address, R10 → amount. Both balances are shared, so every access
+    /// goes through `t`.
+    fn emit_transfer(&self, t: &mut dyn TmAccess) {
+        t.read(R2, R8);
+        t.asm().sgr(R2, R10);
+        t.write(R2, R8);
+        t.read(R2, R9);
+        t.asm().agr(R2, R10);
+        t.write(R2, R9);
     }
 
     /// Builds the transfer program.
@@ -127,20 +108,10 @@ impl Bank {
                 BankMethod::Tbegin => emit_tx_with_fallback(a, "tx", lock, 6, transfer, |a| {
                     emit_locked(a, "fb", lock, transfer)
                 }),
-                BankMethod::PureStm => {
-                    self.stm
-                        .emit_tx(a, "st", &[], |tx| self.emit_transfer_stm(tx));
-                }
+                BankMethod::PureStm => self.stm.emit_tx(a, "st", &[], |t| self.emit_transfer(t)),
                 BankMethod::HtmStmFallback => {
-                    self.stm.emit_hybrid_tx(
-                        a,
-                        "hy",
-                        R5,
-                        6,
-                        &[],
-                        |h| self.emit_transfer_htm(h),
-                        |tx| self.emit_transfer_stm(tx),
-                    );
+                    self.stm
+                        .emit_hybrid_tx(a, "hy", R5, 6, &[], |t, _| self.emit_transfer(t))
                 }
             });
         })

@@ -6,10 +6,10 @@
 //! how many threads run; with elision it scales almost linearly (§IV).
 
 use crate::harness::{self, emit_locked, emit_tx_with_fallback, timed, WorkloadReport, ARENA_SIZE};
-use ztm_isa::{gr::*, Assembler, MemOperand, Program, RegOrImm};
+use ztm_isa::{gr::*, MemOperand, Program, RegOrImm};
 use ztm_mem::Address;
 use ztm_sim::System;
-use ztm_stm::{HtmBody, Stm, TxBody};
+use ztm_stm::{Stm, TmAccess};
 
 /// Synchronization of the hashtable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -128,131 +128,51 @@ impl HashTable {
     /// Emits the hashtable operation (get or put based on R9) with a unique
     /// label `p`refix. Expects the key in R8, the put-value in R9's low
     /// bits reused, and the per-CPU bump pointer in R7.
-    fn emit_op(&self, a: &mut Assembler, p: &str) {
-        // R5 = &bucket_head
-        a.lgr(R5, R8);
-        a.lghi(R4, (self.buckets - 1) as i64);
-        a.ngr(R5, R4);
-        a.sllg(R5, R5, 3);
-        a.aghi(R5, self.table_base as i64);
-        a.lg(R3, MemOperand::based(R5, 0)); // head
-        a.label(&format!("{p}_walk"));
-        a.cghi(R3, 0);
-        a.jz(&format!("{p}_miss"));
-        a.lg(R2, MemOperand::based(R3, 0)); // node.key
-        a.cgr(R2, R8);
-        a.jz(&format!("{p}_hit"));
-        a.lg(R3, MemOperand::based(R3, 16)); // next
-        a.j(&format!("{p}_walk"));
-        a.label(&format!("{p}_hit"));
-        // Put updates in place; get loads the value.
-        a.cghi(R9, 0);
-        a.jnz(&format!("{p}_hit_put"));
-        a.lg(R2, MemOperand::based(R3, 8));
-        a.j(&format!("{p}_done"));
-        a.label(&format!("{p}_hit_put"));
-        a.stg(R8, MemOperand::based(R3, 8)); // value := key (arbitrary)
-        a.j(&format!("{p}_done"));
-        a.label(&format!("{p}_miss"));
-        a.cghi(R9, 0);
-        a.jz(&format!("{p}_done")); // get miss: nothing to do
-                                    // Put miss: allocate node from the bump arena and link at head.
-        a.stg(R8, MemOperand::based(R7, 0)); // key
-        a.stg(R8, MemOperand::based(R7, 8)); // value
-        a.lg(R2, MemOperand::based(R5, 0)); // old head
-        a.stg(R2, MemOperand::based(R7, 16)); // next
-        a.stg(R7, MemOperand::based(R5, 0)); // head = node
-        a.aghi(R7, 32);
-        a.label(&format!("{p}_done"));
-    }
-
-    /// The hashtable operation as a TL2 software-transaction body: shared
-    /// reads and writes go through the STM's read/write sets; node-field
-    /// initialization in the private arena stays plain (the head link that
-    /// publishes the node is transactional, so un-published fields are
-    /// invisible; R7 is spilled, so an abort un-allocates).
-    fn emit_op_stm(&self, tx: &mut TxBody, p: &str) {
+    ///
+    /// Shared accesses — bucket heads and the fields of published nodes —
+    /// go through `t`, so the one body serves every method. A put miss
+    /// initializes the new node with plain stores even under TL2: the node
+    /// sits in the CPU's private arena and only the transactional head link
+    /// publishes it, so its fields are invisible until commit, and R7 is
+    /// spilled, so an abort un-allocates it.
+    fn emit_op(&self, t: &mut dyn TmAccess, p: &str) {
         {
-            let a = tx.asm();
+            let a = t.asm();
             a.lgr(R5, R8); // R5 = &bucket_head
             a.lghi(R4, (self.buckets - 1) as i64);
             a.ngr(R5, R4);
             a.sllg(R5, R5, 3);
             a.aghi(R5, self.table_base as i64);
         }
-        tx.read(R3, R5); // head
-        tx.asm().label(&format!("{p}_walk"));
-        tx.asm().cghi(R3, 0);
-        tx.asm().jz(&format!("{p}_miss"));
-        tx.read(R2, R3); // node.key
-        tx.asm().cgr(R2, R8);
-        tx.asm().jz(&format!("{p}_hit"));
-        tx.asm().la(R4, MemOperand::based(R3, 16));
-        tx.read(R3, R4); // next
-        tx.asm().j(&format!("{p}_walk"));
-        tx.asm().label(&format!("{p}_hit"));
-        tx.asm().cghi(R9, 0);
-        tx.asm().jnz(&format!("{p}_hit_put"));
-        tx.asm().la(R4, MemOperand::based(R3, 8));
-        tx.read(R2, R4); // value
-        tx.asm().j(&format!("{p}_done"));
-        tx.asm().label(&format!("{p}_hit_put"));
-        tx.asm().la(R4, MemOperand::based(R3, 8));
-        tx.write(R8, R4); // value := key (arbitrary)
-        tx.asm().j(&format!("{p}_done"));
-        tx.asm().label(&format!("{p}_miss"));
-        tx.asm().cghi(R9, 0);
-        tx.asm().jz(&format!("{p}_done")); // get miss: nothing to do
-        tx.asm().stg(R8, MemOperand::based(R7, 0)); // key (private)
-        tx.asm().stg(R8, MemOperand::based(R7, 8)); // value (private)
-        tx.read(R2, R5); // old head
-        tx.asm().stg(R2, MemOperand::based(R7, 16)); // next (private)
-        tx.write(R7, R5); // head = node
-        tx.asm().aghi(R7, 32);
-        tx.asm().label(&format!("{p}_done"));
-    }
-
-    /// The same operation for the hybrid hardware fast path: every shared
-    /// access subscribes to its stripe, writes publish stripe versions.
-    fn emit_op_htm(&self, h: &mut HtmBody, p: &str) {
-        {
-            let a = h.asm();
-            a.lgr(R5, R8);
-            a.lghi(R4, (self.buckets - 1) as i64);
-            a.ngr(R5, R4);
-            a.sllg(R5, R5, 3);
-            a.aghi(R5, self.table_base as i64);
-        }
-        h.read(R3, R5); // head
-        h.asm().label(&format!("{p}_walk"));
-        h.asm().cghi(R3, 0);
-        h.asm().jz(&format!("{p}_miss"));
-        h.read(R2, R3); // node.key
-        h.asm().cgr(R2, R8);
-        h.asm().jz(&format!("{p}_hit"));
-        h.asm().la(R4, MemOperand::based(R3, 16));
-        h.read(R3, R4); // next
-        h.asm().j(&format!("{p}_walk"));
-        h.asm().label(&format!("{p}_hit"));
-        h.asm().cghi(R9, 0);
-        h.asm().jnz(&format!("{p}_hit_put"));
-        h.asm().la(R4, MemOperand::based(R3, 8));
-        h.read(R2, R4);
-        h.asm().j(&format!("{p}_done"));
-        h.asm().label(&format!("{p}_hit_put"));
-        h.asm().la(R4, MemOperand::based(R3, 8));
-        h.write(R8, R4);
-        h.asm().j(&format!("{p}_done"));
-        h.asm().label(&format!("{p}_miss"));
-        h.asm().cghi(R9, 0);
-        h.asm().jz(&format!("{p}_done"));
-        h.asm().stg(R8, MemOperand::based(R7, 0));
-        h.asm().stg(R8, MemOperand::based(R7, 8));
-        h.read(R2, R5);
-        h.asm().stg(R2, MemOperand::based(R7, 16));
-        h.write(R7, R5);
-        h.asm().aghi(R7, 32);
-        h.asm().label(&format!("{p}_done"));
+        t.read(R3, R5); // head
+        t.asm().label(&format!("{p}_walk"));
+        t.asm().cghi(R3, 0);
+        t.asm().jz(&format!("{p}_miss"));
+        t.read(R2, R3); // node.key
+        t.asm().cgr(R2, R8);
+        t.asm().jz(&format!("{p}_hit"));
+        t.read_at(R3, R3, 16, R4); // next
+        t.asm().j(&format!("{p}_walk"));
+        t.asm().label(&format!("{p}_hit"));
+        // Put updates in place; get loads the value.
+        t.asm().cghi(R9, 0);
+        t.asm().jnz(&format!("{p}_hit_put"));
+        t.read_at(R2, R3, 8, R4); // value
+        t.asm().j(&format!("{p}_done"));
+        t.asm().label(&format!("{p}_hit_put"));
+        t.write_at(R8, R3, 8, R4); // value := key (arbitrary)
+        t.asm().j(&format!("{p}_done"));
+        t.asm().label(&format!("{p}_miss"));
+        t.asm().cghi(R9, 0);
+        t.asm().jz(&format!("{p}_done")); // get miss: nothing to do
+                                          // Put miss: allocate node from the bump arena and link at head.
+        t.asm().stg(R8, MemOperand::based(R7, 0)); // key (private)
+        t.asm().stg(R8, MemOperand::based(R7, 8)); // value (private)
+        t.read(R2, R5); // old head
+        t.asm().stg(R2, MemOperand::based(R7, 16)); // next (private)
+        t.write(R7, R5); // head = node
+        t.asm().aghi(R7, 32);
+        t.asm().label(&format!("{p}_done"));
     }
 
     /// Builds the benchmark program.
@@ -280,18 +200,11 @@ impl HashTable {
                 ),
                 TableMethod::PureStm => {
                     self.stm
-                        .emit_tx(a, "st", &[R7], |tx| self.emit_op_stm(tx, "st_op"));
+                        .emit_tx(a, "st", &[R7], |t| self.emit_op(t, "st_op"));
                 }
                 TableMethod::HtmStmFallback => {
-                    self.stm.emit_hybrid_tx(
-                        a,
-                        "hy",
-                        R10,
-                        6,
-                        &[R7],
-                        |h| self.emit_op_htm(h, "hy_op"),
-                        |tx| self.emit_op_stm(tx, "hy_sop"),
-                    );
+                    self.stm
+                        .emit_hybrid_tx(a, "hy", R10, 6, &[R7], |t, p| self.emit_op(t, p));
                 }
             });
         })

@@ -9,7 +9,7 @@ use ztm_core::GrSaveMask;
 use ztm_isa::{gr::*, Assembler, MemOperand, Program, RegOrImm};
 use ztm_mem::Address;
 use ztm_sim::System;
-use ztm_stm::{HtmBody, Stm, TxBody};
+use ztm_stm::{Stm, TmAccess};
 
 /// Queue synchronization method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -126,50 +126,26 @@ impl ConcurrentQueue {
         }
     }
 
-    /// Enqueue as a TL2 software-transaction body (node pre-initialized at
-    /// R7, which the STM spills so an abort un-allocates nothing — the bump
-    /// happens after commit).
-    fn emit_enqueue_stm(&self, tx: &mut TxBody) {
-        tx.asm().lghi(R2, self.tail_ptr as i64);
-        tx.read(R3, R2); // tail
-        tx.asm().la(R4, MemOperand::based(R3, 8));
-        tx.write(R7, R4); // tail.next = node
-        tx.write(R7, R2); // tail = node
+    /// Enqueue as a software or hybrid transaction body (node
+    /// pre-initialized at R7; the bump happens after commit, so an abort
+    /// has nothing to un-allocate).
+    fn emit_enqueue(&self, t: &mut dyn TmAccess) {
+        t.asm().lghi(R2, self.tail_ptr as i64);
+        t.read(R3, R2); // tail
+        t.write_at(R7, R3, 8, R4); // tail.next = node
+        t.write(R7, R2); // tail = node
     }
 
-    /// Dequeue as a TL2 software-transaction body.
-    fn emit_dequeue_stm(&self, tx: &mut TxBody, p: &str) {
-        tx.asm().lghi(R2, self.head_ptr as i64);
-        tx.read(R3, R2); // head
-        tx.asm().la(R4, MemOperand::based(R3, 8));
-        tx.read(R5, R4); // next = head.next
-        tx.asm().cghi(R5, 0);
-        tx.asm().jz(&format!("{p}_empty"));
-        tx.write(R5, R2); // head = next
-        tx.read(R3, R5); // value
-        tx.asm().label(&format!("{p}_empty"));
-    }
-
-    /// Enqueue on the hybrid hardware fast path.
-    fn emit_enqueue_htm(&self, h: &mut HtmBody) {
-        h.asm().lghi(R2, self.tail_ptr as i64);
-        h.read(R3, R2);
-        h.asm().la(R4, MemOperand::based(R3, 8));
-        h.write(R7, R4);
-        h.write(R7, R2);
-    }
-
-    /// Dequeue on the hybrid hardware fast path.
-    fn emit_dequeue_htm(&self, h: &mut HtmBody, p: &str) {
-        h.asm().lghi(R2, self.head_ptr as i64);
-        h.read(R3, R2);
-        h.asm().la(R4, MemOperand::based(R3, 8));
-        h.read(R5, R4);
-        h.asm().cghi(R5, 0);
-        h.asm().jz(&format!("{p}_empty"));
-        h.write(R5, R2);
-        h.read(R3, R5);
-        h.asm().label(&format!("{p}_empty"));
+    /// Dequeue as a software or hybrid transaction body.
+    fn emit_dequeue(&self, t: &mut dyn TmAccess, p: &str) {
+        t.asm().lghi(R2, self.head_ptr as i64);
+        t.read(R3, R2); // head
+        t.read_at(R5, R3, 8, R4); // next = head.next
+        t.asm().cghi(R5, 0);
+        t.asm().jz(&format!("{p}_empty"));
+        t.write(R5, R2); // head = next
+        t.read(R3, R5); // value
+        t.asm().label(&format!("{p}_empty"));
     }
 
     /// Builds the benchmark program.
@@ -197,32 +173,17 @@ impl ConcurrentQueue {
                     |a| locked(a, "qfb"),
                 ),
                 QueueMethod::PureStm => {
-                    self.stm
-                        .emit_tx(a, "qe", &[], |tx| self.emit_enqueue_stm(tx));
+                    self.stm.emit_tx(a, "qe", &[], |t| self.emit_enqueue(t));
                     a.aghi(R7, 32); // bump allocator (after commit: it is certain)
                     self.stm
-                        .emit_tx(a, "qd", &[], |tx| self.emit_dequeue_stm(tx, "qd_op"));
+                        .emit_tx(a, "qd", &[], |t| self.emit_dequeue(t, "qd_op"));
                 }
                 QueueMethod::HtmStmFallback => {
-                    self.stm.emit_hybrid_tx(
-                        a,
-                        "he",
-                        R9,
-                        6,
-                        &[],
-                        |h| self.emit_enqueue_htm(h),
-                        |tx| self.emit_enqueue_stm(tx),
-                    );
+                    self.stm
+                        .emit_hybrid_tx(a, "he", R9, 6, &[], |t, _| self.emit_enqueue(t));
                     a.aghi(R7, 32);
-                    self.stm.emit_hybrid_tx(
-                        a,
-                        "hd",
-                        R9,
-                        6,
-                        &[],
-                        |h| self.emit_dequeue_htm(h, "hd_op"),
-                        |tx| self.emit_dequeue_stm(tx, "hd_sop"),
-                    );
+                    self.stm
+                        .emit_hybrid_tx(a, "hd", R9, 6, &[], |t, p| self.emit_dequeue(t, p));
                 }
             });
         })
