@@ -110,9 +110,9 @@ pub fn bench_threads() -> usize {
     })
 }
 
-/// Intra-run host threads (`ZTM_SIM_THREADS`) in effect for the systems
-/// this process builds — the sharded-simulation dial, as opposed to
-/// [`bench_threads`], which fans independent sweep points out.
+/// The `ZTM_SIM_THREADS` value in effect for the systems this process
+/// builds — above 1 it selects the sharded driver for untraced runs, as
+/// opposed to [`bench_threads`], which fans independent sweep points out.
 pub fn sim_threads() -> usize {
     ztm_sim::env_usize("ZTM_SIM_THREADS").unwrap_or(1)
 }
@@ -252,8 +252,7 @@ impl Timing {
         format!(
             "{{ \"wall_ms\": {:.3}, \"steps_per_sec\": {:.0}, \"sim_cycles_per_sec\": {:.0}, \
              \"commit\": \"{}\", \"host_threads\": {}, \"sweep_threads\": {}, \
-             \"shard_rounds\": {}, \"shard_mean_round\": {:.2}, \"shard_round_max\": {}, \
-             \"shard_chain_max\": {} }}",
+             \"shard_rounds\": {}, \"shard_mean_round\": {:.2}, \"shard_round_max\": {} }}",
             self.wall_ms,
             per_sec(self.steps),
             per_sec(self.sim_cycles),
@@ -262,8 +261,7 @@ impl Timing {
             bench_threads(),
             s.rounds,
             s.mean_round_steps(),
-            s.round_steps_max,
-            s.chain_max
+            s.round_steps_max
         )
     }
 }

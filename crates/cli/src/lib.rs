@@ -362,11 +362,10 @@ pub fn execute(o: &Options) -> Result<String, String> {
         let s = &r.sharding;
         let _ = writeln!(
             out,
-            "shard rounds      : {} (mean {:.1} steps, max {}, chain {})",
+            "shard rounds      : {} (mean {:.1} steps, max {})",
             s.rounds,
             s.mean_round_steps(),
-            s.round_steps_max,
-            s.chain_max
+            s.round_steps_max
         );
     }
     if r.tx.broadcast_stops > 0 {

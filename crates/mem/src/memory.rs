@@ -276,13 +276,6 @@ impl SharedMem {
         unsafe { &*self.arena.add(slot as usize) }
     }
 
-    /// The arena slot backing `line`, if any (see
-    /// [`MainMemory::line_slot`]).
-    #[inline]
-    pub fn line_slot(&self, line: LineAddr) -> Option<u32> {
-        self.slot_of(line)
-    }
-
     /// Reads `buf.len()` bytes starting at `addr`; mirror of
     /// [`MainMemory::load_bytes`] without the front-cache memo.
     pub fn load_bytes(&self, addr: Address, buf: &mut [u8]) {

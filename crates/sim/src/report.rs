@@ -44,9 +44,9 @@ impl StmCounts {
 
 /// Sharded-driver round statistics (all zero on serial runs). These are
 /// *host-side* measurements of how the run was scheduled: simulated
-/// outcomes stay byte-identical for any thread count, but rounds and
-/// chains depend on the round schedule itself, so differential tests zero
-/// this field before comparing whole reports.
+/// outcomes stay byte-identical for any thread count, but rounds depend on
+/// the round schedule itself, so differential tests zero this field before
+/// comparing whole reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardingStats {
     /// Parallel (shard-local) rounds dispatched.
@@ -55,8 +55,6 @@ pub struct ShardingStats {
     pub local_steps: u64,
     /// Largest single round, in shard-local steps.
     pub round_steps_max: u64,
-    /// Longest single run-ahead chain, in steps.
-    pub chain_max: u64,
     /// Always zero. The driver admits only provably final steps, so it
     /// never rolls back; the field stays because the `perfbench` harness
     /// reads it as `shard.rollbacks`, until that metric is retired.
@@ -92,7 +90,6 @@ impl ShardingStats {
         self.rounds += other.rounds;
         self.local_steps += other.local_steps;
         self.round_steps_max = self.round_steps_max.max(other.round_steps_max);
-        self.chain_max = self.chain_max.max(other.chain_max);
     }
 }
 

@@ -4,11 +4,12 @@
 //! simulated SMP at a coherence boundary of the zEC12 topology — per book
 //! (MCM) when the machine has more than one, per chip otherwise — and
 //! advances *provably node-local* instruction steps of different shards
-//! concurrently on host threads. Everything that crosses the boundary (a
-//! fabric fetch, an XI broadcast, a quiesce, an abort) is executed serially
-//! by the coordinator, so the committed event stream and both trace digests
-//! are byte-identical to the single-threaded scheduler for any
-//! `ZTM_SIM_THREADS` value.
+//! concurrently on host threads, one step per CPU per round. Everything
+//! that crosses the boundary (a fabric fetch, an XI broadcast, a quiesce,
+//! an abort) is executed serially by the coordinator, so architectural
+//! state, statistics and the step log are byte-identical to the
+//! single-threaded scheduler for any `ZTM_SIM_THREADS` value. Runs with an
+//! event tracer attached never shard.
 //!
 //! This module holds the pure pieces: the shard plan, the conservative
 //! safe-set rule that decides which steps may share a round, and the slice
@@ -163,51 +164,43 @@ impl EgMin {
 }
 
 /// Computes the round's *safe set*: the local steps that provably execute
-/// before any other CPU can next influence them, in serial `(clock, cpu)`
-/// order. Each admitted entry is `(index into cands, bound)` where `bound`
-/// is the smallest earliest-possible-global key among all *other*
-/// candidates — the admitted CPU may **run ahead** inside the round,
-/// executing its own consecutive provably-local steps while their keys stay
-/// strictly below the bound (`(u64::MAX, usize::MAX)` when unconstrained).
+/// before any other CPU can next influence them, as indices into `cands`
+/// in serial `(clock, cpu)` order.
 ///
 /// A local step of CPU `i` is admitted iff its key `(clock_i, i)` precedes
-/// its bound. The serial scheduler picks the lexicographically smallest key
-/// each time, so:
+/// the smallest earliest-possible-global key among all *other* candidates.
+/// The serial scheduler picks the lexicographically smallest key each
+/// time, so:
 ///
 /// * the serial-minimum step, when local, is always admitted (every other
 ///   candidate's earliest-global key is at or after its own key, and ties
 ///   break on CPU index exactly like the serial pick);
 /// * when the serial-minimum step is global the set is provably empty, and
 ///   the caller runs that one step under the coordinator;
-/// * admitted steps — including run-ahead continuations under the bound —
-///   touch only their own node plus committed-arena bytes of
-///   MESI-exclusive lines, so they commute — executing them inside one
-///   round (in any host order) reproduces the serial schedule exactly;
-/// * round keys stay ordered across rounds: CPU `i`'s post-round keys are
-///   at least its own earliest-global key, which every other CPU's
-///   executed keys stayed strictly below, so concatenating rounds (each
-///   internally key-sorted, ties broken by within-CPU execution order)
-///   yields the exact serial sequence.
+/// * every admitted key is smaller than every key left out, and admitted
+///   steps touch only their own node plus committed-arena bytes of
+///   MESI-exclusive lines, so they commute — executing one step of each
+///   admitted CPU inside one round (in any host order) reproduces the
+///   serial schedule exactly;
+/// * round keys stay ordered across rounds: CPU `i`'s post-round key is at
+///   least its own earliest-global key, which every other admitted key
+///   stayed strictly below, so concatenating rounds (each internally
+///   key-sorted) yields the exact serial sequence.
 ///
 /// Callers must include in `cands` every runnable CPU whose clock is within
 /// one cycle of the minimum; CPUs further out cannot constrain or join the
 /// set (their earliest-global key exceeds every admissible candidate key).
-pub(crate) fn safe_set(cands: &[Candidate]) -> Vec<(usize, (u64, usize))> {
+pub(crate) fn safe_set(cands: &[Candidate]) -> Vec<usize> {
     // The binding constraint for candidate i is min over j != i of
     // earliest_global(j): track the two smallest to exclude self.
     let eg = EgMin::new(cands);
-    let mut out: Vec<(usize, (u64, usize))> = cands
-        .iter()
-        .enumerate()
-        .filter_map(|(at, c)| {
-            if c.global {
-                return None;
-            }
-            let bound = eg.excluding(at);
-            ((c.clock, c.cpu) < bound).then_some((at, bound))
+    let mut out: Vec<usize> = (0..cands.len())
+        .filter(|&at| {
+            let c = &cands[at];
+            !c.global && (c.clock, c.cpu) < eg.excluding(at)
         })
         .collect();
-    out.sort_by_key(|&(at, _)| (cands[at].clock, cands[at].cpu));
+    out.sort_by_key(|&at| (cands[at].clock, cands[at].cpu));
     out
 }
 
@@ -257,14 +250,9 @@ mod tests {
         assert_eq!(chunks[2], &[7, 8, 9]);
     }
 
-    /// Admitted candidate indices, in serial key order.
-    fn idx(cands: &[Candidate]) -> Vec<usize> {
-        safe_set(cands).into_iter().map(|(at, _)| at).collect()
-    }
-
     #[test]
     fn serial_min_local_is_always_admitted() {
-        let s = idx(&[cand(0, 10, false, false), cand(1, 10, false, false)]);
+        let s = safe_set(&[cand(0, 10, false, false), cand(1, 10, false, false)]);
         // CPU 0 is the serial pick; CPU 1's key (10,1) is not before CPU 0's
         // earliest-global (11,0)? It is — (10,1) < (11,0) — so both run.
         assert_eq!(s, vec![0, 1]);
@@ -272,14 +260,14 @@ mod tests {
 
     #[test]
     fn serial_min_global_empties_the_set() {
-        let s = idx(&[cand(0, 10, true, false), cand(1, 50, false, false)]);
+        let s = safe_set(&[cand(0, 10, true, false), cand(1, 50, false, false)]);
         assert!(s.is_empty(), "a later local must wait for the global step");
     }
 
     #[test]
     fn distant_local_is_not_admitted_past_a_near_one() {
         // CPU 0 at clock 10 could go global at 11; CPU 1 at 50 must wait.
-        let s = idx(&[cand(0, 10, false, false), cand(1, 50, false, false)]);
+        let s = safe_set(&[cand(0, 10, false, false), cand(1, 50, false, false)]);
         assert_eq!(s, vec![0]);
     }
 
@@ -288,16 +276,19 @@ mod tests {
         // CPU 0's RANDMOD retires at clock 10 and its *next* step may be a
         // global at clock 10 — CPU 1 at (10,1) is after (10,0), so only the
         // zero-cycle step itself runs.
-        let s = idx(&[cand(0, 10, false, true), cand(1, 10, false, false)]);
+        let s = safe_set(&[cand(0, 10, false, true), cand(1, 10, false, false)]);
         assert_eq!(s, vec![0]);
         // A lower-indexed CPU at the same clock still precedes it.
-        let s = idx(&[cand(1, 10, false, true), cand(0, 10, false, false)]);
+        let s = safe_set(&[cand(1, 10, false, true), cand(0, 10, false, false)]);
         assert_eq!(s, vec![1, 0], "(10,0) precedes (10,1): both admitted");
+        // A zero-cycle candidate constrains the other at its *current* key.
+        let s = safe_set(&[cand(0, 10, false, true), cand(1, 9, false, false)]);
+        assert_eq!(s, vec![1, 0]);
     }
 
     #[test]
     fn result_is_in_serial_key_order() {
-        let s = idx(&[
+        let s = safe_set(&[
             cand(7, 11, false, false),
             cand(2, 10, false, false),
             cand(5, 10, false, false),
@@ -308,21 +299,7 @@ mod tests {
 
     #[test]
     fn lone_candidate_runs_unconstrained() {
-        assert_eq!(idx(&[cand(3, 99, false, false)]), vec![0]);
+        assert_eq!(safe_set(&[cand(3, 99, false, false)]), vec![0]);
         assert!(safe_set(&[cand(3, 99, true, false)]).is_empty());
-    }
-
-    #[test]
-    fn bounds_cap_run_ahead_at_the_others_earliest_global() {
-        // CPUs 0 and 1 both at clock 10: each may run ahead only up to the
-        // other's earliest-global key.
-        let s = safe_set(&[cand(0, 10, false, false), cand(1, 10, false, false)]);
-        assert_eq!(s, vec![(0, (11, 1)), (1, (11, 0))]);
-        // A lone candidate is unconstrained.
-        let s = safe_set(&[cand(3, 99, false, false)]);
-        assert_eq!(s, vec![(0, (u64::MAX, usize::MAX))]);
-        // A zero-cycle candidate bounds the other at its *current* key.
-        let s = safe_set(&[cand(0, 10, false, true), cand(1, 9, false, false)]);
-        assert_eq!(s, vec![(1, (10, 0)), (0, (10, 1))]);
     }
 }

@@ -9,8 +9,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use ztm_cache::{
     AccessClass, CohState, CpuId, Fabric, FetchKind, FootprintEvent, LocalHit, PrivateCache, Xi,
     XiKind, XiResponse,
@@ -24,7 +23,7 @@ use ztm_isa::{
     DecodedInstr, EndResult, ExceptionDisposition, Machine, Program, StepEvent, StepOutcome,
 };
 use ztm_mem::{Address, LineAddr, MainMemory, PageTable, SharedMem, HALF_LINE_SIZE};
-use ztm_trace::{Event, EventBuffer, SeqTracedEvent, Tracer};
+use ztm_trace::{Event, Tracer};
 
 /// Per-CPU memory-side state.
 #[derive(Debug)]
@@ -173,12 +172,12 @@ pub struct System {
     /// is identical either way — the window only re-times retirement
     /// (see `ztm_isa::step_pipelined`).
     pipeline: Option<PipelineState>,
-    /// Host threads for the sharded run path (`ZTM_SIM_THREADS` /
-    /// [`set_sim_threads`](Self::set_sim_threads)). `1` (the default) keeps
-    /// the serial scheduler; above `1` the run methods route through the
-    /// round-based sharded driver, which executes provably node-local steps
-    /// of different shards concurrently. Simulation results are
-    /// byte-identical for any value.
+    /// The `ZTM_SIM_THREADS` /
+    /// [`set_sim_threads`](Self::set_sim_threads) value. `1` (the default)
+    /// keeps the serial scheduler; any value above `1` routes the run
+    /// methods through the round-based sharded driver, which executes
+    /// provably node-local steps of different shards concurrently.
+    /// Simulation results are byte-identical for any value.
     sim_threads: usize,
     /// Optional full step log ([`set_step_log`](Self::set_step_log)) — the
     /// differential-test hook proving the sharded engine replays the serial
@@ -194,21 +193,10 @@ pub struct System {
     /// host-speed dial only: both dispatch modes run the identical
     /// shard-step code, so results never depend on it.
     par_round_min: usize,
-    /// Step-log entries executed by shard run-ahead whose serial position
-    /// is not yet final: an entry is released into `step_log` only once the
-    /// global key frontier (the smallest next `(clock, cpu)` key of any
-    /// runnable CPU) passes it — no later step can then precede it. Kept
-    /// key-sorted; survives `step_many` budget boundaries.
-    pending_log: Vec<StepLogEntry>,
-    /// Event blocks awaiting the same frontier, replayed into the real
-    /// tracer in serial key order (see [`pending_log`](Self::pending_log)).
-    pending_blocks: Vec<(u64, u16, Vec<SeqTracedEvent>)>,
     /// Parallel (shard-local) rounds dispatched.
     shard_rounds: u64,
     /// Largest single round, in shard-local steps.
     shard_round_max: u64,
-    /// Longest single run-ahead chain, in steps.
-    shard_chain_max: u64,
 }
 
 /// The issue windows plus the width they were built with (cached for trace
@@ -282,11 +270,8 @@ impl System {
             step_log: None,
             sharded_local_steps: 0,
             par_round_min: Self::SHARD_ROUND_MIN,
-            pending_log: Vec::new(),
-            pending_blocks: Vec::new(),
             shard_rounds: 0,
             shard_round_max: 0,
-            shard_chain_max: 0,
             config,
         }
     }
@@ -363,16 +348,18 @@ impl System {
         ));
     }
 
-    /// Sets the host-thread count for the sharded run path (also settable
-    /// at construction via `ZTM_SIM_THREADS`). `1` (the default) keeps the
-    /// single-threaded scheduler; above `1` the run methods partition the
+    /// Selects the run path (also settable at construction via
+    /// `ZTM_SIM_THREADS`). `1` (the default) keeps the single-threaded
+    /// scheduler. Any value above `1` selects the sharded driver, and every
+    /// such value runs the same schedule: the driver partitions the
     /// simulated SMP at a coherence boundary of the topology — per book
-    /// (MCM), per chip when the machine is a single book — and advance
-    /// provably node-local steps of different shards concurrently inside
-    /// conservative round windows. Everything that crosses the boundary is
-    /// serialized by the coordinator, so simulation results (architectural
-    /// state, statistics, the committed event stream and both trace digests)
-    /// are byte-identical for any value.
+    /// (MCM), per chip when the machine is a single book — and advances
+    /// provably node-local steps of different shards concurrently in
+    /// conservative rounds, on one host thread per shard the round
+    /// involves (small rounds run inline). Everything that crosses the boundary is serialized by the
+    /// coordinator, so simulation results (architectural state, statistics
+    /// and the step log) are byte-identical for any value. Runs with an
+    /// event tracer attached always take the serial scheduler.
     ///
     /// # Panics
     ///
@@ -380,19 +367,6 @@ impl System {
     pub fn set_sim_threads(&mut self, threads: usize) {
         assert!(threads > 0, "sim_threads must be positive");
         self.sim_threads = threads;
-    }
-
-    /// The configured host-thread count (see
-    /// [`set_sim_threads`](Self::set_sim_threads)).
-    pub fn sim_threads(&self) -> usize {
-        self.sim_threads
-    }
-
-    /// How many steps the sharded driver executed inside parallel
-    /// (shard-local) rounds so far — the complement of the serialized
-    /// coordinator steps. Zero when running the serial scheduler.
-    pub fn sharded_local_steps(&self) -> u64 {
-        self.sharded_local_steps
     }
 
     /// Default minimum round size (in shard-local steps) that dispatches on
@@ -792,14 +766,17 @@ impl System {
 
     /// Whether the run methods should route through the sharded round
     /// driver: more than one host thread requested, more than one shard in
-    /// the topology, and none of the inherently serial features engaged
-    /// (issue windows re-time retirement through per-step reports, the
-    /// legacy interpreter is a debug lever, and the disassembling step
-    /// trace reads program text during the step).
+    /// the topology, and none of the serial-only features engaged. Issue
+    /// windows re-time retirement through per-step reports, the legacy
+    /// interpreter is a debug lever, the disassembling step trace reads
+    /// program text during the step, and an attached event tracer must see
+    /// events in serial emission order, which only the serial scheduler
+    /// produces by construction.
     fn sharded_active(&self) -> bool {
         self.sim_threads > 1
             && self.pipeline.is_none()
             && !self.use_legacy_interpreter
+            && !self.tracer.is_enabled()
             && !self.traced.iter().any(|&t| t)
             && ShardPlan::new(&self.config.topology).shard_count() > 1
     }
@@ -814,7 +791,7 @@ impl System {
             &self.cores[i],
             self.programs[i].as_ref().expect("program loaded"),
             &self.pages,
-            SlotView::Main(&self.mem),
+            &self.mem,
             &self.config,
         )
     }
@@ -826,64 +803,22 @@ impl System {
     /// how many steps executed.
     ///
     /// Each round classifies every runnable CPU within one cycle of the
-    /// minimum `(clock, cpu)` key and executes the [`safe_set`] — the
-    /// key-ordered prefix of provably node-local steps the serial
-    /// scheduler would run next, partitioned across shards. Each admitted
-    /// CPU then *runs ahead* inside its shard: the shard re-classifies the
-    /// CPU's own next step (node state and the read-only shared structures
-    /// are all it needs) and keeps executing while the step stays local
-    /// and its key stays strictly below the round bound — the earliest
-    /// key at which any *other* runnable CPU could next go global. Rounds
-    /// concatenated in key order *are* the serial step sequence, so state,
-    /// statistics, step logs, and the replayed event stream are
-    /// byte-identical to the single-threaded scheduler for any host-thread
-    /// count.
+    /// minimum `(clock, cpu)` key and runs exactly one step of each CPU in
+    /// the [`safe_set`] — the key-ordered prefix of provably node-local
+    /// steps the serial scheduler would run next — partitioned across
+    /// shards. When the serial pick itself is global (or a CPU holds the
+    /// broadcast-stop quiesce) the coordinator runs that one step through
+    /// [`exec_step`](Self::exec_step). Every round is therefore an exact
+    /// serial prefix, so state, statistics and step logs are
+    /// byte-identical to the single-threaded scheduler for any
+    /// host-thread count.
     fn run_sharded_upto(&mut self, limit: u64, horizon: Option<u64>) -> u64 {
         if self.hot_dirty {
             self.sync_hot();
         }
         let plan = ShardPlan::new(&self.config.topology);
-        let shard_count = plan.shard_count();
-
-        // Reroute every event emitter into per-shard buffers (plus one for
-        // the coordinator: the fabric and pipeline emit through
-        // `self.tracer`) sharing a single ticket counter. Each round's
-        // buffered events are replayed into the real sink in serial step
-        // order before the next round, so sinks observe the exact serial
-        // stream.
-        let real = self.tracer.clone();
-        let buffering = real.is_enabled();
-        let mut shard_tracers: Vec<Tracer> = Vec::new();
-        let mut shard_bufs: Vec<Arc<Mutex<EventBuffer>>> = Vec::new();
-        let mut sys_buf: Option<Arc<Mutex<EventBuffer>>> = None;
-        if buffering {
-            let seq = Arc::new(AtomicU64::new(0));
-            for s in 0..shard_count {
-                let (t, b) = Tracer::buffering(Arc::clone(&seq));
-                for cpu in plan.range(s) {
-                    self.nodes[cpu].cache.set_tracer(t.for_cpu(cpu as u16));
-                    self.nodes[cpu].engine.set_tracer(t.for_cpu(cpu as u16));
-                }
-                shard_tracers.push(t);
-                shard_bufs.push(b);
-            }
-            let (t, b) = Tracer::buffering(seq);
-            self.fabric.set_tracer(t.clone());
-            self.tracer = t;
-            sys_buf = Some(b);
-        } else {
-            // Disabled stand-ins keep the shard-step path uniform.
-            shard_tracers = (0..shard_count).map(|_| Tracer::disabled()).collect();
-        }
-
         let mut executed = 0u64;
         let mut cands: Vec<Candidate> = Vec::new();
-        // `done` = nothing left to run this side of the frontier (all CPUs
-        // halted, or every next key is at or past the horizon): pending
-        // run-ahead output is final and flushes completely. A `limit` exit
-        // leaves it pending — the continuation call may still execute
-        // smaller keys.
-        let mut done = false;
         while executed < limit {
             // Mirror the serial scheduler: a running broadcast-stop holder
             // is stepped directly; otherwise the smallest (clock, cpu)
@@ -905,100 +840,50 @@ impl System {
                 }
             }
             let Some((min_clock, min_cpu)) = min else {
-                done = true;
                 break;
             };
-            // Frontier flush: every future step's key is at least the
-            // serial minimum, so pending run-ahead output strictly below
-            // it is in its final position.
-            self.flush_pending_below((min_clock, min_cpu), &real);
             if horizon.is_some_and(|hz| min_clock >= hz) {
-                done = true;
                 break;
             }
             if let Some(h) = holder {
-                // A global step's key is provably above every pending
-                // run-ahead key (run-ahead never passes another CPU's
-                // earliest-possible-global key), so pending output is
-                // final before any serialized step.
-                self.flush_pending_below((u64::MAX, usize::MAX), &real);
-                self.exec_global_round(h, &shard_tracers, &shard_bufs, sys_buf.as_ref(), &real);
+                self.exec_step(h);
                 executed += 1;
                 continue;
             }
-            // Only CPUs within one cycle of the minimum can join the
-            // round; every runnable CPU beyond that window still bounds
-            // run-ahead conservatively at its current key (it could go
-            // global the moment it becomes schedulable).
+            // Only CPUs within one cycle of the minimum can join the round
+            // or constrain it (see `safe_set`).
             cands.clear();
-            let mut outside = (u64::MAX, usize::MAX);
             for i in 0..self.hot_clock.len() {
-                if self.hot_running[i] && self.programs[i].is_some() {
-                    if self.hot_clock[i] <= min_clock + 1 {
-                        cands.push(self.classify_step(i));
-                    } else {
-                        outside = outside.min((self.hot_clock[i], i));
-                    }
+                if self.hot_running[i]
+                    && self.programs[i].is_some()
+                    && self.hot_clock[i] <= min_clock + 1
+                {
+                    cands.push(self.classify_step(i));
                 }
             }
             let mut safe = safe_set(&cands);
-            // The horizon is a hard key ceiling: nothing at or past
-            // `(hz, 0)` may execute, whether admitted or run ahead (keys
-            // are ascending, so admission truncation is a prefix cut and
-            // never empties a non-empty set — the serial-min key is below
-            // the horizon, checked above).
-            let ceiling = horizon.map_or((u64::MAX, usize::MAX), |hz| (hz, 0));
-            if horizon.is_some() {
-                safe.truncate(
-                    safe.partition_point(|&(at, _)| (cands[at].clock, cands[at].cpu) < ceiling),
-                );
+            // The horizon is a hard clock ceiling. Keys are ascending, so
+            // the cut is a prefix and never empties a non-empty set: the
+            // serial-min key is below the horizon, checked above.
+            if let Some(hz) = horizon {
+                safe.truncate(safe.partition_point(|&at| cands[at].clock < hz));
             }
             if safe.is_empty() {
                 // The serial pick itself is global: run exactly that one
-                // step under the coordinator and re-plan. Pending keys are
-                // all below a global step's key (see the holder case), so
-                // they flush first.
-                self.flush_pending_below((u64::MAX, usize::MAX), &real);
-                self.exec_global_round(
-                    min_cpu,
-                    &shard_tracers,
-                    &shard_bufs,
-                    sys_buf.as_ref(),
-                    &real,
-                );
+                // step under the coordinator and re-plan.
+                self.exec_step(min_cpu);
                 executed += 1;
                 continue;
             }
             // A key-ordered prefix of the safe set is still an exact
-            // serial prefix — truncate to the remaining step budget, and
-            // divide what's left of the budget into per-chain run-ahead
-            // caps so a round can never overshoot `limit`.
-            let remaining = limit - executed;
-            let take = (safe.len() as u64).min(remaining) as usize;
-            let cap = (remaining / take as u64).clamp(1, RUN_AHEAD_CAP);
-            let steps: Vec<ShardStep> = safe[..take]
-                .iter()
-                .map(|&(at, bound)| ShardStep {
-                    cpu: cands[at].cpu,
-                    clock: cands[at].clock,
-                    bound: bound.min(outside).min(ceiling),
-                })
-                .collect();
-            executed +=
-                self.exec_local_round(&steps, cap, &plan, &shard_tracers, &shard_bufs, buffering);
+            // serial prefix: truncate to the remaining step budget.
+            safe.truncate((limit - executed).min(safe.len() as u64) as usize);
+            let round: Vec<Candidate> = safe.iter().map(|&at| cands[at]).collect();
+            self.exec_local_round(&round, &plan);
+            executed += round.len() as u64;
         }
 
-        // All halted or horizon reached: no future step can precede any
-        // pending key, so the tail of the run-ahead output is final. (A
-        // `limit` exit keeps it pending for the continuation call.)
-        if done {
-            self.flush_pending_below((u64::MAX, usize::MAX), &real);
-        }
-        // Restore the real tracer wiring (`set_tracer` re-fans the per-CPU
-        // clones) and rebuild the scheduling heap for the serial engine.
-        if buffering {
-            self.set_tracer(real);
-        }
+        // Rebuild the scheduling heap for the serial engine.
         self.ready.clear();
         for i in 0..self.hot_clock.len() {
             if self.hot_running[i] && self.programs[i].is_some() {
@@ -1009,82 +894,19 @@ impl System {
         executed
     }
 
-    /// Releases pending run-ahead output whose `(clock, cpu)` key is
-    /// strictly below `key`: step-log entries move into the real log and
-    /// event blocks replay into the real tracer, in serial key order.
-    /// Callers pass the current frontier (no future step's key can be
-    /// smaller) or `(u64::MAX, usize::MAX)` to flush everything.
-    fn flush_pending_below(&mut self, key: (u64, usize), real: &Tracer) {
-        if !self.pending_log.is_empty() {
-            let n = self.pending_log.partition_point(|e| (e.clock, e.cpu) < key);
-            let released = self.pending_log.drain(..n);
-            if let Some(log) = self.step_log.as_mut() {
-                log.extend(released);
-            }
-        }
-        if !self.pending_blocks.is_empty() {
-            let n = self
-                .pending_blocks
-                .partition_point(|b| (b.0, b.1 as usize) < key);
-            for (_, _, events) in self.pending_blocks.drain(..n) {
-                replay_events(real, &events);
-            }
-        }
-    }
-
-    /// One serialized step under the coordinator. Every shard tracer's
-    /// clock is aligned first — a global step can emit against any node
-    /// (XIs, quiesce release) — and the step's buffered events are merged
-    /// by emission ticket and replayed immediately: rounds execute in
-    /// serial key order, so replay order is arrival order.
-    fn exec_global_round(
-        &mut self,
-        i: usize,
-        shard_tracers: &[Tracer],
-        shard_bufs: &[Arc<Mutex<EventBuffer>>],
-        sys_buf: Option<&Arc<Mutex<EventBuffer>>>,
-        real: &Tracer,
-    ) {
-        if let Some(sys) = sys_buf {
-            for t in shard_tracers {
-                t.set_clock(self.hot_clock[i]);
-            }
-            self.exec_step(i);
-            let mut events: Vec<SeqTracedEvent> = Vec::new();
-            for b in shard_bufs {
-                events.extend(b.lock().expect("event buffer poisoned").drain());
-            }
-            events.extend(sys.lock().expect("event buffer poisoned").drain());
-            events.sort_unstable_by_key(|e| e.seq);
-            replay_events(real, &events);
-        } else {
-            self.exec_step(i);
-        }
-    }
-
-    /// Executes one round's safe set, returning how many steps ran
-    /// (admitted steps plus in-shard run-ahead). The set arrives in serial
-    /// `(clock, cpu)` order; grouping by shard preserves each shard's
-    /// internal order, and admitted steps of different shards commute, so
-    /// running shards concurrently on host threads cannot change any
-    /// outcome. Inline execution and `thread::scope` drive the *same*
-    /// shard-step function — thread count selects a schedule, never a code
-    /// path. Step logs and event blocks are merged back in key order
-    /// (stable, so a chain's equal-key zero-cycle entries keep their
-    /// execution order), which *is* the round's serial execution order.
-    fn exec_local_round(
-        &mut self,
-        steps: &[ShardStep],
-        cap: u64,
-        plan: &ShardPlan,
-        shard_tracers: &[Tracer],
-        shard_bufs: &[Arc<Mutex<EventBuffer>>],
-        buffering: bool,
-    ) -> u64 {
+    /// Executes one step of each CPU in a round's safe set. The set arrives
+    /// in serial `(clock, cpu)` order; grouping by shard preserves each
+    /// shard's internal order, and admitted steps of different shards
+    /// commute, so running shards concurrently on host threads cannot
+    /// change any outcome. Inline execution and `thread::scope` drive the
+    /// *same* shard-step function — the round size selects a schedule,
+    /// never a code path. Step-log entries are appended in key order,
+    /// which *is* the round's serial execution order.
+    fn exec_local_round(&mut self, round: &[Candidate], plan: &ShardPlan) {
         let shard_count = plan.shard_count();
-        let mut per_shard: Vec<Vec<ShardStep>> = vec![Vec::new(); shard_count];
-        for &s in steps {
-            per_shard[plan.shard_of(s.cpu)].push(s);
+        let mut per_shard: Vec<Vec<Candidate>> = vec![Vec::new(); shard_count];
+        for &c in round {
+            per_shard[plan.shard_of(c.cpu)].push(c);
         }
         let involved = per_shard.iter().filter(|w| !w.is_empty()).count();
         let want_log = self.step_log.is_some();
@@ -1092,8 +914,7 @@ impl System {
         // only rounds with enough work to amortize that go parallel —
         // smaller ones run inline through the identical shard-step code,
         // so the cutoff affects host speed only, never results.
-        let run_parallel =
-            involved >= 2 && self.sim_threads > 1 && steps.len() >= self.par_round_min;
+        let run_parallel = involved >= 2 && round.len() >= self.par_round_min;
         let bases: Vec<usize> = (0..shard_count).map(|s| plan.range(s).start).collect();
 
         let shared = SharedMem::new(&mut self.mem);
@@ -1111,8 +932,10 @@ impl System {
         let pages = &self.pages;
         let config = &self.config;
         let programs = &self.programs[..];
+        // Disabled: `sharded_active` keeps traced runs serial.
+        let tracer = &self.tracer;
 
-        let results: Vec<ShardRunResult> = if run_parallel {
+        let logs: Vec<Vec<StepLogEntry>> = if run_parallel {
             std::thread::scope(|scope| {
                 let mut handles = Vec::with_capacity(involved);
                 for (s, chunk) in chunks.into_iter().enumerate() {
@@ -1122,12 +945,10 @@ impl System {
                     }
                     let (nodes, cores, clocks, running) = chunk;
                     let base = bases[s];
-                    let tracer = &shard_tracers[s];
-                    let buf = shard_bufs.get(s);
                     handles.push(scope.spawn(move || {
                         run_shard_steps(
-                            &work, cap, base, nodes, cores, clocks, running, shared, pages, config,
-                            programs, tracer, buf, want_log,
+                            &work, base, nodes, cores, clocks, running, shared, pages, config,
+                            programs, tracer, want_log,
                         )
                     }));
                 }
@@ -1145,54 +966,24 @@ impl System {
                 }
                 let (nodes, cores, clocks, running) = chunk;
                 out.push(run_shard_steps(
-                    work,
-                    cap,
-                    bases[s],
-                    nodes,
-                    cores,
-                    clocks,
-                    running,
-                    shared,
-                    pages,
-                    config,
-                    programs,
-                    &shard_tracers[s],
-                    shard_bufs.get(s),
-                    want_log,
+                    work, bases[s], nodes, cores, clocks, running, shared, pages, config, programs,
+                    tracer, want_log,
                 ));
             }
             out
         };
 
-        let mut total = 0u64;
-        let mut chain_max = 0u64;
-        let mut all_logs: Vec<StepLogEntry> = Vec::new();
-        let mut all_blocks: Vec<(u64, u16, Vec<SeqTracedEvent>)> = Vec::new();
-        for r in results {
-            total += r.executed;
-            chain_max = chain_max.max(r.chain_max);
-            all_logs.extend(r.log);
-            all_blocks.extend(r.blocks);
-        }
+        let total = round.len() as u64;
         self.steps += total;
         self.sharded_local_steps += total;
         self.shard_rounds += 1;
         self.shard_round_max = self.shard_round_max.max(total);
-        self.shard_chain_max = self.shard_chain_max.max(chain_max);
-        // Run-ahead output is not final until the key frontier passes it
-        // (a later round can execute smaller keys on other CPUs): merge the
-        // round into the pending buffers, kept key-sorted. Stable sorts:
-        // equal keys are one CPU's zero-cycle chain, already in execution
-        // order within its shard's contribution and across rounds.
-        if want_log {
-            self.pending_log.extend(all_logs);
-            self.pending_log.sort_by_key(|e| (e.clock, e.cpu));
+        if let Some(log) = self.step_log.as_mut() {
+            // One entry per CPU, so the keys are unique.
+            let start = log.len();
+            log.extend(logs.into_iter().flatten());
+            log[start..].sort_unstable_by_key(|e| (e.clock, e.cpu));
         }
-        if buffering {
-            self.pending_blocks.extend(all_blocks);
-            self.pending_blocks.sort_by_key(|b| (b.0, b.1));
-        }
-        total
     }
 
     /// Runs until every CPU halts.
@@ -1302,50 +1093,19 @@ impl System {
             rounds: self.shard_rounds,
             local_steps: self.sharded_local_steps,
             round_steps_max: self.shard_round_max,
-            chain_max: self.shard_chain_max,
             ..Default::default()
         }
     }
 }
 
-/// One admitted round entry: CPU `cpu`'s step at `clock`, plus the key
-/// `bound` below which the shard may keep running this CPU's own
-/// provably-local steps (run-ahead) before the coordinator re-plans.
-#[derive(Debug, Clone, Copy)]
-struct ShardStep {
-    cpu: usize,
-    clock: u64,
-    bound: (u64, usize),
-}
-
-/// Per-chain run-ahead ceiling: bounds a lone unconstrained CPU's chain so
-/// event replay and halt/limit checks still happen at a reasonable cadence.
-const RUN_AHEAD_CAP: u64 = 64;
-
-/// What one shard's slice of a round reports back to the coordinator.
-struct ShardRunResult {
-    executed: u64,
-    log: Vec<StepLogEntry>,
-    /// One `(clock, cpu, events)` block per step that emitted anything —
-    /// the coordinator merges blocks of all shards by `(clock, cpu)`, the
-    /// round's serial execution order.
-    blocks: Vec<(u64, u16, Vec<SeqTracedEvent>)>,
-    /// Longest run-ahead chain in this slice, in steps.
-    chain_max: u64,
-}
-
-/// Executes one shard's slice of a round: provably node-local steps over
-/// the shard's own nodes and cores plus the shared committed-memory window.
-/// After each admitted step the shard re-classifies the *same CPU's* next
-/// step — classification reads only the CPU's own node plus read-only
-/// shared structures, all of which the shard holds — and chains it into
-/// the round while it stays local, its key stays strictly below the round
-/// bound, and the chain stays within `cap` steps. Runs either inline on
-/// the coordinator or on a scoped host thread — same code, same results.
+/// Executes one shard's slice of a round: one provably node-local step per
+/// listed CPU, over the shard's own nodes and cores plus the shared
+/// committed-memory window. Runs either inline on the coordinator or on a
+/// scoped host thread — same code, same results. Returns the slice's
+/// step-log entries (none unless `want_log`).
 #[allow(clippy::too_many_arguments)]
 fn run_shard_steps(
-    work: &[ShardStep],
-    cap: u64,
+    work: &[Candidate],
     base: usize,
     nodes: &mut [Node],
     cores: &mut [CpuCore],
@@ -1356,102 +1116,42 @@ fn run_shard_steps(
     config: &SystemConfig,
     programs: &[Option<Arc<Program>>],
     tracer: &Tracer,
-    buf: Option<&Arc<Mutex<EventBuffer>>>,
     want_log: bool,
-) -> ShardRunResult {
-    let mut res = ShardRunResult {
-        executed: 0,
-        log: Vec::new(),
-        blocks: Vec::new(),
-        chain_max: 0,
-    };
-    for &ShardStep { cpu, clock, bound } in work {
+) -> Vec<StepLogEntry> {
+    let mut log = Vec::new();
+    for &Candidate { cpu, clock, .. } in work {
         let at = cpu - base;
         debug_assert_eq!(hot_clock[at], clock, "stale round plan");
         let prog = programs[cpu].as_ref().expect("program loaded");
-        let mut clock = clock;
-        let mut budget = cap;
-        let mut chain = 0u64;
-        loop {
-            tracer.set_clock(clock);
-            let mut view = View {
+        let mut view = View {
+            cpu,
+            base,
+            now: clock,
+            tracer,
+            nodes: &mut *nodes,
+            fabric: None,
+            mem: MemPort::Shared(shared),
+            pages: PagePort::Check(pages),
+            fabric_busy: None,
+            config,
+        };
+        let out = ztm_isa::step(&mut cores[at], prog, &mut view);
+        debug_assert!(
+            !out.broadcast_stop && out.event != StepEvent::Stalled,
+            "a shard-local step can neither stall nor quiesce"
+        );
+        hot_clock[at] = cores[at].clock;
+        hot_running[at] = cores[at].is_running();
+        if want_log {
+            log.push(StepLogEntry {
+                clock,
                 cpu,
-                base,
-                now: clock,
-                tracer,
-                nodes: &mut *nodes,
-                fabric: None,
-                mem: MemPort::Shared(shared),
-                pages: PagePort::Check(pages),
-                fabric_busy: None,
-                config,
-            };
-            let out = ztm_isa::step(&mut cores[at], prog, &mut view);
-            debug_assert!(
-                !out.broadcast_stop && out.event != StepEvent::Stalled,
-                "a shard-local step can neither stall nor quiesce"
-            );
-            hot_clock[at] = cores[at].clock;
-            hot_running[at] = cores[at].is_running();
-            res.executed += 1;
-            chain += 1;
-            if want_log {
-                res.log.push(StepLogEntry {
-                    clock,
-                    cpu,
-                    event: out.event,
-                    cycles: out.cycles,
-                });
-            }
-            if let Some(b) = buf {
-                let events = b.lock().expect("event buffer poisoned").drain();
-                if !events.is_empty() {
-                    res.blocks.push((clock, cpu as u16, events));
-                }
-            }
-            budget -= 1;
-            let next_clock = cores[at].clock;
-            if budget == 0 || !hot_running[at] || (next_clock, cpu) >= bound {
-                break;
-            }
-            // Run ahead: chain this CPU's own next step into the round if
-            // it provably stays node-local.
-            let c = classify_step_at(
-                cpu,
-                next_clock,
-                &nodes[at],
-                &cores[at],
-                prog,
-                pages,
-                SlotView::Shared(shared),
-                config,
-            );
-            if c.global {
-                break;
-            }
-            clock = next_clock;
-        }
-        res.chain_max = res.chain_max.max(chain);
-    }
-    res
-}
-
-/// Read-only committed-arena slot lookup for the classifier: the
-/// coordinator classifies against exclusive memory, a run-ahead shard
-/// against its shared window — same answers either way.
-#[derive(Clone, Copy)]
-enum SlotView<'a> {
-    Main(&'a MainMemory),
-    Shared(SharedMem),
-}
-
-impl SlotView<'_> {
-    fn has_slot(&self, line: LineAddr) -> bool {
-        match self {
-            SlotView::Main(m) => m.line_slot(line).is_some(),
-            SlotView::Shared(s) => s.line_slot(line).is_some(),
+                event: out.event,
+                cycles: out.cycles,
+            });
         }
     }
+    log
 }
 
 /// Classifies one CPU's next instruction step without executing it.
@@ -1462,11 +1162,6 @@ impl SlotView<'_> {
 /// permission — no fabric traffic, no XIs, no page-table mutation, no
 /// abort processing, no arena allocation. Everything else is *global*
 /// and executes serially under the coordinator.
-///
-/// Every input is either the CPU's own node state or a structure no
-/// shard-local step mutates (the page table, the arena slot index, the
-/// config), so shards can re-classify their own CPUs mid-round for
-/// run-ahead and reach the same verdicts the coordinator would.
 ///
 /// Conservative by design: classifying local as global only costs
 /// parallelism, never correctness, and the shared-mode ports panic on
@@ -1479,7 +1174,7 @@ fn classify_step_at(
     core: &CpuCore,
     prog: &Program,
     pages: &PageTable,
-    slots: SlotView<'_>,
+    mem: &MainMemory,
     config: &SystemConfig,
 ) -> Candidate {
     let global = Candidate {
@@ -1533,7 +1228,7 @@ fn classify_step_at(
     }
     let data = |want_excl: bool, class: AccessClass| {
         classify_data_at(
-            cpu, clock, node, core, d, want_excl, class, pages, slots, config,
+            cpu, clock, node, core, d, want_excl, class, pages, mem, config,
         )
     };
     match d.op {
@@ -1601,7 +1296,7 @@ fn classify_step_at(
             }
         }
         Op::Tbeginc => global,
-        Op::Tend => classify_tend_at(cpu, clock, node, slots),
+        Op::Tend => classify_tend_at(cpu, clock, node, mem),
         Op::Tabort => global,
     }
 }
@@ -1622,7 +1317,7 @@ fn classify_data_at(
     want_excl: bool,
     class: AccessClass,
     pages: &PageTable,
-    slots: SlotView<'_>,
+    mem: &MainMemory,
     config: &SystemConfig,
 ) -> Candidate {
     let global = Candidate {
@@ -1663,7 +1358,7 @@ fn classify_data_at(
     // Non-transactional stores write through to committed memory,
     // which the shared window can only do into an existing arena slot
     // (allocating would race the shared index).
-    if class == AccessClass::Store && !in_tx && !slots.has_slot(line) {
+    if class == AccessClass::Store && !in_tx && mem.line_slot(line).is_none() {
         return global;
     }
     Candidate {
@@ -1678,28 +1373,19 @@ fn classify_data_at(
 /// in which case the store-cache drain needs a committed-arena slot for
 /// every transactional store line. (The PER TEND event and the
 /// diagnostic-control forcing are already pre-checked by the caller.)
-fn classify_tend_at(cpu: usize, clock: u64, node: &Node, slots: SlotView<'_>) -> Candidate {
+fn classify_tend_at(cpu: usize, clock: u64, node: &Node, mem: &MainMemory) -> Candidate {
     let slots_ok = node.engine.depth() != 1
         || node
             .cache
             .store_cache()
             .tx_lines()
             .into_iter()
-            .all(|line| slots.has_slot(line));
+            .all(|line| mem.line_slot(line).is_some());
     Candidate {
         cpu,
         clock,
         global: !slots_ok,
         zero: false,
-    }
-}
-
-/// Replays buffered events into the real tracer, restoring each event's
-/// emission clock and CPU attribution.
-fn replay_events(real: &Tracer, events: &[SeqTracedEvent]) {
-    for e in events {
-        real.set_clock(e.clock);
-        real.emit_at(e.cpu, || e.event);
     }
 }
 

@@ -710,16 +710,6 @@ impl Tracer {
         }
     }
 
-    /// A tracer feeding a fresh [`EventBuffer`] that stamps every event with
-    /// a ticket drawn from `seq`; returns both. Sharded simulation gives
-    /// each shard (and the coordinator) one of these sharing a single
-    /// ticket counter, then merges the buffers deterministically and
-    /// replays them into the real sink.
-    pub fn buffering(seq: Arc<AtomicU64>) -> (Tracer, Arc<Mutex<EventBuffer>>) {
-        let buffer = Arc::new(Mutex::new(EventBuffer::new(seq)));
-        (Tracer::with_sink(buffer.clone()), buffer)
-    }
-
     /// Whether a sink is attached.
     pub fn is_enabled(&self) -> bool {
         self.sink.is_some()
@@ -760,66 +750,6 @@ impl Tracer {
                 .expect("trace sink poisoned")
                 .record(self.clock(), cpu, f());
         }
-    }
-}
-
-/// A [`TracedEvent`] stamped with a global emission ticket, as captured by
-/// an [`EventBuffer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeqTracedEvent {
-    /// Ticket drawn from the shared emission counter at record time. Within
-    /// one serialized step the tickets reconstruct exact emission order even
-    /// when the step's events landed in several buffers (requester vs XI
-    /// targets).
-    pub seq: u64,
-    /// Simulated cycle at emission.
-    pub clock: u64,
-    /// Emitting (or attributed) CPU.
-    pub cpu: u16,
-    /// The event payload.
-    pub event: Event,
-}
-
-/// A buffering [`TraceSink`] for sharded simulation: events are appended in
-/// arrival order and stamped with tickets from a counter shared across all
-/// buffers of one run, so the coordinator can merge multiple buffers back
-/// into the exact serial emission order before replaying them into the real
-/// sink.
-#[derive(Debug)]
-pub struct EventBuffer {
-    seq: Arc<AtomicU64>,
-    events: Vec<SeqTracedEvent>,
-}
-
-impl EventBuffer {
-    /// An empty buffer drawing tickets from `seq`.
-    pub fn new(seq: Arc<AtomicU64>) -> EventBuffer {
-        EventBuffer {
-            seq,
-            events: Vec::new(),
-        }
-    }
-
-    /// Takes every buffered event out, leaving the buffer empty.
-    pub fn drain(&mut self) -> Vec<SeqTracedEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Whether nothing is currently buffered.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-impl TraceSink for EventBuffer {
-    fn record(&mut self, clock: u64, cpu: u16, event: Event) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.events.push(SeqTracedEvent {
-            seq,
-            clock,
-            cpu,
-            event,
-        });
     }
 }
 

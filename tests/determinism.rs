@@ -80,12 +80,13 @@ fn quiesce_under_heap_scheduling_is_exercised_and_deterministic() {
     assert_eq!(a, run());
 }
 
-/// Sharded execution (`ZTM_SIM_THREADS` > 1) must leave every committed
-/// digest untouched. The single-shard baselines above route through the
-/// serial scheduler even when threads are requested (nothing to shard);
-/// this constant pins a *two-chip* (12-CPU) elided-hashtable run that
-/// exercises the round scheduler for real. Asserted for 1, 2, and 4 host
-/// threads.
+/// Requesting sharded execution (`ZTM_SIM_THREADS` > 1) must leave every
+/// committed digest untouched. This constant pins a *two-chip* (12-CPU)
+/// elided-hashtable run, which an untraced run would shard. A traced run
+/// never shards — an attached event tracer routes through the serial
+/// scheduler — so for 1, 2, and 4 host threads the digest holds and no
+/// round runs. `tests/sharded.rs` checks that untraced runs of the same
+/// shape do shard.
 const SHARDED_HT12_DIGEST: u64 = 0xc79e7c937476240f;
 
 #[test]
@@ -104,6 +105,7 @@ fn sharded_hashtable_digest_matches_the_pinned_baseline() {
             SHARDED_HT12_DIGEST,
             "{threads} host threads"
         );
+        assert_eq!(sys.report().sharding.rounds, 0, "{threads} host threads");
     }
 }
 
