@@ -266,15 +266,17 @@ impl Timing {
     }
 }
 
-/// The git commit the binary ran from, for correlating timing artifacts
-/// with history: `git rev-parse` when run inside a checkout, else the CI
-/// `GITHUB_SHA`, else `"unknown"`. Lives on the stripped `"timing"` line —
-/// it is host metadata, not simulation output.
+/// The git commit the binary was built from, for correlating timing
+/// artifacts with history: `git rev-parse` in the crate's source tree
+/// (wherever the binary is launched from), else the CI `GITHUB_SHA`, else
+/// `"unknown"`. Lives on the stripped `"timing"` line — it is host
+/// metadata, not simulation output.
 fn commit_id() -> String {
     static COMMIT: std::sync::OnceLock<String> = std::sync::OnceLock::new();
     COMMIT
         .get_or_init(|| {
             let git = std::process::Command::new("git")
+                .args(["-C", env!("CARGO_MANIFEST_DIR")])
                 .args(["rev-parse", "--short=12", "HEAD"])
                 .output();
             if let Ok(out) = git {
@@ -410,6 +412,16 @@ pub fn print_row(x: impl std::fmt::Display, values: &[f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn commit_id_is_known_inside_this_checkout() {
+        let id = commit_id();
+        assert_ne!(id, "unknown");
+        assert!(
+            id.len() == 12 && id.bytes().all(|b| b.is_ascii_hexdigit()),
+            "{id:?}"
+        );
+    }
 
     #[test]
     fn ops_scale_down_with_cpus() {

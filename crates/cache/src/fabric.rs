@@ -1,7 +1,7 @@
 //! The SMP coherence fabric: a directory of line ownership issuing
 //! hierarchical cross-interrogates (§III.A).
 
-use crate::{ChipId, CpuId, Distance, McmId, SetAssoc, Topology, XiKind};
+use crate::{ChipId, CpuId, McmId, SetAssoc, Topology, XiKind};
 use std::collections::HashMap;
 use ztm_mem::{AddrHashBuilder, LineAddr};
 use ztm_trace::{Event, Tracer};
@@ -182,32 +182,40 @@ impl Fabric {
         FetchPlan { xis, source }
     }
 
-    /// Selects the nearest non-intervention source for a line.
+    /// Selects the nearest non-intervention source for a line: the
+    /// requester's own chip's L3, else the lowest-numbered L3 on its MCM,
+    /// else the lowest-numbered L3 anywhere; failing those the requester's
+    /// own L4, else the lowest-numbered L4; else memory. Ties go to the
+    /// lowest index, and a distance class is a bit range of the presence
+    /// mask (chips are numbered MCM-major), so each choice is one bit scan.
     fn nearest_source(&self, requester: CpuId, line: LineAddr) -> Source {
-        if let Some(&chips) = self.l3_presence.get(&line) {
-            if chips != 0 {
-                let best = (0..64)
-                    .filter(|c| chips >> c & 1 == 1)
-                    .map(ChipId)
-                    .min_by_key(|&c| match self.topology.distance_to_chip(requester, c) {
-                        Distance::SameCpu | Distance::SameChip => 0,
-                        Distance::SameMcm => 1,
-                        Distance::CrossMcm => 2,
-                    })
-                    .expect("non-zero mask has a chip");
-                return Source::L3(best);
-            }
+        let chips = self.l3_presence.get(&line).copied().unwrap_or(0);
+        if chips != 0 {
+            let own = self.topology.chip_of(requester).0;
+            let per_mcm = self.topology.chips_per_mcm();
+            let first = self.topology.mcm_of(requester).0 * per_mcm;
+            let same_mcm = match per_mcm {
+                64.. => u64::MAX,
+                n => (1u64 << n) - 1,
+            } << first;
+            let best = if chips >> own & 1 == 1 {
+                own
+            } else if chips & same_mcm != 0 {
+                (chips & same_mcm).trailing_zeros() as usize
+            } else {
+                chips.trailing_zeros() as usize
+            };
+            return Source::L3(ChipId(best));
         }
-        if let Some(&mcms) = self.l4_presence.get(&line) {
-            if mcms != 0 {
-                let me = self.topology.mcm_of(requester);
-                let best = (0..8)
-                    .filter(|m| mcms >> m & 1 == 1)
-                    .map(McmId)
-                    .min_by_key(|&m| usize::from(m != me))
-                    .expect("non-zero mask has an MCM");
-                return Source::L4(best);
-            }
+        let mcms = self.l4_presence.get(&line).copied().unwrap_or(0);
+        if mcms != 0 {
+            let me = self.topology.mcm_of(requester).0;
+            let best = if mcms >> me & 1 == 1 {
+                me
+            } else {
+                mcms.trailing_zeros() as usize
+            };
+            return Source::L4(McmId(best));
         }
         Source::Memory
     }
@@ -225,7 +233,10 @@ impl Fabric {
                 if state.owner == Some(target) {
                     state.owner = None;
                 }
-                state.sharers.retain(|&c| c != target);
+                // Sharers are unique; `remove` keeps the XI delivery order.
+                if let Some(at) = state.sharers.iter().position(|&c| c == target) {
+                    state.sharers.remove(at);
+                }
             }
             XiKind::Demote => {
                 if state.owner == Some(target) {
@@ -333,6 +344,9 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Distance;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, RngCore, SeedableRng};
 
     fn fabric() -> Fabric {
         Fabric::new(Topology::zec12(72))
@@ -430,6 +444,86 @@ mod tests {
         f.drop_holder(CpuId(0), line(1));
         let plan = f.plan_fetch(CpuId(1), line(1), FetchKind::Shared);
         assert_eq!(plan.source, Source::L3(ChipId(0)));
+    }
+
+    /// The distance-ranked formulation `nearest_source` replaced: the
+    /// first chip, in ascending order, at the smallest distance; then the
+    /// first MCM, own MCM first.
+    fn reference_source(f: &Fabric, requester: CpuId, line: LineAddr) -> Source {
+        if let Some(&chips) = f.l3_presence.get(&line) {
+            if chips != 0 {
+                let best = (0..64)
+                    .filter(|c| chips >> c & 1 == 1)
+                    .map(ChipId)
+                    .min_by_key(|&c| match f.topology.distance_to_chip(requester, c) {
+                        Distance::SameCpu | Distance::SameChip => 0,
+                        Distance::SameMcm => 1,
+                        Distance::CrossMcm => 2,
+                    })
+                    .expect("non-zero mask has a chip");
+                return Source::L3(best);
+            }
+        }
+        if let Some(&mcms) = f.l4_presence.get(&line) {
+            if mcms != 0 {
+                let me = f.topology.mcm_of(requester);
+                let best = (0..8)
+                    .filter(|m| mcms >> m & 1 == 1)
+                    .map(McmId)
+                    .min_by_key(|&m| usize::from(m != me))
+                    .expect("non-zero mask has an MCM");
+                return Source::L4(best);
+            }
+        }
+        Source::Memory
+    }
+
+    #[test]
+    fn nearest_source_matches_the_distance_ranked_reference() {
+        let mut rng = SmallRng::seed_from_u64(0x5eed);
+        for topology in [
+            Topology::zec12(144),
+            Topology::new(90, 4, 3),
+            Topology::new(64, 1, 64),
+        ] {
+            let cpus = topology.cpus();
+            let chips = topology.chip_count();
+            let mut f = Fabric::with_l3_geometry(topology, 1, 1);
+            for i in 0..20_000u64 {
+                let line = line(i);
+                // Sparse and dense masks over the populated chips, empty
+                // masks included, plus an occasional all-ones mask.
+                let l3 = match rng.gen_range(0..4) {
+                    0 => 0,
+                    1 => 1 << rng.gen_range(0..chips),
+                    2 => rng.next_u64() & rng.next_u64(),
+                    _ => rng.next_u64() | (u64::MAX * u64::from(i % 97 == 0)),
+                };
+                f.l3_presence.insert(line, l3);
+                f.l4_presence
+                    .insert(line, (rng.next_u64() & rng.next_u64()) as u8);
+                let requester = CpuId(rng.gen_range(0..cpus));
+                assert_eq!(
+                    f.nearest_source(requester, line),
+                    reference_source(&f, requester, line),
+                    "{:?}: requester {requester:?}, L3 mask {l3:#x}",
+                    f.topology,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn accepted_xis_remove_only_the_target_sharer_in_order() {
+        let mut f = fabric();
+        for cpu in [4, 9, 2, 30] {
+            let _ = f.grant(CpuId(cpu), line(1), FetchKind::Shared);
+        }
+        f.apply_xi_result(CpuId(9), line(1), XiKind::ReadOnly, true);
+        assert_eq!(f.holders(line(1)).1, vec![CpuId(4), CpuId(2), CpuId(30)]);
+        // A non-holder is a no-op.
+        f.apply_xi_result(CpuId(9), line(1), XiKind::Lru, true);
+        assert_eq!(f.holders(line(1)).1, vec![CpuId(4), CpuId(2), CpuId(30)]);
     }
 
     #[test]

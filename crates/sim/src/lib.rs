@@ -20,6 +20,7 @@
 
 mod config;
 mod report;
+mod sched;
 mod shard;
 mod system;
 

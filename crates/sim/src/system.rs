@@ -4,11 +4,10 @@
 
 use crate::config::SystemConfig;
 use crate::report::SystemReport;
+use crate::sched::{pack_entry, unpack_entry, WinnerTree};
 use crate::shard::{safe_set, split_mut, Candidate, ShardPlan};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 use ztm_cache::{
     AccessClass, CohState, CpuId, Fabric, FetchKind, FootprintEvent, LocalHit, PrivateCache, Xi,
@@ -40,21 +39,28 @@ struct Node {
     last_timer: u64,
     /// XI-stall retries observed (statistics).
     stalls: u64,
-    /// Same-line ifetch fast path: the text line the previous instruction
-    /// fetched from, valid while the install counter and page-residency
-    /// epoch below still match. Instruction lines receive no XIs (the
-    /// i-cache is outside the coherence protocol), and the i-cache is only
-    /// mutated by this CPU's own fetch misses — which reset this snapshot —
-    /// so a match means the directory walk would return the identical hit.
-    last_ifetch: Option<LineAddr>,
-    /// I-cache installs performed (fetch misses).
-    icache_installs: u64,
-    /// Value of `icache_installs` observed at the `last_ifetch` fetch.
-    last_ifetch_installs: u64,
-    /// Page-residency epoch observed at the `last_ifetch` fetch.
-    last_ifetch_page_epoch: u64,
+    /// Two-line instruction-fetch buffer (see `View::ifetch`).
+    ifetch: IfetchBuffer,
     /// Software-TM statistics observed via `STMNOTE` markers.
     stm: crate::report::StmCounts,
+}
+
+/// The text lines an i-fetch may take without an L1-I directory walk.
+///
+/// Both lines were resident at the last walk, and both stay valid while
+/// the page-residency epoch recorded then holds. Instruction lines receive
+/// no XIs (the i-cache is outside the coherence protocol), and only a walk
+/// installs into the i-cache — and every walk re-records this buffer — so
+/// no install can happen while it is valid.
+#[derive(Debug, Default)]
+struct IfetchBuffer {
+    /// The text line the previous instruction fetched from.
+    last: Option<LineAddr>,
+    /// The line fetched before `last`, kept only when its L1-I congruence
+    /// class differs from `last`'s.
+    prev: Option<LineAddr>,
+    /// Page-residency epoch at the last walk.
+    epoch: u64,
 }
 
 /// One record of the per-CPU execution trace (see [`System::set_trace`]).
@@ -147,15 +153,11 @@ pub struct System {
     programs: Vec<Option<Arc<Program>>>,
     /// CPU currently holding the broadcast-stop quiesce (§III.E).
     quiesce: Option<usize>,
-    /// Lazy scheduling heap of `(clock, cpu)` candidates. Invariant: every
-    /// CPU that is running, has a program, and is not the quiesce holder has
-    /// at least one entry carrying its *current* clock; entries whose clock
-    /// no longer matches the CPU (or whose CPU halted) are stale and are
-    /// skipped on pop. This makes picking the next CPU O(log n) instead of
-    /// the former O(n) scan per instruction. Entries are `(clock, cpu)`
-    /// packed into one `u64` (see [`Self::pack_entry`]) so heap sifts
-    /// compare single words.
-    ready: BinaryHeap<Reverse<u64>>,
+    /// The scheduler's winner tree. Invariant (while `hot_dirty` is clear):
+    /// leaf `i` holds `pack_entry(hot_clock[i], i)` when CPU `i` is running
+    /// and has a program, else [`WinnerTree::IDLE`], so the root is the
+    /// serial pick. A step refreshes only the stepped CPU's leaf.
+    sched: WinnerTree,
     /// Per-MCM fabric channel: the virtual time until which it is busy.
     fabric_busy: Vec<u64>,
     /// CPUs whose steps are being traced.
@@ -233,10 +235,7 @@ impl System {
                 prefix_area: Address::new(0xFFFF_0000 + (i as u64) * 4096),
                 last_timer: 0,
                 stalls: 0,
-                last_ifetch: None,
-                icache_installs: 0,
-                last_ifetch_installs: 0,
-                last_ifetch_page_epoch: 0,
+                ifetch: IfetchBuffer::default(),
                 stm: crate::report::StmCounts::default(),
             })
             .collect();
@@ -256,7 +255,7 @@ impl System {
             use_legacy_interpreter: false,
             programs: vec![None; cpus],
             quiesce: None,
-            ready: BinaryHeap::with_capacity(cpus + 1),
+            sched: WinnerTree::new(cpus),
             fabric_busy: vec![0; config.topology.mcm_count().max(1)],
             traced: vec![false; cpus],
             trace: std::collections::VecDeque::new(),
@@ -397,13 +396,31 @@ impl System {
         }
     }
 
-    /// Rebuilds the node-major hot mirrors from the cores.
+    /// Rebuilds the node-major hot mirrors from the cores, and the
+    /// scheduler's winner tree from the mirrors.
     fn sync_hot(&mut self) {
         for (i, c) in self.cores.iter().enumerate() {
             self.hot_clock[i] = c.clock;
             self.hot_running[i] = c.is_running();
         }
         self.hot_dirty = false;
+        self.rebuild_sched();
+    }
+
+    /// CPU `i`'s winner-tree key: its packed `(clock, cpu)` when it is
+    /// running and has a program, else [`WinnerTree::IDLE`].
+    fn sched_key(&self, i: usize) -> u64 {
+        if self.hot_running[i] && self.programs[i].is_some() {
+            pack_entry(self.hot_clock[i], i)
+        } else {
+            WinnerTree::IDLE
+        }
+    }
+
+    /// Recomputes every winner-tree leaf from the hot mirrors.
+    fn rebuild_sched(&mut self) {
+        let keys: Vec<u64> = (0..self.cores.len()).map(|i| self.sched_key(i)).collect();
+        self.sched.rebuild(keys);
     }
 
     /// A CPU's transactional statistics.
@@ -424,8 +441,7 @@ impl System {
     /// Loads a program onto one CPU.
     pub fn load_program(&mut self, cpu: usize, prog: &Program) {
         self.programs[cpu] = Some(Arc::new(prog.clone()));
-        self.ready
-            .push(Reverse(Self::pack_entry(self.cores[cpu].clock, cpu)));
+        self.sched.set(cpu, self.sched_key(cpu));
     }
 
     /// Loads the same program onto every CPU.
@@ -433,9 +449,8 @@ impl System {
         let p = Arc::new(prog.clone());
         for cpu in 0..self.programs.len() {
             self.programs[cpu] = Some(Arc::clone(&p));
-            self.ready
-                .push(Reverse(Self::pack_entry(self.cores[cpu].clock, cpu)));
         }
+        self.rebuild_sched();
     }
 
     /// Whether any CPU is still running.
@@ -485,64 +500,16 @@ impl System {
         out
     }
 
-    /// Packs a `(clock, cpu)` scheduling candidate into one `u64` whose
-    /// natural ordering matches the tuple's: smallest clock first, ties
-    /// toward the lowest CPU index. Clocks fit comfortably in 48 bits (a
-    /// simulation would need ~3 × 10¹⁴ cycles to overflow), but an
-    /// overflowing clock would shift bits into the CPU field and silently
-    /// corrupt heap ordering — so the bound is a hard invariant, checked in
-    /// release builds too.
-    fn pack_entry(clock: u64, cpu: usize) -> u64 {
-        assert!(
-            clock < 1 << 48,
-            "scheduler clock {clock} exceeds the 48-bit heap key range"
-        );
-        debug_assert!(cpu < 1 << 16);
-        clock << 16 | cpu as u64
-    }
-
-    fn unpack_entry(entry: u64) -> (u64, usize) {
-        (entry >> 16, (entry & 0xffff) as usize)
-    }
-
-    /// Whether a heap entry still describes a schedulable CPU at that clock.
-    /// Reads only the node-major mirrors — no stride into `Vec<CpuCore>`.
-    fn entry_fresh(&self, clock: u64, cpu: usize) -> bool {
-        self.hot_running[cpu] && self.programs[cpu].is_some() && self.hot_clock[cpu] == clock
-    }
-
-    /// The smallest local clock among runnable CPUs (discarding stale heap
-    /// entries), or `None` when every CPU has halted. A broadcast-stop
-    /// holder is scheduled outside the heap, so its clock is merged in
-    /// explicitly.
+    /// The smallest local clock among runnable CPUs, or `None` when every
+    /// CPU has halted. A broadcast-stop holder is running, so its leaf is in
+    /// the tree like every other CPU's.
     fn peek_next_clock(&mut self) -> Option<u64> {
         if self.hot_dirty {
             self.sync_hot();
         }
-        let holder = match self.quiesce {
-            Some(h) if self.hot_running[h] && self.programs[h].is_some() => Some(self.hot_clock[h]),
-            _ => None,
-        };
-        let queued = self.peek_fresh_entry().map(|e| Self::unpack_entry(e).0);
-        match (holder, queued) {
-            (Some(h), Some(q)) => Some(h.min(q)),
-            (h, q) => h.or(q),
-        }
-    }
-
-    /// Discards stale entries from the top of the heap and returns the
-    /// packed entry of the runnable CPU with the smallest `(clock, cpu)` —
-    /// ties break toward the lowest CPU index, exactly like the former
-    /// linear scan. The entry is *left on the heap*: `step_one` refreshes it
-    /// in place after the step (one sift instead of a pop + push).
-    fn peek_fresh_entry(&mut self) -> Option<u64> {
-        loop {
-            let &Reverse(entry) = self.ready.peek()?;
-            let (clock, cpu) = Self::unpack_entry(entry);
-            if self.entry_fresh(clock, cpu) {
-                return Some(entry);
-            }
-            self.ready.pop();
+        match self.sched.min() {
+            WinnerTree::IDLE => None,
+            entry => Some(unpack_entry(entry).0),
         }
     }
 
@@ -555,8 +522,8 @@ impl System {
     /// Executes exactly one instruction on CPU `i` with full system access
     /// (exclusive memory and page-table ports, the coherence fabric) and
     /// performs every per-step obligation: timer interruptions, tracing, the
-    /// hot-mirror writeback, statistics, and broadcast-stop quiesce
-    /// management. Scheduling (heap maintenance, round planning) is the
+    /// hot-mirror and winner-tree writeback, statistics, and broadcast-stop
+    /// quiesce management. Picking the next CPU (and round planning) is the
     /// caller's job — both the serial batch loop and the sharded
     /// coordinator's global-step path funnel through here, which is what
     /// keeps their per-step behavior identical by construction.
@@ -613,9 +580,11 @@ impl System {
             }
         }
         // Mirror the stepped core's hot state back into the node-major
-        // arrays before any scheduling decision reads them.
+        // arrays and its winner-tree leaf before any scheduling decision
+        // reads them.
         self.hot_clock[i] = self.cores[i].clock;
         self.hot_running[i] = self.cores[i].is_running();
+        self.sched.set(i, self.sched_key(i));
         self.steps += 1;
         if let Some(log) = self.step_log.as_mut() {
             log.push(StepLogEntry {
@@ -662,13 +631,12 @@ impl System {
     /// All steps of one call execute on consecutively-scheduled CPUs in
     /// exactly the order a `step_one` loop would produce: after each step the
     /// batch only continues while the just-stepped CPU is *still* the
-    /// scheduler's next pick — its refreshed entry sits on top of the heap
-    /// (ties and staleness resolve identically: packed entries are unique
-    /// per CPU and the refreshed entry is fresh by construction), or it
-    /// still holds the broadcast-stop quiesce. Anything else falls back to
-    /// the full scheduling pick on the next call. Batching only amortizes
-    /// the pick itself; every per-step obligation (timer, tracing, quiesce
-    /// management, heap refresh) runs inside the loop.
+    /// scheduler's next pick — its refreshed key is the winner tree's root
+    /// (keys are unique per CPU), or it still holds the broadcast-stop
+    /// quiesce. Anything else falls back to the full scheduling pick on the
+    /// next call. Batching only amortizes the pick itself; every per-step
+    /// obligation (timer, tracing, quiesce management, the leaf refresh)
+    /// runs inside the loop.
     fn step_upto(&mut self, limit: u64) -> Option<(usize, StepOutcome)> {
         self.step_upto_bounded(limit, u64::MAX)
     }
@@ -681,66 +649,33 @@ impl System {
         if self.hot_dirty {
             self.sync_hot();
         }
-        // `my_entry` is the (still-enqueued) heap entry the CPU was
-        // scheduled from; a broadcast-stop holder bypasses the heap.
-        let (i, mut my_entry) = match self.quiesce {
-            Some(holder) if self.hot_running[holder] => (holder, None),
+        // A running broadcast-stop holder is stepped whatever its clock.
+        let i = match self.quiesce {
+            Some(holder) if self.hot_running[holder] => holder,
             _ => {
                 self.quiesce = None;
-                let entry = self.peek_fresh_entry()?;
-                (Self::unpack_entry(entry).1, Some(entry))
+                match self.sched.min() {
+                    WinnerTree::IDLE => return None,
+                    entry => unpack_entry(entry).1,
+                }
             }
         };
         let mut done = 0u64;
         loop {
             let out = self.exec_step(i);
             done += 1;
-            // Keep this CPU's heap entry fresh. While it holds the quiesce
-            // it is scheduled directly (its stale entry is skipped lazily),
-            // so pushing waits until the quiesce releases — the release path
-            // falls through here. When the CPU was scheduled from the heap
-            // and its (now stale) entry is still on top, refresh it in
-            // place: one sift-down instead of a pop + push. (A
-            // release_quiesce above may have pushed other entries, so the
-            // top is re-checked rather than assumed.)
-            if self.quiesce != Some(i) && self.hot_running[i] {
-                let fresh = Reverse(Self::pack_entry(self.hot_clock[i], i));
-                let mut replaced = false;
-                if let Some(mut top) = self.ready.peek_mut() {
-                    if Some(top.0) == my_entry {
-                        *top = fresh;
-                        replaced = true;
-                    }
-                }
-                if !replaced {
-                    self.ready.push(fresh);
-                }
-            } else if let Some(entry) = my_entry {
-                // The stepped CPU halted or took the quiesce: drop its entry
-                // eagerly while it is still (usually) on top.
-                if let Some(top) = self.ready.peek_mut() {
-                    if top.0 == entry {
-                        std::collections::binary_heap::PeekMut::pop(top);
-                    }
-                }
-            }
             if done >= limit || self.hot_clock[i] >= horizon {
                 return Some((i, out));
             }
             // Batch continuation: same CPU only, and only when it is
             // unambiguously the next pick.
-            if self.quiesce == Some(i) && self.hot_running[i] {
-                my_entry = None;
-                continue;
+            let next = match self.quiesce {
+                Some(holder) => holder == i && self.hot_running[i],
+                None => self.hot_running[i] && self.sched.min() == pack_entry(self.hot_clock[i], i),
+            };
+            if !next {
+                return Some((i, out));
             }
-            if self.quiesce.is_none() && self.hot_running[i] {
-                let fresh = Self::pack_entry(self.hot_clock[i], i);
-                if self.ready.peek() == Some(&Reverse(fresh)) {
-                    my_entry = Some(fresh);
-                    continue;
-                }
-            }
-            return Some((i, out));
         }
     }
 
@@ -753,10 +688,7 @@ impl System {
             }
             self.cores[j].clock = t;
             self.hot_clock[j] = t;
-            // The bumped clock invalidates the CPU's heap entries.
-            if self.programs[j].is_some() {
-                self.ready.push(Reverse(Self::pack_entry(t, j)));
-            }
+            self.sched.set(j, self.sched_key(j));
         }
     }
 
@@ -883,14 +815,8 @@ impl System {
             executed += round.len() as u64;
         }
 
-        // Rebuild the scheduling heap for the serial engine.
-        self.ready.clear();
-        for i in 0..self.hot_clock.len() {
-            if self.hot_running[i] && self.programs[i].is_some() {
-                self.ready
-                    .push(Reverse(Self::pack_entry(self.hot_clock[i], i)));
-            }
-        }
+        // Shard-local rounds move clocks behind the winner tree's back.
+        self.rebuild_sched();
         executed
     }
 
@@ -1778,39 +1704,52 @@ impl Machine for View<'_> {
         let line = addr.line();
         let page_epoch = self.pages.epoch();
         let node = &mut self.nodes[self.cpu - self.base];
-        // Same-line fast path: straight-line code fetches the same 256-byte
-        // text line many instructions in a row. If nothing installed into
-        // this i-cache and no page residency changed since the previous
-        // fetch of this line, the directory walk would return the identical
-        // hit (0 cycles) — skip it. LRU order is unaffected: repeat `get`s
-        // of the directory-wide MRU line do not re-stamp (see
-        // `SetAssoc::hot`), and a successful page access has no side
-        // effects, so the elided calls are pure.
-        if node.last_ifetch == Some(line)
-            && node.icache_installs == node.last_ifetch_installs
-            && node.last_ifetch_page_epoch == page_epoch
-        {
-            return AccessResult::Done {
-                value: 0,
-                cycles: 0,
-            };
+        let buf = &mut node.ifetch;
+        // Two-line fast path. Straight-line code fetches the same 256-byte
+        // text line many instructions in a row, and a loop that straddles a
+        // line boundary alternates between two lines. While no page
+        // residency changed since the last directory walk, either buffered
+        // line would hit (0 cycles) — skip the walk. LRU order is
+        // unaffected: each buffered line is the MRU of its own congruence
+        // class (it was the last line walked there, and the two lines'
+        // classes differ), so re-stamping it could not change any victim
+        // choice, and skipping the stamp keeps `SetAssoc::hot` valid. A
+        // successful page access has no side effects, so the elided calls
+        // are pure.
+        if buf.epoch == page_epoch {
+            if buf.prev == Some(line) {
+                std::mem::swap(&mut buf.last, &mut buf.prev);
+            }
+            if buf.last == Some(line) {
+                return AccessResult::Done {
+                    value: 0,
+                    cycles: 0,
+                };
+            }
         }
         if self.pages.access(addr).is_err() {
-            node.last_ifetch = None;
+            *buf = IfetchBuffer::default();
             return AccessResult::Fault(ProgramException::PageFault {
                 address: addr.raw(),
             });
         }
+        // The line walked last stays buffered if its epoch still holds and
+        // this walk cannot touch its class.
+        let class = node.icache.class_of(line);
+        let prev = buf
+            .last
+            .filter(|&last| buf.epoch == page_epoch && node.icache.class_of(last) != class);
         let cycles = if node.icache.get(line).is_some() {
             0
         } else {
             node.icache.insert(line, (), |_, _| 0);
-            node.icache_installs += 1;
             self.config.latency.l2_hit
         };
-        node.last_ifetch = Some(line);
-        node.last_ifetch_installs = node.icache_installs;
-        node.last_ifetch_page_epoch = page_epoch;
+        node.ifetch = IfetchBuffer {
+            last: Some(line),
+            prev,
+            epoch: page_epoch,
+        };
         AccessResult::Done { value: 0, cycles }
     }
 
@@ -2083,26 +2022,7 @@ impl Machine for View<'_> {
 mod tests {
     use super::*;
     use crate::SystemConfig;
-    use ztm_isa::{gr::*, Assembler, MemOperand};
-
-    #[test]
-    fn pack_entry_round_trips_up_to_the_48_bit_boundary() {
-        let max_clock = (1u64 << 48) - 1;
-        assert_eq!(System::unpack_entry(System::pack_entry(0, 0)), (0, 0));
-        assert_eq!(
-            System::unpack_entry(System::pack_entry(max_clock, 0xffff)),
-            (max_clock, 0xffff)
-        );
-        // Ordering: smallest clock first, ties toward the lowest CPU.
-        assert!(System::pack_entry(1, 0xffff) < System::pack_entry(2, 0));
-        assert!(System::pack_entry(5, 3) < System::pack_entry(5, 4));
-    }
-
-    #[test]
-    #[should_panic(expected = "48-bit heap key range")]
-    fn pack_entry_rejects_an_overflowing_clock() {
-        System::pack_entry(1 << 48, 0);
-    }
+    use ztm_isa::{gr::*, Assembler, CpuState, HaltReason, MemOperand};
 
     /// Each CPU transactionally increments a shared counter `n` times,
     /// retrying forever on abort. Total must be exactly `cpus * n`.
@@ -2262,12 +2182,11 @@ mod tests {
         );
     }
 
-    #[test]
-    fn broadcast_stop_quiesces_and_resynchronizes_clocks() {
-        // An adversarial constrained kernel: half the CPUs update the two
-        // lines in one order, half in the other — cross-holding deadlocks
-        // force RejectHang aborts, escalating to broadcast-stop.
-        let var = 0xE0_000u64;
+    /// An adversarial constrained kernel on 10 CPUs: half update the two
+    /// lines at `var` and `var + 256` in one order, half in the other —
+    /// cross-holding deadlocks force RejectHang aborts, escalating to
+    /// broadcast-stop.
+    fn broadcast_stop_system(var: u64) -> System {
         let build = |first: u64, second: u64| {
             let mut a = Assembler::new(0);
             a.lghi(R6, 30);
@@ -2293,6 +2212,13 @@ mod tests {
         for i in 0..10 {
             sys.load_program(i, if i % 2 == 0 { &fwd } else { &rev });
         }
+        sys
+    }
+
+    #[test]
+    fn broadcast_stop_quiesces_and_resynchronizes_clocks() {
+        let var = 0xE0_000u64;
+        let mut sys = broadcast_stop_system(var);
         sys.run_until_halt(80_000_000);
         assert_eq!(sys.mem().load_u64(Address::new(var)), 10 * 30);
         assert_eq!(sys.mem().load_u64(Address::new(var + 256)), 10 * 30);
@@ -2301,6 +2227,115 @@ mod tests {
             r.tx.broadcast_stops > 0,
             "the last-resort quiesce must have fired"
         );
+    }
+
+    /// The pick the winner tree replaces: a linear scan for the smallest
+    /// `(hot_clock, cpu)` over running CPUs with a program.
+    fn linear_pick(sys: &System) -> u64 {
+        (0..sys.cpus())
+            .filter(|&i| sys.hot_running[i] && sys.programs[i].is_some())
+            .map(|i| pack_entry(sys.hot_clock[i], i))
+            .min()
+            .unwrap_or(WinnerTree::IDLE)
+    }
+
+    /// Runs `step_one` to halt, calling `poke` before every step. Each step
+    /// first checks that the winner tree's root equals [`linear_pick`] and
+    /// that `step_one` then steps that CPU, or the running quiesce holder.
+    /// Returns the steps executed and how many ran under a quiesce.
+    fn step_checking_the_tree(
+        sys: &mut System,
+        max_steps: u64,
+        mut poke: impl FnMut(&mut System, u64),
+    ) -> (u64, u64) {
+        let mut quiesced = 0;
+        for n in 0..max_steps {
+            poke(sys, n);
+            if sys.hot_dirty {
+                sys.sync_hot();
+            }
+            let want = linear_pick(sys);
+            assert_eq!(sys.sched.min(), want, "winner tree root before step {n}");
+            let holder = sys.quiesce.filter(|&h| sys.hot_running[h]);
+            quiesced += u64::from(holder.is_some());
+            match sys.step_one() {
+                None => {
+                    assert_eq!(want, WinnerTree::IDLE, "step {n}: runnable CPUs left");
+                    return (n, quiesced);
+                }
+                Some((cpu, _)) => {
+                    let expected = holder.unwrap_or_else(|| unpack_entry(want).1);
+                    assert_eq!(cpu, expected, "CPU picked at step {n}");
+                }
+            }
+        }
+        panic!("system did not halt within {max_steps} steps");
+    }
+
+    #[test]
+    fn winner_tree_tracks_a_linear_scan_under_contention() {
+        let var = 0xC0_000u64;
+        let mut sys = System::new(SystemConfig::with_cpus(7));
+        sys.load_program_all(&tx_increment_program(var, 25));
+        let (steps, _) = step_checking_the_tree(&mut sys, 10_000_000, |_, _| {});
+        assert!(steps > 0);
+        assert_eq!(sys.mem().load_u64(Address::new(var)), 7 * 25);
+        let r = sys.report();
+        assert!(r.stalls + r.tx.aborts > 0, "the run must be contended");
+    }
+
+    #[test]
+    fn winner_tree_tracks_a_linear_scan_through_broadcast_stops() {
+        let var = 0xE0_000u64;
+        let mut sys = broadcast_stop_system(var);
+        let (_, quiesced) = step_checking_the_tree(&mut sys, 80_000_000, |_, _| {});
+        assert!(sys.report().tx.broadcast_stops > 0);
+        assert!(quiesced > 0, "some steps must run under the quiesce");
+        assert_eq!(sys.mem().load_u64(Address::new(var)), 10 * 30);
+    }
+
+    #[test]
+    fn winner_tree_tracks_a_linear_scan_across_clock_pokes_and_halts() {
+        // Plain (non-transactional) increments of one shared counter: the
+        // line ping-pongs between CPUs, and halting a CPU mid-run strands
+        // no transaction or lock.
+        let var = 0xB0_000u64;
+        let mut a = Assembler::new(0);
+        a.lghi(R6, 200);
+        a.label("loop");
+        a.lg(R2, MemOperand::absolute(var));
+        a.aghi(R2, 1);
+        a.stg(R2, MemOperand::absolute(var));
+        a.brctg(R6, "loop");
+        a.halt();
+        let prog = a.assemble().unwrap();
+        let mut sys = System::new(SystemConfig::with_cpus(5));
+        sys.load_program_all(&prog);
+        let mut pokes = 0;
+        step_checking_the_tree(&mut sys, 1_000_000, |sys, n| {
+            match n {
+                // Halt CPU 3, then CPU 0, while they still run.
+                500 | 900 => {
+                    let cpu = if n == 500 { 3 } else { 0 };
+                    assert!(sys.core(cpu).is_running());
+                    sys.core_mut(cpu).state = CpuState::Halted(HaltReason::Completed);
+                }
+                // Move a clock forward or back, both past and behind peers.
+                _ if n % 41 == 0 => {
+                    let cpu = (n / 41) as usize % 5;
+                    let clock = sys.core(cpu).clock;
+                    sys.core_mut(cpu).clock = if n % 2 == 0 {
+                        clock + 300
+                    } else {
+                        clock.saturating_sub(150)
+                    };
+                    pokes += 1;
+                }
+                _ => {}
+            }
+        });
+        assert!(pokes > 10);
+        assert!(!sys.any_running());
     }
 
     #[test]

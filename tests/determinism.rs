@@ -1,16 +1,19 @@
-//! Cycle-for-cycle determinism regressions for the event-heap scheduler.
+//! Cycle-for-cycle determinism regressions for the serial scheduler.
 //!
 //! The two digests below are the ones committed in `results/BENCH_*.json`
 //! when the simulator still used the per-step linear scan over all cores.
-//! The heap-based scheduler (and every bookkeeping optimization since) must
+//! The winner-tree scheduler (and every bookkeeping optimization since) must
 //! reproduce them bit-for-bit: any scheduling or coherence divergence —
-//! a different CPU picked on a clock tie, a stale heap entry acted on, a
-//! missed quiesce clock bump — lands here before it lands in a figure.
+//! a different CPU picked on a clock tie, a stale key acted on, a missed
+//! quiesce clock bump — lands here before it lands in a figure.
 //!
-//! The two 4-CPU pins at the end (a contended-counter program and the
+//! The two 4-CPU pins after them (a contended-counter program and the
 //! elided hashtable) guard the private-cache directory walk that every
 //! data access takes: same-line bursts, XI traffic and transactional
-//! re-marking all run through it.
+//! re-marking all run through it. The two 2-CPU pins that follow guard the
+//! two-line instruction-fetch buffer: a loop straddling two text lines,
+//! which it serves, and a loop alternating between two lines of one L1-I
+//! congruence class, which it must not.
 //!
 //! The program pins at the end fold the listing of every §IV workload ×
 //! method program into one digest each, so how the workloads are emitted
@@ -53,9 +56,9 @@ fn fig5e_trace_digest_matches_the_committed_baseline() {
     assert_eq!(recorder.lock().unwrap().digest(), FIG5E_DIGEST);
 }
 
-/// Broadcast-stop quiesce (§III.E) under the heap scheduler: the quiescing
-/// core is scheduled *outside* the heap while every other core's entry goes
-/// stale, and `release_quiesce` re-enters them with bumped clocks. The
+/// Broadcast-stop quiesce (§III.E) under the winner-tree scheduler: the
+/// quiescing core is stepped ahead of the tree's pick, and
+/// `release_quiesce` re-keys every other core with its bumped clock. The
 /// adversarial cross-holding kernel from the E4 ablation reliably escalates
 /// to the broadcast stage; two identically seeded runs must agree exactly.
 #[test]
@@ -204,6 +207,103 @@ fn elision_hashtable_steps_and_digest_match_the_pinned_baseline() {
         (rep.system.steps, recorder.lock().unwrap().digest()),
         (HT4_STEPS, HT4_DIGEST)
     );
+}
+
+/// Pads `a` with 2-byte NOPs from byte address `at` up to `to`.
+fn pad(a: &mut Assembler, at: u64, to: u64) {
+    for _ in (at..to).step_by(2) {
+        a.nop();
+    }
+}
+
+/// Runs `prog` to halt on 2 CPUs (seed 42) with an event tracer, returning
+/// the step count, the elapsed cycles and the trace digest.
+fn run_two_cpus(prog: &Program) -> (u64, u64, u64) {
+    let mut sys = System::new(SystemConfig::with_cpus(2).seed(42));
+    let (tracer, recorder) = Tracer::recording(Recorder::DEFAULT_CAPACITY);
+    sys.set_tracer(tracer);
+    sys.load_program_all(prog);
+    sys.run_until_halt(2_000_000);
+    let r = sys.report();
+    let digest = recorder.lock().unwrap().digest();
+    (r.steps, r.elapsed_cycles, digest)
+}
+
+/// A shared-counter loop whose body straddles text lines 0 and 1: the
+/// loop's first three instructions sit at 0xf0–0xff, its `BRCTG` at 0x100.
+/// Every iteration fetches from both lines, as Figure 1's wait-for-lock
+/// spin does.
+fn straddling_loop() -> Program {
+    let mut a = Assembler::new(0);
+    a.lghi(R6, 300); // 0x00
+    pad(&mut a, 0x04, 0xf0);
+    a.label("loop");
+    a.lg(R1, MemOperand::absolute(0x1000)); // 0xf0
+    a.aghi(R1, 1); // 0xf6
+    a.stg(R1, MemOperand::absolute(0x1000)); // 0xfa
+    a.brctg(R6, "loop"); // 0x100
+    a.halt();
+    let p = a.assemble().expect("straddling loop assembles");
+    assert_eq!(p.addr_of(p.index_of_addr(0x100).unwrap()), 0x100);
+    p
+}
+
+/// Steps, cycles and trace digest of [`straddling_loop`] on 2 CPUs.
+const STRADDLE2: (u64, u64, u64) = (2_640, 27_616, 0xacbe29d977c107c2);
+
+#[test]
+fn line_straddling_loop_steps_and_digest_match_the_pinned_baseline() {
+    assert_eq!(run_two_cpus(&straddling_loop()), STRADDLE2);
+}
+
+/// A shared-counter loop that jumps from text line 0 to line 64 and back,
+/// two lines that share L1-I congruence class 0 (64 classes × 4 ways). On
+/// every fourth iteration it then detours through lines 128, 192 and 256
+/// of the same class. Each detour overflows the class, and its last
+/// install evicts whichever of lines 0 and 64 was used least recently:
+/// line 64, as the loop returns to line 0 before the detour.
+fn aliasing_loop() -> Program {
+    let mut a = Assembler::new(0);
+    a.lghi(R6, 120); // 0x00
+    a.lghi(R9, 3); // 0x04
+    a.label("loop");
+    a.lg(R1, MemOperand::absolute(0x1000)); // 0x08
+    a.aghi(R1, 1); // 0x0e
+    a.stg(R1, MemOperand::absolute(0x1000)); // 0x12
+    a.j("far"); // 0x18
+    a.label("check");
+    a.jnz("tail"); // 0x1c
+    a.j("d1"); // 0x20
+    a.label("tail");
+    a.brctg(R6, "loop"); // 0x24
+    a.halt(); // 0x28
+    pad(&mut a, 0x2a, 0x4000);
+    a.label("far");
+    a.lgr(R8, R6); // 0x4000
+    a.ngr(R8, R9); // 0x4004
+    a.j("check"); // 0x4008
+    pad(&mut a, 0x400c, 0x8000);
+    a.label("d1");
+    a.j("d2"); // 0x8000
+    pad(&mut a, 0x8004, 0xc000);
+    a.label("d2");
+    a.j("d3"); // 0xc000
+    pad(&mut a, 0xc004, 0x10000);
+    a.label("d3");
+    a.j("tail"); // 0x10000
+    let p = a.assemble().expect("aliasing loop assembles");
+    for addr in [0x4000, 0x8000, 0xc000, 0x10000] {
+        assert_eq!(p.addr_of(p.index_of_addr(addr).unwrap()), addr);
+    }
+    p
+}
+
+/// Steps, cycles and trace digest of [`aliasing_loop`] on 2 CPUs.
+const ALIAS2: (u64, u64, u64) = (2_406, 14_712, 0xc6a83c92c80fcdc);
+
+#[test]
+fn class_aliasing_loop_steps_and_digest_match_the_pinned_baseline() {
+    assert_eq!(run_two_cpus(&aliasing_loop()), ALIAS2);
 }
 
 /// FNV-1a over a program's address-annotated listing: every instruction's

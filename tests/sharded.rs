@@ -1,6 +1,6 @@
 //! Host-parallel sharded execution must be *invisible*: for any
 //! `ZTM_SIM_THREADS` value the sharded round scheduler has to reproduce the
-//! serial event-heap scheduler step for step — same `(clock, cpu, event,
+//! serial winner-tree scheduler step for step — same `(clock, cpu, event,
 //! cycles)` sequence, same aggregate report. These tests run the same
 //! seeded workloads through both engines and diff everything the simulator
 //! can observe about itself. (Runs with an event tracer attached never
@@ -121,7 +121,7 @@ fn quiesce_escalation_matches_serial_exactly() {
 
 /// Partial-run entry and exit: `step_many` with small budgets forces the
 /// sharded driver to truncate rounds mid-flight and rebuild the serial
-/// scheduler's heap on every boundary; interleaving must not disturb the
+/// scheduler's winner tree on every boundary; interleaving must not disturb the
 /// step sequence.
 #[test]
 fn step_budget_boundaries_do_not_disturb_the_sequence() {
