@@ -14,6 +14,7 @@ use ztm_bench::{
 use ztm_workloads::pool::SyncMethod;
 
 fn main() {
+    let mut timing = Timing::start();
     let pools: [u64; 2] = if quick() {
         [200, 1_000]
     } else {
@@ -62,7 +63,6 @@ fn main() {
         let rep = run_pool(method, cpus, pool, 4, 42);
         (rep.throughput(), rep.system, t0.elapsed())
     });
-    let mut timing = Timing::default();
     for (_, report, wall) in &timed {
         timing.add_run(*wall, report);
     }

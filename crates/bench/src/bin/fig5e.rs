@@ -18,6 +18,7 @@ use ztm_trace::{Recorder, Tracer};
 use ztm_workloads::hashtable::{HashTable, TableMethod};
 
 fn main() {
+    let mut timing = Timing::start();
     println!("Fig 5(e): java/util/Hashtable-style lock elision (20% puts)");
     println!("(throughput normalized to 1 thread under the global lock)");
     println!();
@@ -53,7 +54,6 @@ fn main() {
         let rep = t.run(&mut sys, ops);
         (rep.throughput(), rep.system, t0.elapsed())
     });
-    let mut timing = Timing::default();
     for (_, report, wall) in &results {
         timing.add_run(*wall, report);
     }

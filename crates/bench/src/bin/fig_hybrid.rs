@@ -98,6 +98,7 @@ fn main() {
     };
     let short = |cpus: usize| ops_for(cpus).min(150);
     for &workload in workloads {
+        let mut timing = Timing::start();
         let mut points = Vec::new();
         for &n in &threads {
             for mode in MODES {
@@ -108,7 +109,6 @@ fn main() {
             let (rep, wall) = run_point(workload, mode, cpus, ops);
             (rep, wall)
         });
-        let mut timing = Timing::default();
         for (rep, wall) in &results {
             timing.add_run(*wall, &rep.system);
         }

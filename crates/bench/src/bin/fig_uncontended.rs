@@ -12,7 +12,7 @@ use ztm_workloads::pool::SyncMethod;
 fn main() {
     println!("E1: uncontended single-CPU overhead (pool=1, vars=1)");
     println!();
-    let mut timing = Timing::default();
+    let mut timing = Timing::start();
     let untraced = sweep(
         vec![SyncMethod::CoarseLock, SyncMethod::Tbeginc],
         |&method| {

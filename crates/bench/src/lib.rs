@@ -211,15 +211,20 @@ pub fn run_pool_traced(
 /// Host-side (wall-clock) speed of a benchmark run — simulator performance,
 /// as opposed to the simulated machine's performance.
 ///
-/// Accumulate one instance across every simulation a binary runs, then pass
-/// it to [`write_bench_json`]. The fields are inherently non-deterministic
-/// (they measure the host), so they serialize to a **single** `"timing"`
-/// line that comparison tooling can strip with `grep -v '"timing"'` while
-/// diffing the deterministic remainder.
-#[derive(Clone, Copy, Debug, Default)]
+/// Start one instance before a binary's first simulation, fold every run
+/// into it, then pass it to [`write_bench_json`]. The fields are inherently
+/// non-deterministic (they measure the host), so they serialize to a
+/// **single** `"timing"` line that comparison tooling can strip with
+/// `grep -v '"timing"'` while diffing the deterministic remainder.
+#[derive(Clone, Copy, Debug)]
 pub struct Timing {
-    /// Wall-clock milliseconds spent simulating.
-    pub wall_ms: f64,
+    /// When [`start`](Self::start) ran: `wall_ms` is the elapsed time from
+    /// here to the artifact write.
+    started: std::time::Instant,
+    /// Milliseconds spent simulating, summed over runs. Runs of a
+    /// multi-threaded sweep overlap, so this exceeds the elapsed time
+    /// whenever `sweep_threads` > 1.
+    pub sim_ms: f64,
     /// Total scheduler steps across the accumulated runs.
     pub steps: u64,
     /// Total simulated cycles (max core clock per run, summed over runs).
@@ -231,29 +236,48 @@ pub struct Timing {
 }
 
 impl Timing {
-    /// Folds one finished run into the totals.
-    pub fn add_run(&mut self, wall: std::time::Duration, report: &SystemReport) {
-        self.wall_ms += wall.as_secs_f64() * 1e3;
+    /// Empty totals, with the elapsed-time clock starting now.
+    pub fn start() -> Timing {
+        Timing {
+            started: std::time::Instant::now(),
+            sim_ms: 0.0,
+            steps: 0,
+            sim_cycles: 0,
+            sharding: ztm_sim::ShardingStats::default(),
+        }
+    }
+
+    /// Folds one finished run, which simulated for `sim`, into the totals.
+    pub fn add_run(&mut self, sim: std::time::Duration, report: &SystemReport) {
+        self.sim_ms += sim.as_secs_f64() * 1e3;
         self.steps += report.steps;
         self.sim_cycles += report.elapsed_cycles;
         self.sharding.merge(&report.sharding);
     }
 
-    /// The single-line JSON value for the `"timing"` key.
+    /// Milliseconds elapsed since [`start`](Self::start).
+    pub fn wall_ms(&self) -> f64 {
+        self.started.elapsed().as_secs_f64() * 1e3
+    }
+
+    /// The single-line JSON value for the `"timing"` key. The rates are
+    /// per simulation: counts over `sim_ms`, not over the elapsed time.
     fn json_value(&self) -> String {
         let per_sec = |n: u64| {
-            if self.wall_ms > 0.0 {
-                n as f64 / (self.wall_ms / 1e3)
+            if self.sim_ms > 0.0 {
+                n as f64 / (self.sim_ms / 1e3)
             } else {
                 0.0
             }
         };
         let s = &self.sharding;
         format!(
-            "{{ \"wall_ms\": {:.3}, \"steps_per_sec\": {:.0}, \"sim_cycles_per_sec\": {:.0}, \
-             \"commit\": \"{}\", \"host_threads\": {}, \"sweep_threads\": {}, \
-             \"shard_rounds\": {}, \"shard_mean_round\": {:.2}, \"shard_round_max\": {} }}",
-            self.wall_ms,
+            "{{ \"wall_ms\": {:.3}, \"sim_ms\": {:.3}, \"steps_per_sec\": {:.0}, \
+             \"sim_cycles_per_sec\": {:.0}, \"commit\": \"{}\", \"host_threads\": {}, \
+             \"sweep_threads\": {}, \"shard_rounds\": {}, \"shard_mean_round\": {:.2}, \
+             \"shard_round_max\": {} }}",
+            self.wall_ms(),
+            self.sim_ms,
             per_sec(self.steps),
             per_sec(self.sim_cycles),
             commit_id(),
@@ -440,7 +464,7 @@ mod tests {
         // would race with parallel tests (env vars are process-global).
         let dir = std::env::temp_dir().join("ztm-bench-json-test");
         let (report, recorder) = run_pool_traced(SyncMethod::Tbegin, 2, 4, 1, 7);
-        let mut timing = Timing::default();
+        let mut timing = Timing::start();
         timing.add_run(std::time::Duration::from_millis(5), &report.system);
         let path = write_bench_json(
             &dir,
@@ -476,6 +500,28 @@ mod tests {
         assert!(timing_lines[0].contains("\"commit\""));
         assert!(timing_lines[0].contains("\"host_threads\""));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn timing_wall_ms_is_elapsed_time_and_sim_ms_sums_runs() {
+        // Two runs that each simulated for 50 ms, folded in at once as a
+        // two-thread sweep does: their times sum into `sim_ms`, while the
+        // elapsed time since `start` stays well below that sum.
+        let mut timing = Timing::start();
+        let report = SystemReport {
+            steps: 1_000,
+            elapsed_cycles: 4_000,
+            ..SystemReport::default()
+        };
+        timing.add_run(std::time::Duration::from_millis(50), &report);
+        timing.add_run(std::time::Duration::from_millis(50), &report);
+        assert_eq!(timing.sim_ms, 100.0);
+        assert!(timing.wall_ms() < 100.0, "{}", timing.wall_ms());
+        // The rates stay per simulation: 2 000 steps over 100 ms.
+        let line = timing.json_value();
+        assert!(line.contains("\"sim_ms\": 100.000"), "{line}");
+        assert!(line.contains("\"steps_per_sec\": 20000,"), "{line}");
+        assert!(line.contains("\"sim_cycles_per_sec\": 80000,"), "{line}");
     }
 
     #[test]

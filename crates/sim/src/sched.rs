@@ -74,6 +74,22 @@ impl WinnerTree {
         }
     }
 
+    /// The smallest key of every CPU other than `cpu`: the minimum of the
+    /// siblings along `cpu`'s path to the root, or [`Self::IDLE`] when no
+    /// other CPU is runnable (always, on a one-leaf tree). It never reads
+    /// `cpu`'s own leaf, so it stays exact while that leaf is stale — a
+    /// batch compares the stepping CPU's live key against it and writes the
+    /// leaf once, when the batch ends.
+    pub(crate) fn runner_up(&self, cpu: usize) -> u64 {
+        let mut k = self.width + cpu;
+        let mut best = Self::IDLE;
+        while k > 1 {
+            best = best.min(self.nodes[k ^ 1]);
+            k /= 2;
+        }
+        best
+    }
+
     /// Replaces every leaf from `keys` (one per CPU, in CPU order) and
     /// recomputes every inner node.
     pub(crate) fn rebuild(&mut self, keys: impl IntoIterator<Item = u64>) {
@@ -181,5 +197,54 @@ mod tests {
                 prop_assert_eq!(tree.min(), want);
             }
         }
+
+        /// `runner_up(c)` equals the smallest key other than CPU `c`'s in the
+        /// same `BTreeSet` reference, or `IDLE` when there is none, for every
+        /// CPU after every step of a random set/idle/rebuild history.
+        #[test]
+        fn runner_up_matches_a_btreeset_reference(
+            cpus in 1usize..20,
+            ops in prop::collection::vec(op(), 1..200),
+        ) {
+            let mut tree = WinnerTree::new(cpus);
+            let mut keys: Vec<Option<u64>> = vec![None; cpus];
+            for (kind, cpu, clock, clocks) in ops {
+                let cpu = cpu % cpus;
+                match kind {
+                    0..=3 => {
+                        keys[cpu] = Some(pack_entry(clock, cpu));
+                        tree.set(cpu, pack_entry(clock, cpu));
+                    }
+                    4 => {
+                        keys[cpu] = None;
+                        tree.set(cpu, WinnerTree::IDLE);
+                    }
+                    _ => {
+                        for (c, t) in clocks[..cpus].iter().enumerate() {
+                            keys[c] = t.map(|t| pack_entry(t, c));
+                        }
+                        tree.rebuild(keys.iter().map(|k| k.unwrap_or(WinnerTree::IDLE)));
+                    }
+                }
+                let reference: BTreeSet<u64> = keys.iter().flatten().copied().collect();
+                for (c, own) in keys.iter().enumerate() {
+                    let want = reference
+                        .iter()
+                        .copied()
+                        .find(|&k| Some(k) != *own)
+                        .unwrap_or(WinnerTree::IDLE);
+                    prop_assert_eq!(tree.runner_up(c), want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_one_leaf_tree_has_no_runner_up() {
+        let mut t = WinnerTree::new(1);
+        assert_eq!(t.runner_up(0), WinnerTree::IDLE);
+        t.set(0, pack_entry(7, 0));
+        assert_eq!(t.runner_up(0), WinnerTree::IDLE);
+        assert_eq!(unpack_entry(t.min()), (7, 0));
     }
 }

@@ -516,32 +516,69 @@ impl System {
     /// Steps the runnable CPU with the smallest local clock. Returns the
     /// CPU index and outcome, or `None` when every CPU has halted.
     pub fn step_one(&mut self) -> Option<(usize, StepOutcome)> {
-        self.step_upto(1)
+        let i = self.pick()?;
+        Some((i, self.run_batch(i, 1, u64::MAX)))
     }
 
-    /// Executes exactly one instruction on CPU `i` with full system access
-    /// (exclusive memory and page-table ports, the coherence fabric) and
-    /// performs every per-step obligation: timer interruptions, tracing, the
-    /// hot-mirror and winner-tree writeback, statistics, and broadcast-stop
-    /// quiesce management. Picking the next CPU (and round planning) is the
-    /// caller's job — both the serial batch loop and the sharded
-    /// coordinator's global-step path funnel through here, which is what
-    /// keeps their per-step behavior identical by construction.
-    fn exec_step(&mut self, i: usize) -> StepOutcome {
-        // Timer interruptions (abort any running transaction, §II.A).
-        if let Some(t) = self.config.timer_interval {
-            if self.hot_clock[i] - self.nodes[i].last_timer >= t {
-                self.nodes[i].last_timer = self.hot_clock[i];
-                self.nodes[i].engine.raise_async_interruption();
+    /// The serial scheduler's pick: a running broadcast-stop holder whatever
+    /// its clock, else the winner tree's root (smallest `(clock, cpu)`), or
+    /// `None` when every CPU has halted.
+    fn pick(&mut self) -> Option<usize> {
+        if self.hot_dirty {
+            self.sync_hot();
+        }
+        match self.quiesce {
+            Some(holder) if self.hot_running[holder] => Some(holder),
+            _ => {
+                self.quiesce = None;
+                match self.sched.min() {
+                    WinnerTree::IDLE => None,
+                    entry => Some(unpack_entry(entry).1),
+                }
             }
         }
+    }
 
-        let prog: &Arc<Program> = self.programs[i].as_ref().expect("program loaded");
-        self.tracer.set_clock(self.hot_clock[i]);
+    /// The step driver: runs CPU `i` from one scheduler pick for up to
+    /// `limit` instructions with full system access (exclusive memory and
+    /// page-table ports, the coherence fabric), and returns the last step's
+    /// outcome. Every step — serial, batched, or a sharded coordinator's
+    /// global step (`limit` 1) — goes through here.
+    ///
+    /// The batch runs exactly the steps a `step_one` loop would: it goes on
+    /// only while `i` is still the serial scheduler's next pick. After the
+    /// first step, `i`'s leaf is written and compared with the root, which
+    /// is all a one-step batch (the common case with many CPUs) pays. Other
+    /// CPUs' keys cannot change during a step of `i` (a step reaches no
+    /// other core), so a batch that goes on reads the winner tree's
+    /// [`runner_up`](WinnerTree::runner_up) once, and each later test is one
+    /// compare of `i`'s live `(clock, cpu)` key against it. A
+    /// broadcast-stop holder's batch has no such bound. A broadcast stop, a
+    /// quiesce release, a halt, the `limit`, and a step ending at or past
+    /// `horizon` each end the batch.
+    ///
+    /// The program, the [`View`], the dispatch mode and the tracing flags are
+    /// taken once per batch; each step still performs every obligation —
+    /// the timer interruption check, the tracer clock, issue-window events,
+    /// the step log and execution trace, stall counting and quiesce
+    /// hand-off. The hot mirrors, and the leaf of a batch that went on, are
+    /// written when the batch ends.
+    fn run_batch(&mut self, i: usize, limit: u64, horizon: u64) -> StepOutcome {
+        let holding = self.quiesce == Some(i);
+        let tracing = self.tracer.is_enabled();
+        let traced = self.traced[i];
+        let timer = self.config.timer_interval;
+        let legacy = self.use_legacy_interpreter;
+        let prog: &Program = self.programs[i].as_ref().expect("program loaded");
+        let core = &mut self.cores[i];
+        let mut window = self
+            .pipeline
+            .as_mut()
+            .map(|pl| (pl.width, &mut pl.windows[i]));
         let mut view = View {
             cpu: i,
             base: 0,
-            now: self.hot_clock[i],
+            now: core.clock,
             tracer: &self.tracer,
             nodes: &mut self.nodes,
             fabric: Some(&mut self.fabric),
@@ -550,135 +587,133 @@ impl System {
             fabric_busy: Some(&mut self.fabric_busy),
             config: &self.config,
         };
-        let traced = self.traced[i];
-        let (pre_clock, pre_pc) = (self.hot_clock[i], self.cores[i].pc);
-        let out = if let Some(pl) = self.pipeline.as_mut() {
-            ztm_isa::step_pipelined(&mut self.cores[i], prog, &mut view, &mut pl.windows[i])
-        } else if self.use_legacy_interpreter {
-            ztm_isa::step_legacy(&mut self.cores[i], prog, &mut view)
-        } else {
-            ztm_isa::step(&mut self.cores[i], prog, &mut view)
-        };
-        // Pipeline trace events carry the retire-time clock. Only widths
-        // above 1 emit — the width-1 window is byte-identical to the
-        // scalar path and must leave digests untouched.
-        if let Some(pl) = self.pipeline.as_mut() {
-            if pl.width > 1 && self.tracer.is_enabled() {
-                let rep = pl.windows[i].take_report();
-                self.tracer.set_clock(self.cores[i].clock);
-                if let Some(size) = rep.closed_group {
-                    let width = pl.width.min(255) as u8;
-                    self.tracer
-                        .emit_at(i as u16, || Event::IssueGroup { width, size });
-                }
-                if let Some((reason, waited)) = rep.stall {
-                    self.tracer.emit_at(i as u16, || Event::IssueStall {
-                        reason: reason.code(),
-                        waited,
-                    });
+        // The smallest key of any other CPU, read once the batch goes past
+        // its first step.
+        let mut runner_up = None;
+        // Set when `i`'s leaf already holds its end-of-batch key.
+        let mut leaf_written = false;
+        let mut done = 0u64;
+        let mut release = false;
+        let out = loop {
+            let (pre_clock, pre_pc) = (core.clock, core.pc);
+            // Timer interruptions (abort any running transaction, §II.A).
+            if let Some(t) = timer {
+                let node = &mut view.nodes[i];
+                if pre_clock - node.last_timer >= t {
+                    node.last_timer = pre_clock;
+                    node.engine.raise_async_interruption();
                 }
             }
-        }
-        // Mirror the stepped core's hot state back into the node-major
-        // arrays and its winner-tree leaf before any scheduling decision
-        // reads them.
+            if tracing {
+                self.tracer.set_clock(pre_clock);
+            }
+            view.now = pre_clock;
+            let out = match window.as_mut() {
+                Some((_, win)) => ztm_isa::step_pipelined(core, prog, &mut view, win),
+                None if legacy => ztm_isa::step_legacy(core, prog, &mut view),
+                None => ztm_isa::step(core, prog, &mut view),
+            };
+            // Pipeline trace events carry the retire-time clock. Only widths
+            // above 1 emit — the width-1 window is byte-identical to the
+            // scalar path and must leave digests untouched.
+            if let (true, Some((width, win))) = (tracing, window.as_mut()) {
+                if *width > 1 {
+                    let rep = win.take_report();
+                    self.tracer.set_clock(core.clock);
+                    if let Some(size) = rep.closed_group {
+                        let width = (*width).min(255) as u8;
+                        self.tracer
+                            .emit_at(i as u16, || Event::IssueGroup { width, size });
+                    }
+                    if let Some((reason, waited)) = rep.stall {
+                        self.tracer.emit_at(i as u16, || Event::IssueStall {
+                            reason: reason.code(),
+                            waited,
+                        });
+                    }
+                }
+            }
+            done += 1;
+            if let Some(log) = self.step_log.as_mut() {
+                log.push(StepLogEntry {
+                    clock: pre_clock,
+                    cpu: i,
+                    event: out.event,
+                    cycles: out.cycles,
+                });
+            }
+            if traced {
+                if self.trace.len() == self.trace_capacity {
+                    self.trace.pop_front();
+                }
+                self.trace.push_back(TraceRecord {
+                    cpu: i,
+                    clock: pre_clock,
+                    ia: prog.addr_of(pre_pc),
+                    text: prog.instr(pre_pc).to_string(),
+                    event: out.event,
+                    cycles: out.cycles,
+                });
+            }
+            if out.event == StepEvent::Stalled {
+                view.nodes[i].stalls += 1;
+            }
+            // Broadcast-stop quiesce hand-off (§III.E): a stop or a release
+            // ends the batch, and the holder releases when it commits, halts
+            // or stops running.
+            let running = core.is_running();
+            if out.broadcast_stop {
+                self.quiesce = Some(i);
+                release = !running;
+                break out;
+            }
+            if holding
+                && (matches!(out.event, StepEvent::Committed | StepEvent::Halted) || !running)
+            {
+                release = true;
+                break out;
+            }
+            if !running || done >= limit || core.clock >= horizon {
+                break out;
+            }
+            if !holding {
+                let key = pack_entry(core.clock, i);
+                match runner_up {
+                    Some(next) => {
+                        if key > next {
+                            break out;
+                        }
+                    }
+                    None => {
+                        // The first test writes the leaf and compares the
+                        // root: a one-step batch, the common case with many
+                        // CPUs, writes its leaf once and walks no other path.
+                        self.sched.set(i, key);
+                        if self.sched.min() != key {
+                            leaf_written = true;
+                            break out;
+                        }
+                        runner_up = Some(self.sched.runner_up(i));
+                    }
+                }
+            }
+        };
+        self.steps += done;
         self.hot_clock[i] = self.cores[i].clock;
         self.hot_running[i] = self.cores[i].is_running();
-        self.sched.set(i, self.sched_key(i));
-        self.steps += 1;
-        if let Some(log) = self.step_log.as_mut() {
-            log.push(StepLogEntry {
-                clock: pre_clock,
-                cpu: i,
-                event: out.event,
-                cycles: out.cycles,
-            });
+        if !leaf_written {
+            self.sched.set(i, self.sched_key(i));
         }
-        if traced {
-            if self.trace.len() == self.trace_capacity {
-                self.trace.pop_front();
-            }
-            self.trace.push_back(TraceRecord {
-                cpu: i,
-                clock: pre_clock,
-                ia: prog.addr_of(pre_pc),
-                text: prog.instr(pre_pc).to_string(),
-                event: out.event,
-                cycles: out.cycles,
-            });
-        }
-
-        if out.event == StepEvent::Stalled {
-            self.nodes[i].stalls += 1;
-        }
-        // Broadcast-stop quiesce management (§III.E).
-        if out.broadcast_stop {
-            self.quiesce = Some(i);
-        } else if self.quiesce == Some(i)
-            && matches!(out.event, StepEvent::Committed | StepEvent::Halted)
-        {
-            self.release_quiesce(i);
-        }
-        if self.quiesce == Some(i) && !self.hot_running[i] {
+        if release {
             self.release_quiesce(i);
         }
         out
     }
 
-    /// Steps up to `limit` instructions, returning the last `(cpu, outcome)`
-    /// (`None` when every CPU has halted before the first step).
-    ///
-    /// All steps of one call execute on consecutively-scheduled CPUs in
-    /// exactly the order a `step_one` loop would produce: after each step the
-    /// batch only continues while the just-stepped CPU is *still* the
-    /// scheduler's next pick — its refreshed key is the winner tree's root
-    /// (keys are unique per CPU), or it still holds the broadcast-stop
-    /// quiesce. Anything else falls back to the full scheduling pick on the
-    /// next call. Batching only amortizes the pick itself; every per-step
-    /// obligation (timer, tracing, quiesce management, the leaf refresh)
-    /// runs inside the loop.
-    fn step_upto(&mut self, limit: u64) -> Option<(usize, StepOutcome)> {
-        self.step_upto_bounded(limit, u64::MAX)
-    }
-
-    /// [`step_upto`](Self::step_upto) with a cycle horizon: no step whose
-    /// pre-step clock is `>= horizon` is executed (the `run_for_cycles`
-    /// stopping rule, applied inside the batch).
-    /// The caller guarantees the first pick's clock is below `horizon`.
-    fn step_upto_bounded(&mut self, limit: u64, horizon: u64) -> Option<(usize, StepOutcome)> {
-        if self.hot_dirty {
-            self.sync_hot();
-        }
-        // A running broadcast-stop holder is stepped whatever its clock.
-        let i = match self.quiesce {
-            Some(holder) if self.hot_running[holder] => holder,
-            _ => {
-                self.quiesce = None;
-                match self.sched.min() {
-                    WinnerTree::IDLE => return None,
-                    entry => unpack_entry(entry).1,
-                }
-            }
-        };
-        let mut done = 0u64;
-        loop {
-            let out = self.exec_step(i);
-            done += 1;
-            if done >= limit || self.hot_clock[i] >= horizon {
-                return Some((i, out));
-            }
-            // Batch continuation: same CPU only, and only when it is
-            // unambiguously the next pick.
-            let next = match self.quiesce {
-                Some(holder) => holder == i && self.hot_running[i],
-                None => self.hot_running[i] && self.sched.min() == pack_entry(self.hot_clock[i], i),
-            };
-            if !next {
-                return Some((i, out));
-            }
-        }
-    }
-
+    /// Ends `holder`'s broadcast-stop quiesce (§III.E): every running CPU
+    /// behind its clock resumes at that clock. Rare, so `#[cold]` keeps its
+    /// loop out of the step driver's body (EXPERIMENTS.md S13).
+    #[cold]
     fn release_quiesce(&mut self, holder: usize) {
         self.quiesce = None;
         let t = self.hot_clock[holder];
@@ -740,7 +775,7 @@ impl System {
     /// steps the serial scheduler would run next — partitioned across
     /// shards. When the serial pick itself is global (or a CPU holds the
     /// broadcast-stop quiesce) the coordinator runs that one step through
-    /// [`exec_step`](Self::exec_step). Every round is therefore an exact
+    /// [`run_batch`](Self::run_batch) with a limit of 1. Every round is therefore an exact
     /// serial prefix, so state, statistics and step logs are
     /// byte-identical to the single-threaded scheduler for any
     /// host-thread count.
@@ -778,7 +813,7 @@ impl System {
                 break;
             }
             if let Some(h) = holder {
-                self.exec_step(h);
+                self.run_batch(h, 1, u64::MAX);
                 executed += 1;
                 continue;
             }
@@ -803,7 +838,7 @@ impl System {
             if safe.is_empty() {
                 // The serial pick itself is global: run exactly that one
                 // step under the coordinator and re-plan.
-                self.exec_step(min_cpu);
+                self.run_batch(min_cpu, 1, u64::MAX);
                 executed += 1;
                 continue;
             }
@@ -929,17 +964,18 @@ impl System {
         panic!("system did not halt within {max_steps} steps");
     }
 
-    /// Steps up to `limit` instructions (batched scheduling, see the private
-    /// `step_upto`), returning how many executed —
-    /// 0 means every CPU has halted.
+    /// Steps up to `limit` instructions from one scheduler pick (one batch,
+    /// see the private `run_batch`), returning how many executed — 0 means
+    /// every CPU has halted.
     pub fn step_many(&mut self, limit: u64) -> u64 {
         if self.sharded_active() {
             return self.run_sharded_upto(limit, None);
         }
-        let before = self.steps;
-        if self.step_upto(limit).is_none() {
+        let Some(i) = self.pick() else {
             return 0;
-        }
+        };
+        let before = self.steps;
+        self.run_batch(i, limit, u64::MAX);
         self.steps - before
     }
 
@@ -949,15 +985,11 @@ impl System {
             self.run_sharded_upto(u64::MAX, Some(horizon));
             return;
         }
-        loop {
-            match self.peek_next_clock() {
-                Some(t) if t < horizon => {
-                    if self.step_upto_bounded(u64::MAX, horizon).is_none() {
-                        return;
-                    }
-                }
-                _ => return,
-            }
+        while self.peek_next_clock().is_some_and(|t| t < horizon) {
+            let Some(i) = self.pick() else {
+                return;
+            };
+            self.run_batch(i, u64::MAX, horizon);
         }
     }
 

@@ -7,7 +7,10 @@
 //! reference system through `step_one`, and the two must agree on the full
 //! `StepLogEntry` stream, every core's clock and pc, and the trace digest —
 //! including when a `step_many` budget or a `run_for_cycles` horizon cuts a
-//! batch short. Sharded-vs-serial identity is covered by `tests/sharded.rs`.
+//! batch short. The `untraced_*` tests drive the configuration the figure
+//! binaries and perfbench run — no tracer, no step log — and compare the
+//! final state and `SystemReport` counters instead. Sharded-vs-serial
+//! identity is covered by `tests/sharded.rs`.
 
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
@@ -234,6 +237,173 @@ fn run_until_halt_matches_step_one_on_the_elision_hashtable() {
     assert_same_cores(&batched, &reference, "at halt");
     assert_eq!(batched.take_step_log(), reference.take_step_log());
     assert_eq!(digest(&batched_rec), digest(&reference_rec));
+}
+
+/// Asserts two systems agree on every core's clock, pc and instruction
+/// count, and on the `SystemReport` counters.
+fn assert_same_run(batched: &System, reference: &System, at: &str) {
+    assert_same_cores(batched, reference, at);
+    for cpu in 0..batched.cpus() {
+        assert_eq!(
+            batched.core(cpu).instructions,
+            reference.core(cpu).instructions,
+            "cpu {cpu} instruction count diverged {at}"
+        );
+    }
+    let (b, r) = (batched.report(), reference.report());
+    assert_eq!(b.elapsed_cycles, r.elapsed_cycles, "elapsed cycles {at}");
+    assert_eq!(
+        b.total_instructions, r.total_instructions,
+        "instructions {at}"
+    );
+    assert_eq!(b.steps, r.steps, "steps {at}");
+    assert_eq!(b.stalls, r.stalls, "stalls {at}");
+    assert_eq!(b.tx, r.tx, "tx stats {at}");
+    assert_eq!(b.xi_counts, r.xi_counts, "xi counts {at}");
+    assert_eq!(b.stm, r.stm, "stm counts {at}");
+}
+
+/// Runs fresh systems from `build` (untraced, no step log) through
+/// `step_many` at odd budgets, `run_for_cycles` at odd horizons and
+/// `run_until_halt`, each in lockstep with a `step_one` reference, and
+/// checks every core and the report counters after each chunk and at halt.
+/// Returns the reference's report.
+fn assert_untraced_drivers_match_step_one(
+    build: impl Fn() -> System,
+    cap: u64,
+) -> ztm::sim::SystemReport {
+    // `step_many`, with budgets that sweep across batch boundaries; the
+    // unbounded tail lets whole batches run.
+    let (mut batched, mut reference) = (build(), build());
+    for (i, chunk) in (0..)
+        .map(|i| if i < 400 { 1 + (i * 7) % 13 } else { u64::MAX })
+        .enumerate()
+    {
+        let k = batched.step_many(chunk);
+        assert!(
+            k <= chunk,
+            "chunk {i}: ran {k} steps on a budget of {chunk}"
+        );
+        if k == 0 {
+            assert!(reference.step_one().is_none(), "step_many halted early");
+            break;
+        }
+        step_one_times(&mut reference, k);
+        assert_same_run(&batched, &reference, &format!("after step_many chunk {i}"));
+        assert!(
+            reference.report().steps < cap,
+            "failed to halt within {cap} steps"
+        );
+    }
+
+    // `run_for_cycles`, with horizons that cut batches mid-flight.
+    let (mut batched, mut reference) = (build(), build());
+    let mut horizon = 0u64;
+    while batched.any_running() {
+        horizon += 997;
+        let before = batched.report().steps;
+        batched.run_for_cycles(horizon);
+        step_one_times(&mut reference, batched.report().steps - before);
+        assert_same_run(&batched, &reference, &format!("at horizon {horizon}"));
+        assert!(
+            reference.report().steps < cap,
+            "failed to halt within {cap} steps"
+        );
+    }
+    assert!(
+        reference.step_one().is_none(),
+        "run_for_cycles stopped early"
+    );
+
+    // `run_until_halt` against a `step_one` run to halt.
+    let (mut batched, mut reference) = (build(), build());
+    batched.run_until_halt(cap);
+    step_one_to_halt(&mut reference, cap);
+    assert_same_run(&batched, &reference, "at halt");
+    reference.report()
+}
+
+/// One CPU with the timer on: every `step_many(u64::MAX)` batch runs to
+/// halt in one pick, crossing many timer ticks, and each tick must still
+/// land on the step it lands on under `step_one`.
+#[test]
+fn untraced_batches_cross_timer_ticks_on_one_cpu() {
+    let build = || {
+        let mut cfg = SystemConfig::with_cpus(1).seed(42);
+        cfg.timer_interval = Some(1_500);
+        let mut sys = System::new(cfg);
+        sys.load_program_all(&mixed_program());
+        sys
+    };
+    let report = assert_untraced_drivers_match_step_one(build, 2_000_000);
+    let mut one_pick = build();
+    assert_eq!(
+        one_pick.step_many(u64::MAX),
+        report.steps,
+        "one batch to halt"
+    );
+    assert!(
+        report.elapsed_cycles / 1_500 > 10,
+        "the batch must cross many timer ticks"
+    );
+    assert!(
+        report.tx.aborts_by_code.get(&2).is_some_and(|&n| n > 0),
+        "timer ticks must abort transactions: {:?}",
+        report.tx.aborts_by_code
+    );
+}
+
+/// The 10-CPU broadcast-stop kernel (the same one the simulator's unit
+/// tests use): crossed constrained transactions escalate to broadcast
+/// stops, whose holder batches run unbounded and whose release moves every
+/// other CPU's clock.
+#[test]
+fn untraced_batches_match_step_one_through_broadcast_stops() {
+    let build = || {
+        let var = 0xE0_000u64;
+        let kernel = |first: u64, second: u64| {
+            let mut a = Assembler::new(0);
+            a.lghi(R6, 30);
+            a.label("loop");
+            a.tbeginc(ztm::core::GrSaveMask::ALL);
+            a.lg(R2, MemOperand::absolute(first));
+            a.aghi(R2, 1);
+            a.stg(R2, MemOperand::absolute(first));
+            a.lg(R3, MemOperand::absolute(second));
+            a.aghi(R3, 1);
+            a.stg(R3, MemOperand::absolute(second));
+            a.tend();
+            a.brctg(R6, "loop");
+            a.halt();
+            a.assemble().unwrap()
+        };
+        let (fwd, rev) = (kernel(var, var + 256), kernel(var + 256, var));
+        let mut cfg = SystemConfig::with_cpus(10);
+        cfg.engine.retry_ladder.broadcast_stop_after = 2;
+        let mut sys = System::new(cfg);
+        for i in 0..10 {
+            sys.load_program(i, if i % 2 == 0 { &fwd } else { &rev });
+        }
+        sys
+    };
+    let report = assert_untraced_drivers_match_step_one(build, 80_000_000);
+    assert!(
+        report.tx.broadcast_stops > 0,
+        "the kernel must broadcast-stop"
+    );
+}
+
+/// `mixed_program` on four CPUs: XI stalls and delays hand the pick between
+/// CPUs mid-batch.
+#[test]
+fn untraced_batches_match_step_one_on_four_cpus() {
+    let build = || {
+        let mut sys = System::new(SystemConfig::with_cpus(4).seed(42));
+        sys.load_program_all(&mixed_program());
+        sys
+    };
+    let report = assert_untraced_drivers_match_step_one(build, 2_000_000);
+    assert!(report.stalls > 0, "{report:?}");
 }
 
 /// Lowers a random op stream into a halting program: straight-line access
