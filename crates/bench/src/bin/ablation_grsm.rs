@@ -5,6 +5,8 @@
 //! per cycle. This sweep measures uncontended cycles/update for 0…8 saved
 //! pairs.
 
+#![forbid(unsafe_code)]
+
 use ztm_bench::{print_header, print_row, sweep};
 use ztm_core::{GrSaveMask, TbeginParams};
 use ztm_isa::{gr::*, MemOperand};

@@ -7,6 +7,8 @@
 //! and prefetched neighbors are hot lines the transaction does not need)
 //! under each ladder configuration.
 
+#![forbid(unsafe_code)]
+
 use ztm_bench::{print_header, print_row, quick, sweep};
 use ztm_core::RetryLadderConfig;
 use ztm_sim::{System, SystemConfig};

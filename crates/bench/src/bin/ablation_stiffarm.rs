@@ -4,6 +4,8 @@
 //! transactions." With it disabled, every conflicting XI aborts the target
 //! immediately instead of letting it finish.
 
+#![forbid(unsafe_code)]
+
 use ztm_bench::{ops_for, print_header, print_row, quick, sweep};
 use ztm_sim::{System, SystemConfig};
 use ztm_workloads::pool::{PoolLayout, PoolWorkload, SyncMethod};

@@ -6,6 +6,8 @@
 //! threshold but still beats the lock. At 100 CPUs, TBEGINC on the large
 //! pool reaches ~99.8% of the unsynchronized upper bound.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 use ztm_bench::{
     bench_tag, cpu_counts, print_header, print_row, quick, reference_throughput, results_dir,

@@ -5,6 +5,8 @@
 //! up to the MCM size (24 CPUs in the tested system), hold steady beyond,
 //! and win across the whole range.
 
+#![forbid(unsafe_code)]
+
 use ztm_bench::{cpu_counts, print_header, print_row, reference_throughput, run_pool, sweep};
 use ztm_workloads::pool::SyncMethod;
 

@@ -7,6 +7,8 @@
 //! extreme contention TBEGINC degrades more gracefully than TBEGIN because
 //! the millicode retry ladder turns speculative fetching off (§IV).
 
+#![forbid(unsafe_code)]
+
 use ztm_bench::{cpu_counts, print_header, print_row, reference_throughput, run_pool, sweep};
 use ztm_workloads::pool::SyncMethod;
 

@@ -5,6 +5,8 @@
 //! lock-word line between CPUs and cap throughput; transactional readers
 //! share everything read-only and scale almost linearly.
 
+#![forbid(unsafe_code)]
+
 use ztm_bench::{
     cpu_counts, ops_for, print_header, print_row, quick, reference_throughput, sweep, system_config,
 };

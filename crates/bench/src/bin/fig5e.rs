@@ -8,6 +8,8 @@
 //! `ZTM_ISSUE_WIDTH` > 1 the issue window makes IPC an output of the
 //! model rather than a configured constant.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 use ztm_bench::{
     bench_tag, cpu_counts, full, ops_for, print_header, print_row, quick, results_dir, sweep,

@@ -5,6 +5,8 @@
 //! occurred. Without the LRU extension the footprint is bounded by the L1
 //! (64 sets × 6 ways); with it, by the L2 (512 sets × 8 ways) — §III.C.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use ztm_bench::{print_header, print_row, quick, sweep};

@@ -12,6 +12,8 @@
 //! Default sweep tops out at one book (36 CPUs); `ZTM_FULL=1` sweeps the
 //! hashtable across the whole 144-CPU machine.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 use ztm_bench::{
     bench_tag, cpu_counts, full, ops_for, print_header, print_row, quick, results_dir, sweep,

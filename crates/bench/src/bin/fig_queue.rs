@@ -2,6 +2,8 @@
 //!
 //! The paper reports throughput exceeding locks by a factor of about 2.
 
+#![forbid(unsafe_code)]
+
 use ztm_bench::{ops_for, print_header, print_row, quick, sweep};
 use ztm_sim::{System, SystemConfig};
 use ztm_workloads::queue::{ConcurrentQueue, QueueMethod};

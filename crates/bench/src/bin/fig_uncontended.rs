@@ -5,6 +5,8 @@
 //! non-constrained transactions differ by only ~0.4% (the lock-test branch
 //! is perfectly predictable).
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 use ztm_bench::{results_dir, run_pool, run_pool_traced, sweep, write_bench_json, Timing};
 use ztm_workloads::pool::SyncMethod;

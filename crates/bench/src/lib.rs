@@ -20,6 +20,8 @@
 //! `cargo run --release -p ztm-bench --bin fig5b`.
 //! Set `ZTM_QUICK=1` for a reduced sweep.
 
+#![forbid(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};

@@ -28,6 +28,8 @@
 //! exposes footprint events ([`FootprintEvent`]) that the `ztm-core`
 //! transaction engine converts into architected aborts.
 
+#![forbid(unsafe_code)]
+
 mod fabric;
 mod geometry;
 mod latency;

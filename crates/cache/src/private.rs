@@ -186,7 +186,7 @@ impl PrivateCache {
     /// would return for a `need_excl` access to `line`: `Some(level)` with a
     /// [`hit_level`] code when the access hits locally, `None` when it would
     /// need the fabric. The shard classifier uses it to prove a step never
-    /// leaves its node before letting the step run inside a parallel round.
+    /// leaves its node before admitting the step into a round.
     pub fn probe_local(&self, line: LineAddr, need_excl: bool) -> Option<u8> {
         match self.l2.peek(line).map(|e| e.state) {
             None => None,

@@ -53,23 +53,6 @@ impl DrainWrite {
             }
         }
     }
-
-    /// Applies the valid bytes through a [`ztm_mem::SharedMem`] view — the
-    /// sharded simulator's commit path for transactions whose every store
-    /// line already has a committed-arena slot (the shard classifier proves
-    /// that before letting the TEND run inside a parallel round).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the target line has no arena slot (a classifier bug).
-    pub fn apply_to_shared(&self, mem: &ztm_mem::SharedMem) {
-        let base = self.half_line.base();
-        for i in 0..HALF_LINE_SIZE as usize {
-            if self.valid >> i & 1 == 1 {
-                mem.store_bytes(base.add(i as u64), &self.data[i..=i]);
-            }
-        }
-    }
 }
 
 /// Outcome of presenting a store to the store cache.

@@ -2,6 +2,8 @@
 //! a reference byte model, LRU behavior of the set-associative directory,
 //! and coherence-fabric invariants.
 
+#![forbid(unsafe_code)]
+
 use proptest::prelude::*;
 use std::collections::HashMap;
 use ztm_cache::{CpuId, Fabric, FetchKind, SetAssoc, StoreCache, StoreOutcome, Topology, XiKind};

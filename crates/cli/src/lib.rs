@@ -3,6 +3,8 @@
 //! Kept in a library so the parsing and report formatting are unit-testable;
 //! the `ztm-run` binary is a thin wrapper.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use ztm_core::DiagnosticControl;

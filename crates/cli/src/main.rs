@@ -6,6 +6,8 @@
 //! ztm-run summarize-trace run.json
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use ztm_cli::{parse_args, run, summarize_trace, usage};
 

@@ -428,9 +428,9 @@ impl TxEngine {
     /// Whether the diagnostic control could draw from the RNG or force an
     /// abort on upcoming instructions. With the control off and no armed
     /// countdown, `tdc_tick` is a pure no-op — the predicate the shard
-    /// classifier needs before letting in-transaction steps run inside a
-    /// parallel round (where an unexpected RNG draw or forced abort would
-    /// diverge from the serial schedule).
+    /// classifier needs before admitting in-transaction steps into a round
+    /// (where an unexpected RNG draw or forced abort would diverge from the
+    /// serial schedule).
     pub fn tdc_active(&self) -> bool {
         !matches!(self.tdc, DiagnosticControl::Off) || self.tdc_countdown.is_some()
     }

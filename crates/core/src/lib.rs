@@ -27,6 +27,8 @@
 //! coordinates it with [`ztm_cache::PrivateCache`] and delivers
 //! [`ztm_cache::FootprintEvent`]s into [`TxEngine::note_footprint_event`].
 
+#![forbid(unsafe_code)]
+
 mod abort;
 mod constraints;
 mod controls;

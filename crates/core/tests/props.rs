@@ -2,6 +2,8 @@
 //! algebra, constraint accounting, nesting discipline, and abort-code
 //! classification.
 
+#![forbid(unsafe_code)]
+
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

@@ -44,6 +44,8 @@
 //! # Ok::<(), ztm_isa::AsmError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod asm;
 mod cpu;
 pub mod decoded;

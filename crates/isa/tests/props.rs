@@ -1,6 +1,8 @@
 //! Property tests for the ISA layer: assembler address discipline and the
 //! interpreter against a reference evaluator for straight-line ALU code.
 
+#![forbid(unsafe_code)]
+
 use proptest::prelude::*;
 use ztm_isa::{gr::*, run_to_halt, Assembler, Instr, Reg, SimpleMachine};
 

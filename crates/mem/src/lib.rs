@@ -23,6 +23,8 @@
 //! assert_eq!(mem.load_u64(Address::new(0x1000)), 42);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod addr;
 mod error;
 mod memory;
@@ -31,5 +33,5 @@ mod page;
 pub use addr::{Address, HalfLineAddr, LineAddr, Octoword, PageAddr};
 pub use addr::{HALF_LINE_SIZE, LINE_SIZE, OCTOWORD_SIZE, PAGE_SIZE};
 pub use error::MemFault;
-pub use memory::{AddrHashBuilder, AddrHasher, MainMemory, SharedMem};
+pub use memory::{AddrHashBuilder, AddrHasher, MainMemory};
 pub use page::PageTable;

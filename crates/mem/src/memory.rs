@@ -223,125 +223,6 @@ impl MainMemory {
     }
 }
 
-/// A thread-shareable window onto a [`MainMemory`] for the sharded
-/// simulator's parallel rounds.
-///
-/// The raw pointers are captured once, under an exclusive `&mut MainMemory`
-/// borrow, so the base addresses are stable for the window's lifetime:
-/// shard threads never allocate lines (any step that could is classified
-/// global and serialized), so `index` is only read and `arena` never grows.
-///
-/// # Safety contract (upheld by the shard classifier)
-///
-/// * No line is allocated or freed while any `SharedMem` is live.
-/// * Two threads never write the same line concurrently, and no thread
-///   reads a line another is writing: MESI exclusivity makes a line's
-///   writer the only CPU with a valid copy, and cross-CPU permission
-///   transfer goes through the fabric, which parallel window steps are
-///   denied.
-#[derive(Clone, Copy, Debug)]
-pub struct SharedMem {
-    index: *const HashMap<LineAddr, u32, AddrHashBuilder>,
-    arena: *mut [u8; LINE_SIZE as usize],
-    arena_len: usize,
-}
-
-// SAFETY: see the struct-level contract; all aliasing is line-disjoint.
-unsafe impl Send for SharedMem {}
-// SAFETY: same contract; `&SharedMem` only exposes line-disjoint accesses.
-unsafe impl Sync for SharedMem {}
-
-impl SharedMem {
-    /// Captures a shared window. The `&mut` borrow proves exclusive access
-    /// at capture time; the caller promises the contract above for as long
-    /// as any copy of the returned value is used.
-    pub fn new(mem: &mut MainMemory) -> SharedMem {
-        SharedMem {
-            index: &mem.index,
-            arena: mem.arena.as_mut_ptr(),
-            arena_len: mem.arena.len(),
-        }
-    }
-
-    #[inline]
-    fn slot_of(&self, line: LineAddr) -> Option<u32> {
-        // SAFETY: the index is never mutated while `self` is live.
-        unsafe { (*self.index).get(&line).copied() }
-    }
-
-    #[inline]
-    fn line(&self, slot: u32) -> &[u8; LINE_SIZE as usize] {
-        assert!((slot as usize) < self.arena_len, "stale arena slot");
-        // SAFETY: in-bounds, and no concurrent writer for a line being read.
-        unsafe { &*self.arena.add(slot as usize) }
-    }
-
-    /// Reads `buf.len()` bytes starting at `addr`; mirror of
-    /// [`MainMemory::load_bytes`] without the front-cache memo.
-    pub fn load_bytes(&self, addr: Address, buf: &mut [u8]) {
-        let mut i = 0;
-        while i < buf.len() {
-            let a = addr.add(i as u64);
-            let off = a.offset_in_line() as usize;
-            let n = (LINE_SIZE as usize - off).min(buf.len() - i);
-            match self.slot_of(a.line()) {
-                Some(slot) => buf[i..i + n].copy_from_slice(&self.line(slot)[off..off + n]),
-                None => buf[i..i + n].fill(0),
-            }
-            i += n;
-        }
-    }
-
-    /// Reads a big-endian `u64`; mirror of [`MainMemory::load_u64`].
-    pub fn load_u64(&self, addr: Address) -> u64 {
-        let off = addr.offset_in_line() as usize;
-        if off + 8 <= LINE_SIZE as usize {
-            return match self.slot_of(addr.line()) {
-                Some(slot) => {
-                    let line = self.line(slot);
-                    u64::from_be_bytes(line[off..off + 8].try_into().expect("8-byte slice"))
-                }
-                None => 0,
-            };
-        }
-        let mut buf = [0u8; 8];
-        self.load_bytes(addr, &mut buf);
-        u64::from_be_bytes(buf)
-    }
-
-    /// Writes `buf` starting at `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any touched line has no arena slot — allocating here would
-    /// race the shared index, so the shard classifier keeps slotless stores
-    /// out of parallel windows. A panic is therefore a classifier bug, not
-    /// a recoverable condition.
-    pub fn store_bytes(&self, addr: Address, buf: &[u8]) {
-        let mut i = 0;
-        while i < buf.len() {
-            let a = addr.add(i as u64);
-            let off = a.offset_in_line() as usize;
-            let n = (LINE_SIZE as usize - off).min(buf.len() - i);
-            let slot = self
-                .slot_of(a.line())
-                .expect("shared-mode store to a line without an arena slot (classifier bug)");
-            assert!((slot as usize) < self.arena_len, "stale arena slot");
-            // SAFETY: in-bounds; the contract makes this line's writes
-            // exclusive to the current thread for the window's duration.
-            let line = unsafe { &mut *self.arena.add(slot as usize) };
-            line[off..off + n].copy_from_slice(&buf[i..i + n]);
-            i += n;
-        }
-    }
-
-    /// Writes a big-endian `u64`; see [`store_bytes`](Self::store_bytes)
-    /// for the preallocation requirement.
-    pub fn store_u64(&self, addr: Address, value: u64) {
-        self.store_bytes(addr, &value.to_be_bytes());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

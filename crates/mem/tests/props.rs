@@ -1,5 +1,7 @@
 //! Property tests: the sparse memory image behaves like a flat byte array.
 
+#![forbid(unsafe_code)]
+
 use proptest::prelude::*;
 use std::collections::HashMap;
 use ztm_mem::{Address, MainMemory};

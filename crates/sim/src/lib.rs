@@ -12,11 +12,17 @@
 //! clock, and XIs are delivered synchronously at instruction boundaries —
 //! the paper's "stall completion while XIs are pending" rule (§III.C).
 //! Determinism makes every contention experiment exactly reproducible.
+//! [`System::set_sim_threads`] above 1 plans the same schedule in rounds of
+//! provably node-local steps (the private `shard` module), still on the
+//! calling thread and through the same step driver, so results are
+//! byte-identical either way.
 //!
 //! The simulator also implements the millicode *broadcast-stop* quiesce
 //! (§III.E): when a struggling constrained transaction escalates to the last
 //! rung of the retry ladder, all other CPUs are held while it retries, which
 //! guarantees eventual success.
+
+#![forbid(unsafe_code)]
 
 mod config;
 mod report;

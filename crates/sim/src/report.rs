@@ -42,14 +42,15 @@ impl StmCounts {
     }
 }
 
-/// Sharded-driver round statistics (all zero on serial runs). These are
-/// *host-side* measurements of how the run was scheduled: simulated
-/// outcomes stay byte-identical for any thread count, but rounds depend on
-/// the round schedule itself, so differential tests zero this field before
-/// comparing whole reports.
+/// Sharded round-planner statistics (all zero on serial runs). They
+/// describe how the run was planned, not what it simulated: simulated
+/// outcomes stay byte-identical for any `ZTM_SIM_THREADS` value, but the
+/// rounds exist only when the planner runs, so differential tests zero
+/// this field before comparing whole reports. Every round runs on the
+/// calling thread.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardingStats {
-    /// Parallel (shard-local) rounds dispatched.
+    /// Shard-local rounds run.
     pub rounds: u64,
     /// Steps executed inside those rounds.
     pub local_steps: u64,
@@ -74,8 +75,7 @@ pub struct ShardingStats {
 }
 
 impl ShardingStats {
-    /// Mean shard-local steps per round — how far each coordinator round
-    /// is amortized. Zero when no round ran.
+    /// Mean shard-local steps per round. Zero when no round ran.
     pub fn mean_round_steps(&self) -> f64 {
         if self.rounds == 0 {
             0.0

@@ -1,90 +1,18 @@
-//! Shard planning and round scheduling for the host-parallel simulator.
+//! Round planning for the sharded driver.
 //!
-//! The sharded engine ([`crate::System::set_sim_threads`]) partitions the
-//! simulated SMP at a coherence boundary of the zEC12 topology — per book
-//! (MCM) when the machine has more than one, per chip otherwise — and
-//! advances *provably node-local* instruction steps of different shards
-//! concurrently on host threads, one step per CPU per round. Everything
-//! that crosses the boundary (a fabric fetch, an XI broadcast, a quiesce,
-//! an abort) is executed serially by the coordinator, so architectural
-//! state, statistics and the step log are byte-identical to the
-//! single-threaded scheduler for any `ZTM_SIM_THREADS` value. Runs with an
-//! event tracer attached never shard.
+//! The sharded driver ([`crate::System::set_sim_threads`]) plans the
+//! simulated SMP's schedule in conservative rounds on machines with more
+//! than one chip: each round admits one *provably node-local* instruction
+//! step per CPU, in the serial `(clock, cpu)` order, and runs them on the
+//! calling thread. A step that may cross a node (a fabric fetch, an XI
+//! broadcast, a quiesce, an abort) runs alone, so architectural state,
+//! statistics and the step log are byte-identical to the serial scheduler
+//! for any `ZTM_SIM_THREADS` value. Runs with an event tracer attached
+//! never shard.
 //!
-//! This module holds the pure pieces: the shard plan, the conservative
-//! safe-set rule that decides which steps may share a round, and the slice
-//! splitter that hands each shard disjoint `&mut` views of the per-CPU
-//! state. The classifier and the round driver live next to the private
-//! `System` internals in `system.rs`.
-
-use std::ops::Range;
-use ztm_cache::Topology;
-
-/// Contiguous CPU ranges, one per shard, partitioning `0..cpus` at a
-/// coherence boundary of the topology.
-#[derive(Debug, Clone)]
-pub(crate) struct ShardPlan {
-    /// Cumulative end index of each shard (`bounds.last() == cpus`).
-    bounds: Vec<usize>,
-}
-
-impl ShardPlan {
-    /// Plans shards along book (MCM) boundaries, or chip boundaries when the
-    /// machine is a single book. CPUs are numbered chip-major by
-    /// [`Topology`], so every shard is one contiguous index range.
-    pub(crate) fn new(topology: &Topology) -> ShardPlan {
-        let cpus = topology.cpus();
-        let stride = if topology.mcm_count() > 1 {
-            topology.cores_per_mcm()
-        } else {
-            topology.cores_per_chip()
-        };
-        let mut bounds = Vec::new();
-        let mut at = 0;
-        while at < cpus {
-            at = (at + stride).min(cpus);
-            bounds.push(at);
-        }
-        if bounds.is_empty() {
-            bounds.push(0);
-        }
-        ShardPlan { bounds }
-    }
-
-    pub(crate) fn shard_count(&self) -> usize {
-        self.bounds.len()
-    }
-
-    /// The CPU index range of shard `s`.
-    pub(crate) fn range(&self, s: usize) -> Range<usize> {
-        let start = if s == 0 { 0 } else { self.bounds[s - 1] };
-        start..self.bounds[s]
-    }
-
-    /// Which shard owns `cpu`.
-    pub(crate) fn shard_of(&self, cpu: usize) -> usize {
-        self.bounds.partition_point(|&b| b <= cpu)
-    }
-
-    /// The cumulative bounds, for [`split_mut`].
-    pub(crate) fn bounds(&self) -> &[usize] {
-        &self.bounds
-    }
-}
-
-/// Splits one mutable slice into per-shard disjoint chunks at the plan's
-/// cumulative `bounds`. The chunks can then move into scoped threads.
-pub(crate) fn split_mut<'a, T>(mut rest: &'a mut [T], bounds: &[usize]) -> Vec<&'a mut [T]> {
-    let mut out = Vec::with_capacity(bounds.len());
-    let mut off = 0;
-    for &b in bounds {
-        let (chunk, r) = rest.split_at_mut(b - off);
-        out.push(chunk);
-        rest = r;
-        off = b;
-    }
-    out
-}
+//! This module holds the pure piece: the conservative safe-set rule that
+//! decides which steps may share a round. The classifier and the round
+//! driver live next to the private `System` internals in `system.rs`.
 
 /// One runnable CPU's classified next step, as seen by the round scheduler.
 #[derive(Debug, Clone, Copy)]
@@ -93,7 +21,7 @@ pub(crate) struct Candidate {
     /// The CPU's local clock (the step's scheduling key is `(clock, cpu)`).
     pub clock: u64,
     /// The step may leave its node (fabric, XIs, aborts, page table, RNG
-    /// surprises) — it must run serially under the coordinator.
+    /// surprises) — it must run alone, outside any round.
     pub global: bool,
     /// The step is zero-cycle-capable (`RANDMOD`/`STMNOTE` retire in 0
     /// cycles), so the CPU's *next* step can share the same clock.
@@ -176,12 +104,12 @@ impl EgMin {
 ///   candidate's earliest-global key is at or after its own key, and ties
 ///   break on CPU index exactly like the serial pick);
 /// * when the serial-minimum step is global the set is provably empty, and
-///   the caller runs that one step under the coordinator;
+///   the caller runs that one step alone;
 /// * every admitted key is smaller than every key left out, and admitted
 ///   steps touch only their own node plus committed-arena bytes of
 ///   MESI-exclusive lines, so they commute — executing one step of each
-///   admitted CPU inside one round (in any host order) reproduces the
-///   serial schedule exactly;
+///   admitted CPU inside one round, in key order, reproduces the serial
+///   schedule exactly;
 /// * round keys stay ordered across rounds: CPU `i`'s post-round key is at
 ///   least its own earliest-global key, which every other admitted key
 ///   stayed strictly below, so concatenating rounds (each internally
@@ -215,39 +143,6 @@ mod tests {
             global,
             zero,
         }
-    }
-
-    #[test]
-    fn plan_partitions_zec12_per_book() {
-        let t = Topology::zec12(144);
-        let p = ShardPlan::new(&t);
-        assert_eq!(p.shard_count(), 4, "four books");
-        assert_eq!(p.range(0), 0..36);
-        assert_eq!(p.range(3), 108..144);
-        assert_eq!(p.shard_of(0), 0);
-        assert_eq!(p.shard_of(35), 0);
-        assert_eq!(p.shard_of(36), 1);
-        assert_eq!(p.shard_of(143), 3);
-    }
-
-    #[test]
-    fn plan_falls_back_to_chips_on_one_book() {
-        // 8 CPUs, 6 per chip, 4 chips per MCM: one book, two chips.
-        let t = Topology::new(8, 6, 4);
-        let p = ShardPlan::new(&t);
-        assert_eq!(p.shard_count(), 2);
-        assert_eq!(p.range(0), 0..6);
-        assert_eq!(p.range(1), 6..8);
-    }
-
-    #[test]
-    fn split_mut_hands_out_disjoint_chunks() {
-        let mut v: Vec<u32> = (0..10).collect();
-        let chunks = split_mut(&mut v, &[3, 7, 10]);
-        assert_eq!(chunks.len(), 3);
-        assert_eq!(chunks[0], &[0, 1, 2]);
-        assert_eq!(chunks[1], &[3, 4, 5, 6]);
-        assert_eq!(chunks[2], &[7, 8, 9]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use crate::config::SystemConfig;
 use crate::report::SystemReport;
 use crate::sched::{pack_entry, unpack_entry, WinnerTree};
-use crate::shard::{safe_set, split_mut, Candidate, ShardPlan};
+use crate::shard::{safe_set, Candidate};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -21,7 +21,7 @@ use ztm_isa::{
     effective_address_decoded, finish_abort, AbortApply, AccessResult, CasResult, CpuCore,
     DecodedInstr, EndResult, ExceptionDisposition, Machine, Program, StepEvent, StepOutcome,
 };
-use ztm_mem::{Address, LineAddr, MainMemory, PageTable, SharedMem, HALF_LINE_SIZE};
+use ztm_mem::{Address, LineAddr, MainMemory, PageTable, HALF_LINE_SIZE};
 use ztm_trace::{Event, Tracer};
 
 /// Per-CPU memory-side state.
@@ -82,9 +82,9 @@ pub struct TraceRecord {
 
 /// One entry of the lightweight step log (see [`System::set_step_log`]):
 /// which CPU stepped at which pre-step clock, what the step did, and how
-/// many cycles it took. The sharded and serial engines must produce
-/// identical logs — the lockstep differential in `tests/sharded.rs` pins
-/// that.
+/// many cycles it took. Every driver — `step_one`, batched runs and the
+/// sharded round planner — must produce identical logs; `tests/batching.rs`
+/// and `tests/sharded.rs` pin that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepLogEntry {
     /// The CPU's local clock before the step.
@@ -176,26 +176,19 @@ pub struct System {
     pipeline: Option<PipelineState>,
     /// The `ZTM_SIM_THREADS` /
     /// [`set_sim_threads`](Self::set_sim_threads) value. `1` (the default)
-    /// keeps the serial scheduler; any value above `1` routes the run
-    /// methods through the round-based sharded driver, which executes
-    /// provably node-local steps of different shards concurrently.
-    /// Simulation results are byte-identical for any value.
+    /// keeps the one-CPU-at-a-time scheduler; any value above `1` routes
+    /// the run methods through the round planner, which groups provably
+    /// node-local steps into rounds. Simulation results are byte-identical
+    /// for any value.
     sim_threads: usize,
     /// Optional full step log ([`set_step_log`](Self::set_step_log)) — the
-    /// differential-test hook proving the sharded engine replays the serial
-    /// step order exactly.
+    /// differential-test hook proving every driver replays the serial step
+    /// order exactly.
     step_log: Option<Vec<StepLogEntry>>,
-    /// Steps the sharded driver executed inside parallel (shard-local)
-    /// rounds, as opposed to serialized coordinator steps. Pure statistics —
-    /// measures how much of a run actually parallelizes.
+    /// Steps the round planner admitted into shard-local rounds, as opposed
+    /// to steps it ran one at a time. Pure statistics.
     sharded_local_steps: u64,
-    /// Minimum shard-local steps a round needs before it is dispatched on
-    /// scoped threads instead of inline ([`Self::SHARD_ROUND_MIN`] unless
-    /// [`set_shard_round_min`](Self::set_shard_round_min) changes it). A
-    /// host-speed dial only: both dispatch modes run the identical
-    /// shard-step code, so results never depend on it.
-    par_round_min: usize,
-    /// Parallel (shard-local) rounds dispatched.
+    /// Shard-local rounds run.
     shard_rounds: u64,
     /// Largest single round, in shard-local steps.
     shard_round_max: u64,
@@ -268,7 +261,6 @@ impl System {
             sim_threads: crate::env_usize("ZTM_SIM_THREADS").unwrap_or(1),
             step_log: None,
             sharded_local_steps: 0,
-            par_round_min: Self::SHARD_ROUND_MIN,
             shard_rounds: 0,
             shard_round_max: 0,
             config,
@@ -348,17 +340,16 @@ impl System {
     }
 
     /// Selects the run path (also settable at construction via
-    /// `ZTM_SIM_THREADS`). `1` (the default) keeps the single-threaded
-    /// scheduler. Any value above `1` selects the sharded driver, and every
-    /// such value runs the same schedule: the driver partitions the
-    /// simulated SMP at a coherence boundary of the topology — per book
-    /// (MCM), per chip when the machine is a single book — and advances
-    /// provably node-local steps of different shards concurrently in
-    /// conservative rounds, on one host thread per shard the round
-    /// involves (small rounds run inline). Everything that crosses the boundary is serialized by the
-    /// coordinator, so simulation results (architectural state, statistics
-    /// and the step log) are byte-identical for any value. Runs with an
-    /// event tracer attached always take the serial scheduler.
+    /// `ZTM_SIM_THREADS`). `1` (the default) keeps the one-CPU-at-a-time
+    /// scheduler. Any value above `1` selects the round planner on machines
+    /// with more than one chip, and every such value runs the same schedule
+    /// on the calling thread: each round admits the key-ordered prefix of
+    /// provably node-local steps the serial scheduler would run next, one
+    /// step per CPU, and runs them in that order. Simulation results
+    /// (architectural state, statistics and the step log) are
+    /// byte-identical for any value; only
+    /// [`ShardingStats`](crate::ShardingStats) counts the rounds. Runs with
+    /// an event tracer attached always take the serial scheduler.
     ///
     /// # Panics
     ///
@@ -366,17 +357,6 @@ impl System {
     pub fn set_sim_threads(&mut self, threads: usize) {
         assert!(threads > 0, "sim_threads must be positive");
         self.sim_threads = threads;
-    }
-
-    /// Default minimum round size (in shard-local steps) that dispatches on
-    /// scoped host threads.
-    const SHARD_ROUND_MIN: usize = 96;
-
-    /// Sets the minimum round size (in shard-local steps) that dispatches
-    /// on scoped host threads; smaller rounds run inline. Purely a host
-    /// speed/overhead trade — results are identical for any value.
-    pub fn set_shard_round_min(&mut self, min: usize) {
-        self.par_round_min = min.max(1);
     }
 
     /// Enables or disables the full step log: every executed step is
@@ -540,10 +520,9 @@ impl System {
     }
 
     /// The step driver: runs CPU `i` from one scheduler pick for up to
-    /// `limit` instructions with full system access (exclusive memory and
-    /// page-table ports, the coherence fabric), and returns the last step's
-    /// outcome. Every step — serial, batched, or a sharded coordinator's
-    /// global step (`limit` 1) — goes through here.
+    /// `limit` instructions, and returns the last step's outcome. Every
+    /// step — serial, batched, or one step of a sharded round (`limit` 1)
+    /// — goes through here.
     ///
     /// The batch runs exactly the steps a `step_one` loop would: it goes on
     /// only while `i` is still the serial scheduler's next pick. After the
@@ -577,14 +556,13 @@ impl System {
             .map(|pl| (pl.width, &mut pl.windows[i]));
         let mut view = View {
             cpu: i,
-            base: 0,
             now: core.clock,
             tracer: &self.tracer,
             nodes: &mut self.nodes,
-            fabric: Some(&mut self.fabric),
-            mem: MemPort::Excl(&mut self.mem),
-            pages: PagePort::Direct(&mut self.pages),
-            fabric_busy: Some(&mut self.fabric_busy),
+            fabric: &mut self.fabric,
+            mem: &mut self.mem,
+            pages: &mut self.pages,
+            fabric_busy: &mut self.fabric_busy,
             config: &self.config,
         };
         // The smallest key of any other CPU, read once the batch goes past
@@ -728,28 +706,27 @@ impl System {
     }
 
     // ------------------------------------------------------------------
-    // Sharded (host-parallel) execution
+    // Sharded round planning
     // ------------------------------------------------------------------
 
     /// Whether the run methods should route through the sharded round
-    /// driver: more than one host thread requested, more than one shard in
-    /// the topology, and none of the serial-only features engaged. Issue
-    /// windows re-time retirement through per-step reports, the legacy
-    /// interpreter is a debug lever, the disassembling step trace reads
-    /// program text during the step, and an attached event tracer must see
-    /// events in serial emission order, which only the serial scheduler
-    /// produces by construction.
+    /// planner: a `sim_threads` value above 1, more than one chip in the
+    /// topology, and none of the serial-only features engaged. Issue windows re-time
+    /// retirement through per-step reports, the legacy interpreter is a
+    /// debug lever, the disassembling step trace reads program text during
+    /// the step, and an attached event tracer must see events in serial
+    /// emission order.
     fn sharded_active(&self) -> bool {
         self.sim_threads > 1
             && self.pipeline.is_none()
             && !self.use_legacy_interpreter
             && !self.tracer.is_enabled()
             && !self.traced.iter().any(|&t| t)
-            && ShardPlan::new(&self.config.topology).shard_count() > 1
+            && self.config.topology.chip_count() > 1
     }
 
     /// Classifies CPU `i`'s next instruction step without executing it
-    /// (coordinator entry point into [`classify_step_at`]).
+    /// (planner entry point into [`classify_step_at`]).
     fn classify_step(&self, i: usize) -> Candidate {
         classify_step_at(
             i,
@@ -763,57 +740,36 @@ impl System {
         )
     }
 
-    /// Runs up to `limit` steps through the sharded round scheduler,
+    /// Runs up to `limit` steps through the sharded round planner,
     /// stopping early when every CPU halts or, with `horizon`, when the
     /// next serial pick would start at or past it (the exact
     /// [`run_for_cycles`](Self::run_for_cycles) stopping rule). Returns
     /// how many steps executed.
     ///
     /// Each round classifies every runnable CPU within one cycle of the
-    /// minimum `(clock, cpu)` key and runs exactly one step of each CPU in
-    /// the [`safe_set`] — the key-ordered prefix of provably node-local
-    /// steps the serial scheduler would run next — partitioned across
-    /// shards. When the serial pick itself is global (or a CPU holds the
-    /// broadcast-stop quiesce) the coordinator runs that one step through
-    /// [`run_batch`](Self::run_batch) with a limit of 1. Every round is therefore an exact
-    /// serial prefix, so state, statistics and step logs are
-    /// byte-identical to the single-threaded scheduler for any
-    /// host-thread count.
+    /// winner tree's minimum `(clock, cpu)` key and runs one step of each
+    /// CPU in the [`safe_set`] — the key-ordered prefix of provably
+    /// node-local steps the serial scheduler would run next — in that
+    /// order. When the serial pick itself is global (or a CPU holds the
+    /// broadcast-stop quiesce) that one step runs alone. Every step goes
+    /// through [`run_batch`](Self::run_batch) with a limit of 1, which keeps
+    /// the winner tree current, so state, statistics and step logs are
+    /// byte-identical to the serial scheduler's.
     fn run_sharded_upto(&mut self, limit: u64, horizon: Option<u64>) -> u64 {
-        if self.hot_dirty {
-            self.sync_hot();
-        }
-        let plan = ShardPlan::new(&self.config.topology);
         let mut executed = 0u64;
         let mut cands: Vec<Candidate> = Vec::new();
         while executed < limit {
-            // Mirror the serial scheduler: a running broadcast-stop holder
-            // is stepped directly; otherwise the smallest (clock, cpu)
-            // runnable CPU is next.
-            let holder = match self.quiesce {
-                Some(h) if self.hot_running[h] => Some(h),
-                _ => {
-                    self.quiesce = None;
-                    None
-                }
-            };
-            let mut min: Option<(u64, usize)> = None;
-            for i in 0..self.hot_clock.len() {
-                if self.hot_running[i] && self.programs[i].is_some() {
-                    let key = (self.hot_clock[i], i);
-                    if min.is_none_or(|m| key < m) {
-                        min = Some(key);
-                    }
-                }
-            }
-            let Some((min_clock, min_cpu)) = min else {
+            // The serial pick: a running broadcast-stop holder, else the
+            // root. The root is the horizon test's clock either way.
+            let Some(next) = self.pick() else {
                 break;
             };
+            let min_clock = unpack_entry(self.sched.min()).0;
             if horizon.is_some_and(|hz| min_clock >= hz) {
                 break;
             }
-            if let Some(h) = holder {
-                self.run_batch(h, 1, u64::MAX);
+            if self.quiesce.is_some() {
+                self.run_batch(next, 1, u64::MAX);
                 executed += 1;
                 continue;
             }
@@ -837,114 +793,30 @@ impl System {
             }
             if safe.is_empty() {
                 // The serial pick itself is global: run exactly that one
-                // step under the coordinator and re-plan.
-                self.run_batch(min_cpu, 1, u64::MAX);
+                // step and re-plan.
+                self.run_batch(next, 1, u64::MAX);
                 executed += 1;
                 continue;
             }
             // A key-ordered prefix of the safe set is still an exact
             // serial prefix: truncate to the remaining step budget.
             safe.truncate((limit - executed).min(safe.len() as u64) as usize);
-            let round: Vec<Candidate> = safe.iter().map(|&at| cands[at]).collect();
-            self.exec_local_round(&round, &plan);
-            executed += round.len() as u64;
-        }
-
-        // Shard-local rounds move clocks behind the winner tree's back.
-        self.rebuild_sched();
-        executed
-    }
-
-    /// Executes one step of each CPU in a round's safe set. The set arrives
-    /// in serial `(clock, cpu)` order; grouping by shard preserves each
-    /// shard's internal order, and admitted steps of different shards
-    /// commute, so running shards concurrently on host threads cannot
-    /// change any outcome. Inline execution and `thread::scope` drive the
-    /// *same* shard-step function — the round size selects a schedule,
-    /// never a code path. Step-log entries are appended in key order,
-    /// which *is* the round's serial execution order.
-    fn exec_local_round(&mut self, round: &[Candidate], plan: &ShardPlan) {
-        let shard_count = plan.shard_count();
-        let mut per_shard: Vec<Vec<Candidate>> = vec![Vec::new(); shard_count];
-        for &c in round {
-            per_shard[plan.shard_of(c.cpu)].push(c);
-        }
-        let involved = per_shard.iter().filter(|w| !w.is_empty()).count();
-        let want_log = self.step_log.is_some();
-        // Spawning scoped threads costs tens of microseconds per round;
-        // only rounds with enough work to amortize that go parallel —
-        // smaller ones run inline through the identical shard-step code,
-        // so the cutoff affects host speed only, never results.
-        let run_parallel = involved >= 2 && round.len() >= self.par_round_min;
-        let bases: Vec<usize> = (0..shard_count).map(|s| plan.range(s).start).collect();
-
-        let shared = SharedMem::new(&mut self.mem);
-        let node_chunks = split_mut(&mut self.nodes, plan.bounds());
-        let core_chunks = split_mut(&mut self.cores, plan.bounds());
-        let clock_chunks = split_mut(&mut self.hot_clock, plan.bounds());
-        let running_chunks = split_mut(&mut self.hot_running, plan.bounds());
-        let chunks: Vec<_> = node_chunks
-            .into_iter()
-            .zip(core_chunks)
-            .zip(clock_chunks)
-            .zip(running_chunks)
-            .map(|(((n, c), cl), r)| (n, c, cl, r))
-            .collect();
-        let pages = &self.pages;
-        let config = &self.config;
-        let programs = &self.programs[..];
-        // Disabled: `sharded_active` keeps traced runs serial.
-        let tracer = &self.tracer;
-
-        let logs: Vec<Vec<StepLogEntry>> = if run_parallel {
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(involved);
-                for (s, chunk) in chunks.into_iter().enumerate() {
-                    let work = std::mem::take(&mut per_shard[s]);
-                    if work.is_empty() {
-                        continue;
-                    }
-                    let (nodes, cores, clocks, running) = chunk;
-                    let base = bases[s];
-                    handles.push(scope.spawn(move || {
-                        run_shard_steps(
-                            &work, base, nodes, cores, clocks, running, shared, pages, config,
-                            programs, tracer, want_log,
-                        )
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard thread panicked"))
-                    .collect()
-            })
-        } else {
-            let mut out = Vec::with_capacity(involved);
-            for (s, chunk) in chunks.into_iter().enumerate() {
-                let work = &per_shard[s];
-                if work.is_empty() {
-                    continue;
-                }
-                let (nodes, cores, clocks, running) = chunk;
-                out.push(run_shard_steps(
-                    work, bases[s], nodes, cores, clocks, running, shared, pages, config, programs,
-                    tracer, want_log,
-                ));
+            for &at in &safe {
+                let Candidate { cpu, clock, .. } = cands[at];
+                debug_assert_eq!(self.hot_clock[cpu], clock, "stale round plan");
+                let out = self.run_batch(cpu, 1, u64::MAX);
+                debug_assert!(
+                    !out.broadcast_stop && out.event != StepEvent::Stalled,
+                    "a shard-local step can neither stall nor quiesce"
+                );
             }
-            out
-        };
-
-        let total = round.len() as u64;
-        self.steps += total;
-        self.sharded_local_steps += total;
-        self.shard_rounds += 1;
-        self.shard_round_max = self.shard_round_max.max(total);
-        if let Some(log) = self.step_log.as_mut() {
-            // One entry per CPU, so the keys are unique.
-            let start = log.len();
-            log.extend(logs.into_iter().flatten());
-            log[start..].sort_unstable_by_key(|e| (e.clock, e.cpu));
+            let total = safe.len() as u64;
+            executed += total;
+            self.sharded_local_steps += total;
+            self.shard_rounds += 1;
+            self.shard_round_max = self.shard_round_max.max(total);
         }
+        executed
     }
 
     /// Runs until every CPU halts.
@@ -1056,62 +928,6 @@ impl System {
     }
 }
 
-/// Executes one shard's slice of a round: one provably node-local step per
-/// listed CPU, over the shard's own nodes and cores plus the shared
-/// committed-memory window. Runs either inline on the coordinator or on a
-/// scoped host thread — same code, same results. Returns the slice's
-/// step-log entries (none unless `want_log`).
-#[allow(clippy::too_many_arguments)]
-fn run_shard_steps(
-    work: &[Candidate],
-    base: usize,
-    nodes: &mut [Node],
-    cores: &mut [CpuCore],
-    hot_clock: &mut [u64],
-    hot_running: &mut [bool],
-    shared: SharedMem,
-    pages: &PageTable,
-    config: &SystemConfig,
-    programs: &[Option<Arc<Program>>],
-    tracer: &Tracer,
-    want_log: bool,
-) -> Vec<StepLogEntry> {
-    let mut log = Vec::new();
-    for &Candidate { cpu, clock, .. } in work {
-        let at = cpu - base;
-        debug_assert_eq!(hot_clock[at], clock, "stale round plan");
-        let prog = programs[cpu].as_ref().expect("program loaded");
-        let mut view = View {
-            cpu,
-            base,
-            now: clock,
-            tracer,
-            nodes: &mut *nodes,
-            fabric: None,
-            mem: MemPort::Shared(shared),
-            pages: PagePort::Check(pages),
-            fabric_busy: None,
-            config,
-        };
-        let out = ztm_isa::step(&mut cores[at], prog, &mut view);
-        debug_assert!(
-            !out.broadcast_stop && out.event != StepEvent::Stalled,
-            "a shard-local step can neither stall nor quiesce"
-        );
-        hot_clock[at] = cores[at].clock;
-        hot_running[at] = cores[at].is_running();
-        if want_log {
-            log.push(StepLogEntry {
-                clock,
-                cpu,
-                event: out.event,
-                cycles: out.cycles,
-            });
-        }
-    }
-    log
-}
-
 /// Classifies one CPU's next instruction step without executing it.
 ///
 /// A step is *local* when it provably touches only the CPU's own node
@@ -1119,11 +935,10 @@ fn run_shard_steps(
 /// bytes of lines its cache already holds with sufficient MESI
 /// permission — no fabric traffic, no XIs, no page-table mutation, no
 /// abort processing, no arena allocation. Everything else is *global*
-/// and executes serially under the coordinator.
+/// and runs alone, outside any round.
 ///
-/// Conservative by design: classifying local as global only costs
-/// parallelism, never correctness, and the shared-mode ports panic on
-/// any admitted step that actually reaches a serialized resource.
+/// Conservative by design: classifying local as global only costs round
+/// size, never correctness.
 #[allow(clippy::too_many_arguments)]
 fn classify_step_at(
     cpu: usize,
@@ -1313,9 +1128,8 @@ fn classify_data_at(
             return global;
         }
     }
-    // Non-transactional stores write through to committed memory,
-    // which the shared window can only do into an existing arena slot
-    // (allocating would race the shared index).
+    // A non-transactional store that writes through to a line with no
+    // committed-arena slot yet allocates one: global.
     if class == AccessClass::Store && !in_tx && mem.line_slot(line).is_none() {
         return global;
     }
@@ -1347,133 +1161,29 @@ fn classify_tend_at(cpu: usize, clock: u64, node: &Node, mem: &MainMemory) -> Ca
     }
 }
 
-/// The committed-memory port of a [`View`]: exclusive access for the serial
-/// scheduler and the sharded coordinator's global steps, or a [`SharedMem`]
-/// window for shard-local steps (which may only touch preallocated arena
-/// slots of MESI-exclusive lines — the classifier guarantees it).
-enum MemPort<'a> {
-    Excl(&'a mut MainMemory),
-    Shared(SharedMem),
-}
-
-/// Message for every "a shard-local step needed a global resource" panic:
-/// such a step should never have been admitted into a parallel round.
-const CLASSIFIER_BUG: &str = "shard-local step reached a serialized resource (classifier bug)";
-
-impl MemPort<'_> {
-    fn load_u64(&self, addr: Address) -> u64 {
-        match self {
-            MemPort::Excl(m) => m.load_u64(addr),
-            MemPort::Shared(s) => s.load_u64(addr),
-        }
-    }
-
-    fn load_bytes(&self, addr: Address, buf: &mut [u8]) {
-        match self {
-            MemPort::Excl(m) => m.load_bytes(addr, buf),
-            MemPort::Shared(s) => s.load_bytes(addr, buf),
-        }
-    }
-
-    fn store_bytes(&mut self, addr: Address, bytes: &[u8]) {
-        match self {
-            MemPort::Excl(m) => m.store_bytes(addr, bytes),
-            MemPort::Shared(s) => s.store_bytes(addr, bytes),
-        }
-    }
-
-    fn apply_write(&mut self, w: &ztm_cache::DrainWrite) {
-        match self {
-            MemPort::Excl(m) => w.apply_to(m),
-            MemPort::Shared(s) => w.apply_to_shared(s),
-        }
-    }
-
-    /// The exclusive memory, for paths only a serialized step can reach
-    /// (abort cleanup, TDB/diagnostic stores).
-    fn excl(&mut self) -> &mut MainMemory {
-        match self {
-            MemPort::Excl(m) => m,
-            MemPort::Shared(_) => panic!("{CLASSIFIER_BUG}"),
-        }
-    }
-}
-
-/// The page-table port: direct mutable access for serialized steps, or a
-/// check-only shared view for shard-local steps (whose accesses the
-/// classifier has already proven resident — `access` on a resident page is
-/// side-effect-free, so the check-only port is exact).
-enum PagePort<'a> {
-    Direct(&'a mut PageTable),
-    Check(&'a PageTable),
-}
-
-impl PagePort<'_> {
-    fn epoch(&self) -> u64 {
-        match self {
-            PagePort::Direct(p) => p.epoch(),
-            PagePort::Check(p) => p.epoch(),
-        }
-    }
-
-    fn access(&mut self, addr: Address) -> Result<(), ztm_mem::MemFault> {
-        match self {
-            PagePort::Direct(p) => p.access(addr),
-            // `PageTable::access` only differs from `check` on a fault
-            // (it counts the fault); a shard-local step's accesses are
-            // pre-proven resident, so a fault here is a classifier bug —
-            // surfaced by the caller turning it into a page-in, which
-            // panics through `direct()`.
-            PagePort::Check(p) => p.check(addr),
-        }
-    }
-
-    /// The mutable page table, for paths only a serialized step can reach
-    /// (OS page-in, abort cleanup).
-    fn direct(&mut self) -> &mut PageTable {
-        match self {
-            PagePort::Direct(p) => p,
-            PagePort::Check(_) => panic!("{CLASSIFIER_BUG}"),
-        }
-    }
-}
-
 /// The per-step [`Machine`] view: disjoint borrows of the system's fields
 /// excluding the stepped CPU's core (borrowed by the interpreter).
-///
-/// Serialized steps (the serial scheduler, the sharded coordinator's global
-/// steps) build it with exclusive ports over the whole system and
-/// `base == 0`. Shard-local steps build it over the shard's own node slice
-/// (`base` = first CPU of the shard), a [`SharedMem`] window, a check-only
-/// page table, and *no* fabric — touching a serialized resource from a
-/// parallel round is a classifier bug and panics.
 struct View<'a> {
     cpu: usize,
-    /// First CPU index of the node slice below (0 for serialized steps).
-    base: usize,
     /// The stepped CPU's local clock at instruction start (for fabric
     /// bandwidth queueing).
     now: u64,
     tracer: &'a Tracer,
     nodes: &'a mut [Node],
-    fabric: Option<&'a mut Fabric>,
-    mem: MemPort<'a>,
-    pages: PagePort<'a>,
-    fabric_busy: Option<&'a mut [u64]>,
+    fabric: &'a mut Fabric,
+    mem: &'a mut MainMemory,
+    pages: &'a mut PageTable,
+    fabric_busy: &'a mut [u64],
     config: &'a SystemConfig,
 }
 
 impl View<'_> {
     fn me(&mut self) -> &mut Node {
-        &mut self.nodes[self.cpu - self.base]
+        &mut self.nodes[self.cpu]
     }
 
     fn node(&self) -> &Node {
-        &self.nodes[self.cpu - self.base]
-    }
-
-    fn fabric(&mut self) -> &mut Fabric {
-        self.fabric.as_mut().expect(CLASSIFIER_BUG)
+        &self.nodes[self.cpu]
     }
 
     /// Delivers the LRU XIs produced by an L3 associativity overflow: the
@@ -1491,7 +1201,7 @@ impl View<'_> {
                 XiResponse::Accept,
                 "LRU XIs are not rejectable"
             );
-            self.fabric().apply_xi_result(cpu, vline, XiKind::Lru, true);
+            self.fabric.apply_xi_result(cpu, vline, XiKind::Lru, true);
             for ev in out.events {
                 self.nodes[cpu.0].engine.note_footprint_event(ev);
             }
@@ -1511,8 +1221,7 @@ impl View<'_> {
                 from: Some(CpuId(self.cpu)),
             });
             let accepted = out.response == XiResponse::Accept;
-            self.fabric()
-                .apply_xi_result(target, line, xikind, accepted);
+            self.fabric.apply_xi_result(target, line, xikind, accepted);
             for ev in out.events {
                 self.nodes[target.0].engine.note_footprint_event(ev);
             }
@@ -1526,13 +1235,9 @@ impl View<'_> {
     /// Reserves a slot on this CPU's MCM fabric channel for one line
     /// transfer and returns the queueing delay incurred.
     fn occupy_fabric(&mut self) -> u64 {
-        let fabric = self.fabric.as_deref().expect(CLASSIFIER_BUG);
-        let busy = self.fabric_busy.as_deref_mut().expect(CLASSIFIER_BUG);
-        let mcm = fabric
-            .topology()
-            .mcm_of(CpuId(self.cpu))
-            .0
-            .min(busy.len() - 1);
+        let busy = &mut *self.fabric_busy;
+        let mcm = self.fabric.topology().mcm_of(CpuId(self.cpu)).0;
+        let mcm = mcm.min(busy.len() - 1);
         let start = self.now.max(busy[mcm]);
         busy[mcm] = start + self.config.fabric_occupancy;
         let queued = start - self.now;
@@ -1556,18 +1261,16 @@ impl View<'_> {
             FetchKind::Shared
         };
         let who = CpuId(self.cpu);
-        let plan = self.fabric().plan_fetch(who, line, kind);
+        let plan = self.fabric.plan_fetch(who, line, kind);
         if !self.deliver_plan_xis(line, plan.xis) {
             return Err(self.config.latency.xi_reject_retry);
         }
-        let lru = self.fabric().grant(who, line, kind);
+        let lru = self.fabric.grant(who, line, kind);
         self.deliver_lru_xis(lru);
-        let base = {
-            let fabric = self.fabric.as_deref().expect(CLASSIFIER_BUG);
-            self.config
-                .latency
-                .fetch(fabric.topology(), who, plan.source)
-        };
+        let base = self
+            .config
+            .latency
+            .fetch(self.fabric.topology(), who, plan.source);
         let cycles = base + self.occupy_fabric();
         let state = if excl {
             CohState::Exclusive
@@ -1576,7 +1279,7 @@ impl View<'_> {
         };
         let inst = self.me().cache.install(line, state, class, tx);
         for l in inst.lost_lines {
-            self.fabric().drop_holder(who, l);
+            self.fabric.drop_holder(who, l);
         }
         for ev in inst.events {
             self.me().engine.note_footprint_event(ev);
@@ -1597,11 +1300,11 @@ impl View<'_> {
             self.me().rng.gen_bool(p)
         };
         let who = CpuId(self.cpu);
-        let plan = self.fabric().plan_fetch(who, next, FetchKind::Shared);
+        let plan = self.fabric.plan_fetch(who, next, FetchKind::Shared);
         if !self.deliver_plan_xis(next, plan.xis) {
             return;
         }
-        let lru = self.fabric().grant(who, next, FetchKind::Shared);
+        let lru = self.fabric.grant(who, next, FetchKind::Shared);
         self.deliver_lru_xis(lru);
         self.occupy_fabric(); // speculative transfers consume bandwidth too
         let inst = self
@@ -1609,7 +1312,7 @@ impl View<'_> {
             .cache
             .install(next, CohState::ReadOnly, AccessClass::Fetch, overmark);
         for l in inst.lost_lines {
-            self.fabric().drop_holder(who, l);
+            self.fabric.drop_holder(who, l);
         }
         for ev in inst.events {
             self.me().engine.note_footprint_event(ev);
@@ -1652,11 +1355,10 @@ impl View<'_> {
             }
             LocalHit::L2 => {
                 // An L2 hit re-installs into the L1 only, which drops no L2
-                // lines — `lost_lines` is empty here (the fabric unwrap is
-                // the backstop proving it, shard-local steps included).
+                // lines — `lost_lines` is empty here.
                 let who = CpuId(self.cpu);
                 for l in out.lost_lines {
-                    self.fabric().drop_holder(who, l);
+                    self.fabric.drop_holder(who, l);
                 }
                 for ev in out.events {
                     self.me().engine.note_footprint_event(ev);
@@ -1735,7 +1437,7 @@ impl Machine for View<'_> {
     fn ifetch(&mut self, addr: Address) -> AccessResult {
         let line = addr.line();
         let page_epoch = self.pages.epoch();
-        let node = &mut self.nodes[self.cpu - self.base];
+        let node = &mut self.nodes[self.cpu];
         let buf = &mut node.ifetch;
         // Two-line fast path. Straight-line code fetches the same 256-byte
         // text line many instructions in a row, and a loop that straddles a
@@ -1880,7 +1582,7 @@ impl Machine for View<'_> {
             TendOutcome::Commit { cycles } => {
                 let writes = node.cache.commit_tx();
                 for w in writes {
-                    self.mem.apply_write(&w);
+                    w.apply_to(self.mem);
                 }
                 EndResult::Commit { cycles }
             }
@@ -1929,21 +1631,12 @@ impl Machine for View<'_> {
             .expect("take_abort without pending abort");
         let ntstg_writes = self.me().cache.abort_tx();
         for w in ntstg_writes {
-            self.mem.apply_write(&w);
+            w.apply_to(self.mem);
         }
-        // Aborts store the TDB and may page — serialized-only resources;
-        // the classifier never admits a step that can abort into a
-        // parallel round.
-        let node = &mut self.nodes[self.cpu - self.base];
+        let node = &mut self.nodes[self.cpu];
         let out = node.engine.process_abort(cause, grs, atia, &mut node.rng);
         let prefix_area = node.prefix_area;
-        finish_abort(
-            out,
-            self.mem.excl(),
-            self.pages.direct(),
-            &self.config.os,
-            prefix_area,
-        )
+        finish_abort(out, self.mem, self.pages, &self.config.os, prefix_area)
     }
 
     fn report_exception(
@@ -1959,7 +1652,7 @@ impl Machine for View<'_> {
         }
         match self.config.os.disposition(pe) {
             ztm_isa::OsDisposition::PageIn(page) => {
-                self.pages.direct().page_in(page);
+                self.pages.page_in(page);
                 ExceptionDisposition::Retry {
                     cycles: self.config.os.page_in_cost,
                 }
@@ -1980,7 +1673,7 @@ impl Machine for View<'_> {
     fn stm_note(&mut self, kind: u8, value: u64) {
         use ztm_isa::stm_note as k;
         let cpu = self.cpu as u16;
-        let node = &mut self.nodes[self.cpu - self.base];
+        let node = &mut self.nodes[self.cpu];
         let ev = match kind {
             k::BEGIN => {
                 node.stm.begins += 1;
@@ -2324,6 +2017,30 @@ mod tests {
         assert!(sys.report().tx.broadcast_stops > 0);
         assert!(quiesced > 0, "some steps must run under the quiesce");
         assert_eq!(sys.mem().load_u64(Address::new(var)), 10 * 30);
+    }
+
+    #[test]
+    fn winner_tree_tracks_a_linear_scan_across_sharded_rounds() {
+        // 12 CPUs = two chips, so `set_sim_threads(2)` routes `step_many`
+        // through the round planner. Its steps go through `run_batch`, which
+        // must leave every leaf current at each chunk boundary.
+        let var = 0xA8_000u64;
+        let mut sys = System::new(SystemConfig::with_cpus(12));
+        sys.set_sim_threads(2);
+        sys.load_program_all(&tx_increment_program(var, 200));
+        for (n, chunk) in [1u64, 7, 3, 64, 2]
+            .into_iter()
+            .cycle()
+            .take(400)
+            .enumerate()
+        {
+            assert!(sys.step_many(chunk) > 0, "chunk {n}: the run ended early");
+            assert_eq!(sys.sched.min(), linear_pick(&sys), "after chunk {n}");
+        }
+        assert!(sys.report().sharding.rounds > 0, "no round ran");
+        // `step_one` takes the serial scheduler from here, checking each pick.
+        step_checking_the_tree(&mut sys, 10_000_000, |_, _| {});
+        assert_eq!(sys.mem().load_u64(Address::new(var)), 12 * 200);
     }
 
     #[test]

@@ -47,6 +47,8 @@
 //! fallback transitions to the simulator, which turns them into typed trace
 //! events and per-CPU counters ([`ztm_sim::StmCounts`]).
 
+#![forbid(unsafe_code)]
+
 use ztm_core::TbeginParams;
 use ztm_isa::gr::*;
 use ztm_isa::{cc_mask, stm_note, Assembler, MemOperand, Reg};

@@ -22,6 +22,8 @@
 //!   tx-dirty lines are never observed by another CPU pre-commit, inclusive
 //!   hierarchy containment, and constrained-retry ladder monotonicity.
 
+#![forbid(unsafe_code)]
+
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -18,6 +18,8 @@
 //!   and the run driver) and the measurements (throughput = CPUs /
 //!   avg-time-per-update, normalization).
 
+#![forbid(unsafe_code)]
+
 pub mod bank;
 pub mod dlist;
 pub mod harness;

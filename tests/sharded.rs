@@ -1,9 +1,9 @@
-//! Host-parallel sharded execution must be *invisible*: for any
-//! `ZTM_SIM_THREADS` value the sharded round scheduler has to reproduce the
-//! serial winner-tree scheduler step for step — same `(clock, cpu, event,
-//! cycles)` sequence, same aggregate report. These tests run the same
-//! seeded workloads through both engines and diff everything the simulator
-//! can observe about itself. (Runs with an event tracer attached never
+//! Sharded round planning must be *invisible*: for any `ZTM_SIM_THREADS`
+//! value the round planner has to reproduce the serial winner-tree
+//! scheduler step for step — same `(clock, cpu, event, cycles)` sequence,
+//! same aggregate report. These tests run the same seeded workloads
+//! through both drivers and diff everything the simulator can observe
+//! about itself. (Runs with an event tracer attached never
 //! shard, so trace digests are the serial scheduler's by construction.)
 //!
 //! Every value above 1 selects the same sharded schedule;
@@ -16,7 +16,7 @@ use ztm::workloads::hashtable::{HashTable, TableMethod};
 use ztm::workloads::pool::{PoolLayout, PoolWorkload, SyncMethod};
 
 /// The deterministic portion of a report. The `sharding` stats measure how
-/// the *host* scheduled the run (rounds, round sizes) and legitimately vary with
+/// the run was planned (rounds, round sizes) and legitimately vary with
 /// thread count — every simulated outcome must not, so differential tests
 /// zero them and diff everything else.
 fn det(sys: &System) -> String {
@@ -31,13 +31,12 @@ fn hashtable_run(cpus: usize, threads: usize) -> (Vec<StepLogEntry>, String) {
     let t = HashTable::new(256, 1024, 30, TableMethod::Elision);
     let mut sys = System::new(SystemConfig::with_cpus(cpus).seed(42));
     sys.set_sim_threads(threads);
-    sys.set_shard_round_min(1); // force the scoped-thread dispatch path
     sys.set_step_log(true);
     t.populate(&mut sys, &(0..256).collect::<Vec<_>>());
     t.run(&mut sys, 60);
     if threads > 1 {
         // The equivalence must not hold vacuously: a healthy share of the
-        // steps has to execute inside parallel shard-local rounds.
+        // steps has to execute inside shard-local rounds.
         let report = sys.report();
         assert!(
             report.sharding.local_steps * 2 > report.steps,
@@ -50,9 +49,9 @@ fn hashtable_run(cpus: usize, threads: usize) -> (Vec<StepLogEntry>, String) {
     (sys.take_step_log(), report)
 }
 
-/// 12 CPUs = two chips of one book: the plan shards per chip. The hashtable
-/// under elision aborts, retries, takes the fallback lock — a dense mix of
-/// local steps, fabric fetches, XIs, and abort processing.
+/// 12 CPUs = two chips of one book, enough to engage the planner. The
+/// hashtable under elision aborts, retries, takes the fallback lock — a
+/// dense mix of local steps, fabric fetches, XIs, and abort processing.
 #[test]
 fn hashtable_step_log_is_identical_across_thread_counts() {
     let serial = hashtable_run(12, 1);
@@ -67,7 +66,7 @@ fn hashtable_step_log_is_identical_across_thread_counts() {
     }
 }
 
-/// 48 CPUs = two books: the plan shards per MCM, crossing the most
+/// 48 CPUs = two books: rounds mix CPUs on both sides of the most
 /// expensive coherence boundary in the machine.
 #[test]
 fn bank_step_log_is_identical_across_books() {
@@ -75,7 +74,6 @@ fn bank_step_log_is_identical_across_books() {
         let bank = Bank::new(64, BankMethod::Tbegin);
         let mut sys = System::new(SystemConfig::with_cpus(48).seed(7));
         sys.set_sim_threads(threads);
-        sys.set_shard_round_min(1); // force the scoped-thread dispatch path
         sys.set_step_log(true);
         bank.run(&mut sys, 25);
         let report = det(&sys);
@@ -93,14 +91,13 @@ fn bank_step_log_is_identical_across_books() {
 
 /// Constrained transactions cross-holding cache lines escalate to the
 /// millicode broadcast-stop (§III.E) — the sharded driver must fall back to
-/// coordinator-serial steps for the whole quiesce window and still match.
+/// one step at a time for the whole quiesce window and still match.
 #[test]
 fn quiesce_escalation_matches_serial_exactly() {
     let run = |threads: usize| {
         let wl = PoolWorkload::new(PoolLayout::new(8, 2), SyncMethod::Tbeginc, 42);
         let mut sys = System::new(SystemConfig::with_cpus(16).seed(42));
         sys.set_sim_threads(threads);
-        sys.set_shard_round_min(1); // force the scoped-thread dispatch path
         sys.set_step_log(true);
         let rep = wl.run(&mut sys, 40);
         let report = det(&sys);
@@ -120,9 +117,9 @@ fn quiesce_escalation_matches_serial_exactly() {
 }
 
 /// Partial-run entry and exit: `step_many` with small budgets forces the
-/// sharded driver to truncate rounds mid-flight and rebuild the serial
-/// scheduler's winner tree on every boundary; interleaving must not disturb the
-/// step sequence.
+/// sharded driver to truncate rounds mid-flight and hand the serial
+/// scheduler's winner tree back on every boundary; interleaving must not
+/// disturb the step sequence.
 #[test]
 fn step_budget_boundaries_do_not_disturb_the_sequence() {
     let chunked = |threads: usize, chunk: u64| {
@@ -163,7 +160,6 @@ fn cycle_horizons_do_not_disturb_the_sequence() {
         let bank = Bank::new(64, BankMethod::Tbegin);
         let mut sys = System::new(SystemConfig::with_cpus(12).seed(9));
         sys.set_sim_threads(threads);
-        sys.set_shard_round_min(1); // force the scoped-thread dispatch path
         sys.set_step_log(true);
         sys.load_program_all(&bank.program(25));
         let mut horizon = chunk;
@@ -217,8 +213,7 @@ proptest! {
             cfg.fabric_occupancy = occupancy;
             let mut sys = System::new(cfg);
             sys.set_sim_threads(host_threads);
-            sys.set_shard_round_min(1); // force the scoped-thread dispatch path
-            sys.set_step_log(true);
+                sys.set_step_log(true);
             wl.run(&mut sys, 10);
             let report = det(&sys);
             (sys.take_step_log(), report)
@@ -255,8 +250,7 @@ proptest! {
             cfg.latency.memory = memory;
             let mut sys = System::new(cfg);
             sys.set_sim_threads(host_threads);
-            sys.set_shard_round_min(1); // force the scoped-thread dispatch path
-            sys.set_step_log(true);
+                sys.set_step_log(true);
             wl.run(&mut sys, 10);
             let report = det(&sys);
             (sys.take_step_log(), report)
