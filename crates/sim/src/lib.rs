@@ -13,7 +13,7 @@
 //! the paper's "stall completion while XIs are pending" rule (§III.C).
 //! Determinism makes every contention experiment exactly reproducible.
 //! [`System::set_sim_threads`] above 1 plans the same schedule in rounds of
-//! provably node-local steps (the private `shard` module), still on the
+//! provably node-local steps (`system/shard.rs`), still on the
 //! calling thread and through the same step driver, so results are
 //! byte-identical either way.
 //!
@@ -21,13 +21,17 @@
 //! (§III.E): when a struggling constrained transaction escalates to the last
 //! rung of the retry ladder, all other CPUs are held while it retries, which
 //! guarantees eventual success.
+//!
+//! Source layout: `system/mod.rs` (`System`, its step driver and run
+//! methods), `system/view.rs` (the per-step memory and fabric glue, with the
+//! one XI delivery path every fetch, LRU eviction and I/O store takes),
+//! `system/shard.rs` (the round planner) and `sched.rs` (the winner tree).
 
 #![forbid(unsafe_code)]
 
 mod config;
 mod report;
 mod sched;
-mod shard;
 mod system;
 
 pub use config::SystemConfig;

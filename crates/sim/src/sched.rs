@@ -90,6 +90,12 @@ impl WinnerTree {
         best
     }
 
+    /// Every leaf in CPU order: CPU `i`'s key at index `i`, then the idle
+    /// padding up to the tree's power-of-two width.
+    pub(crate) fn leaves(&self) -> &[u64] {
+        &self.nodes[self.width..]
+    }
+
     /// Replaces every leaf from `keys` (one per CPU, in CPU order) and
     /// recomputes every inner node.
     pub(crate) fn rebuild(&mut self, keys: impl IntoIterator<Item = u64>) {

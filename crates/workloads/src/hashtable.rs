@@ -232,6 +232,20 @@ mod tests {
         HashTable::new(256, 1024, 20, method)
     }
 
+    /// `perfbench/src/workload.rs` keeps its own copy of this layout
+    /// (`TABLE_BASE`, `ARENA_BASE`, `ARENA_SIZE`) because it times the
+    /// load and install phases separately; a change here must be mirrored
+    /// there, or perfbench would run a different memory layout from
+    /// `HashTable::run`.
+    #[test]
+    fn layout_matches_the_perfbench_copy() {
+        let t = table(TableMethod::Elision);
+        let copy = "perfbench/src/workload.rs copies this layout; update it too";
+        assert_eq!(t.table_base, 0x1000_0000, "table_base: {copy}");
+        assert_eq!(t.arena_base, 0x2000_0000, "arena_base: {copy}");
+        assert_eq!(ARENA_SIZE, 0x10_0000, "harness::ARENA_SIZE: {copy}");
+    }
+
     #[test]
     fn populate_and_host_lookup() {
         let t = table(TableMethod::GlobalLock);
