@@ -235,6 +235,9 @@ pub struct Timing {
     /// runs). Host-schedule measurements, so they ride the stripped
     /// `"timing"` line, never a deterministic field.
     pub sharding: ztm_sim::ShardingStats,
+    /// Aggregated serial-scheduler picks and run-ahead steps: where the
+    /// scheduler's host time went, on the same stripped line.
+    pub schedule: ztm_sim::ScheduleStats,
 }
 
 impl Timing {
@@ -246,6 +249,7 @@ impl Timing {
             steps: 0,
             sim_cycles: 0,
             sharding: ztm_sim::ShardingStats::default(),
+            schedule: ztm_sim::ScheduleStats::default(),
         }
     }
 
@@ -255,6 +259,7 @@ impl Timing {
         self.steps += report.steps;
         self.sim_cycles += report.elapsed_cycles;
         self.sharding.merge(&report.sharding);
+        self.schedule.merge(&report.schedule);
     }
 
     /// Milliseconds elapsed since [`start`](Self::start).
@@ -277,7 +282,7 @@ impl Timing {
             "{{ \"wall_ms\": {:.3}, \"sim_ms\": {:.3}, \"steps_per_sec\": {:.0}, \
              \"sim_cycles_per_sec\": {:.0}, \"commit\": \"{}\", \"host_threads\": {}, \
              \"sweep_threads\": {}, \"shard_rounds\": {}, \"shard_mean_round\": {:.2}, \
-             \"shard_round_max\": {} }}",
+             \"shard_round_max\": {}, \"steps_per_pick\": {:.3}, \"run_ahead_share\": {:.4} }}",
             self.wall_ms(),
             self.sim_ms,
             per_sec(self.steps),
@@ -287,7 +292,9 @@ impl Timing {
             bench_threads(),
             s.rounds,
             s.mean_round_steps(),
-            s.round_steps_max
+            s.round_steps_max,
+            self.schedule.steps_per_pick(self.steps),
+            self.schedule.run_ahead_share(self.steps)
         )
     }
 }
@@ -513,6 +520,10 @@ mod tests {
         let report = SystemReport {
             steps: 1_000,
             elapsed_cycles: 4_000,
+            schedule: ztm_sim::ScheduleStats {
+                picks: 400,
+                run_ahead_steps: 250,
+            },
             ..SystemReport::default()
         };
         timing.add_run(std::time::Duration::from_millis(50), &report);
@@ -524,6 +535,10 @@ mod tests {
         assert!(line.contains("\"sim_ms\": 100.000"), "{line}");
         assert!(line.contains("\"steps_per_sec\": 20000,"), "{line}");
         assert!(line.contains("\"sim_cycles_per_sec\": 80000,"), "{line}");
+        // The schedule statistics fold the same way: 2 000 steps over 800
+        // picks, 500 of them run ahead.
+        assert!(line.contains("\"steps_per_pick\": 2.500,"), "{line}");
+        assert!(line.contains("\"run_ahead_share\": 0.2500 }"), "{line}");
     }
 
     #[test]

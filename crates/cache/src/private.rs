@@ -597,6 +597,15 @@ impl PrivateCache {
         self.reject_epoch += 1;
     }
 
+    /// Takes back the last `n` instruction completions: steps the reject
+    /// epoch back by `n`. Exact only for completions outside a transaction,
+    /// where no XI is stiff-armed and so no reject counter was charged at
+    /// the epochs taken back — the simulator's undo of register-only steps
+    /// it ran ahead of the schedule.
+    pub fn take_back_instruction_completions(&mut self, n: u64) {
+        self.reject_epoch -= n;
+    }
+
     // ------------------------------------------------------------------
     // Transaction lifecycle
     // ------------------------------------------------------------------

@@ -12,6 +12,9 @@
 //! clock, and XIs are delivered synchronously at instruction boundaries —
 //! the paper's "stall completion while XIs are pending" rule (§III.C).
 //! Determinism makes every contention experiment exactly reproducible.
+//! Untraced batched runs let a CPU step register-only instructions past
+//! the scheduler's runner-up and undo any that end up past a budget or a
+//! broadcast stop, so the result is still exactly the serial one.
 //! [`System::set_sim_threads`] above 1 plans the same schedule in rounds of
 //! provably node-local steps (`system/shard.rs`), still on the
 //! calling thread and through the same step driver, so results are
@@ -35,7 +38,7 @@ mod sched;
 mod system;
 
 pub use config::SystemConfig;
-pub use report::{ShardingStats, StmCounts, SystemReport};
+pub use report::{ScheduleStats, ShardingStats, StmCounts, SystemReport};
 pub use system::{StepLogEntry, System, TraceRecord};
 
 /// Reads a `ZTM_*` boolean switch. Per the workspace convention only the

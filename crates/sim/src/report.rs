@@ -93,6 +93,47 @@ impl ShardingStats {
     }
 }
 
+/// Serial-scheduler statistics: how the run methods chose their steps.
+/// Deterministic for a given sequence of run-method calls, but they describe
+/// the schedule, not the simulated outcome: a `step_one` loop and a batched
+/// run of the same program count different picks, and traced runs never
+/// run ahead, so differential tests compare the rest of the report.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScheduleStats {
+    /// Scheduler picks: the times the scheduler chose the CPU to step next.
+    pub picks: u64,
+    /// Steps a CPU ran past the scheduler's runner-up because its next
+    /// instruction was quiet (register-only), net of the ones undone at a
+    /// budget or broadcast-stop edge.
+    pub run_ahead_steps: u64,
+}
+
+impl ScheduleStats {
+    /// Steps per pick, given the run's step count. Zero when no pick ran.
+    pub fn steps_per_pick(&self, steps: u64) -> f64 {
+        if self.picks == 0 {
+            0.0
+        } else {
+            steps as f64 / self.picks as f64
+        }
+    }
+
+    /// The share of `steps` that ran ahead. Zero when no step ran.
+    pub fn run_ahead_share(&self, steps: u64) -> f64 {
+        if steps == 0 {
+            0.0
+        } else {
+            self.run_ahead_steps as f64 / steps as f64
+        }
+    }
+
+    /// Accumulates another run's counters into this one.
+    pub fn merge(&mut self, other: &ScheduleStats) {
+        self.picks += other.picks;
+        self.run_ahead_steps += other.run_ahead_steps;
+    }
+}
+
 /// A snapshot of system-wide counters, produced by
 /// [`crate::System::report`].
 #[derive(Debug, Clone, Default)]
@@ -120,6 +161,9 @@ pub struct SystemReport {
     /// Sharded-driver round statistics (all zero on serial runs; host-side
     /// schedule measurements, not simulated outcomes).
     pub sharding: ShardingStats,
+    /// Serial-scheduler picks and run-ahead steps (schedule measurements,
+    /// not simulated outcomes).
+    pub schedule: ScheduleStats,
 }
 
 impl SystemReport {

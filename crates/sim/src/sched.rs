@@ -77,9 +77,10 @@ impl WinnerTree {
     /// The smallest key of every CPU other than `cpu`: the minimum of the
     /// siblings along `cpu`'s path to the root, or [`Self::IDLE`] when no
     /// other CPU is runnable (always, on a one-leaf tree). It never reads
-    /// `cpu`'s own leaf, so it stays exact while that leaf is stale — a
-    /// batch compares the stepping CPU's live key against it and writes the
-    /// leaf once, when the batch ends.
+    /// `cpu`'s own leaf, so it stays exact while that leaf is stale.
+    /// `System::run_batch` reads it once per pick: the picked CPU steps
+    /// while its live key stays below it, then runs only quiet steps past
+    /// it, and its leaf is written once, when the pick ends.
     pub(crate) fn runner_up(&self, cpu: usize) -> u64 {
         let mut k = self.width + cpu;
         let mut best = Self::IDLE;

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use view::{deliver_xi, View};
 use ztm_cache::{Fabric, PrivateCache, XiKind};
 use ztm_core::{TxEngine, TxStats};
-use ztm_isa::{CpuCore, Program, StepEvent, StepOutcome};
+use ztm_isa::{CpuCore, Op, Program, StepEvent, StepOutcome};
 use ztm_mem::{Address, LineAddr, MainMemory, PageTable};
 use ztm_trace::{Event, Tracer};
 
@@ -41,6 +41,8 @@ struct Node {
     ifetch: IfetchBuffer,
     /// Software-TM statistics observed via `STMNOTE` markers.
     stm: crate::report::StmCounts,
+    /// This CPU's run-ahead steps still past the serial frontier.
+    ahead: AheadLog,
 }
 
 /// The text lines an i-fetch may take without an L1-I directory walk.
@@ -183,6 +185,8 @@ pub struct System {
     shard_rounds: u64,
     /// Largest single round, in shard-local steps.
     shard_round_max: u64,
+    /// Picks and run-ahead steps of `run_batch`. Pure statistics.
+    schedule: crate::report::ScheduleStats,
 }
 
 /// The issue windows plus the width they were built with (cached for trace
@@ -204,6 +208,136 @@ impl PipelineState {
     }
 }
 
+/// The ops a CPU may run ahead of the scheduler's runner-up (see
+/// `System::run_batch`). Each reads and writes only its own CPU's GRs (at
+/// most `r1`), cc, pc and clock; none touches memory, and outside a
+/// transaction none can fault, stall or abort. The other register-only ops
+/// stay out: `DSGR` can fault, `BR` jumps through a register to any index,
+/// `RDCLK` reads the clock, `SAR`, `EAR` and `ADBR` touch registers the
+/// undo log does not save, `RANDMOD` draws from the CPU's RNG, and
+/// `DECIMAL`, `PRIVILEGED` and `ETND` are rare.
+const QUIET_OPS: u64 = {
+    let ops = [
+        Op::Lghi,
+        Op::Lgr,
+        Op::La,
+        Op::Agr,
+        Op::Sgr,
+        Op::Aghi,
+        Op::Ngr,
+        Op::Xgr,
+        Op::Msgr,
+        Op::Sllg,
+        Op::Srlg,
+        Op::Ltgr,
+        Op::Cgr,
+        Op::Cghi,
+        Op::Brc,
+        Op::Cgij,
+        Op::Brctg,
+        Op::Delay,
+        Op::Nop,
+    ];
+    let mut mask = 0u64;
+    let mut k = 0;
+    while k < ops.len() {
+        mask |= 1 << ops[k] as u8;
+        k += 1;
+    }
+    mask
+};
+const _: () = assert!((Op::Halt as u8) < 64, "QUIET_OPS is a 64-bit mask");
+
+/// Capacity of a CPU's undo log: the longest quiet tail one pick may run
+/// past the runner-up. Fixed, so a run-ahead step allocates nothing.
+const AHEAD_CAP: usize = 16;
+
+/// The pre-state of one run-ahead step, which an undo restores.
+#[derive(Debug, Clone, Copy, Default)]
+struct AheadStep {
+    /// The step's serial `(clock, cpu)` key; its clock is the pre-clock.
+    key: u64,
+    /// GR `reg`'s value before the step.
+    old: u64,
+    pc: u32,
+    /// The op's `r1` slot: the one GR a quiet op may write.
+    reg: u8,
+    cc: u8,
+    /// The fetch swapped the i-fetch buffer's two lines.
+    swapped: bool,
+}
+
+/// A CPU's run-ahead steps past the serial frontier, oldest first.
+#[derive(Debug, Default)]
+struct AheadLog {
+    len: usize,
+    steps: [AheadStep; AHEAD_CAP],
+}
+
+/// Undoes CPU `core`'s run-ahead steps whose key is at or past `edge`,
+/// newest first, and forgets the rest: they precede `edge`, so they are
+/// final. Returns how many steps it undid.
+fn settle_ahead(core: &mut CpuCore, node: &mut Node, edge: u64) -> u64 {
+    let log = &mut node.ahead;
+    let mut undone = 0;
+    while log.len > 0 && log.steps[log.len - 1].key >= edge {
+        log.len -= 1;
+        let s = log.steps[log.len];
+        core.grs[s.reg as usize & 15] = s.old;
+        core.cc = s.cc;
+        core.pc = s.pc as usize;
+        core.clock = unpack_entry(s.key).0;
+        if s.swapped {
+            let buf = &mut node.ifetch;
+            std::mem::swap(&mut buf.last, &mut buf.prev);
+        }
+        undone += 1;
+    }
+    log.len = 0;
+    core.instructions -= undone;
+    node.cache.take_back_instruction_completions(undone);
+    undone
+}
+
+/// Settles every CPU's run-ahead steps at `edge` (see [`settle_ahead`]) and
+/// re-keys the CPUs it moved back. Returns how many steps it undid.
+fn settle_all(cores: &mut [CpuCore], nodes: &mut [Node], sched: &mut WinnerTree, edge: u64) -> u64 {
+    let mut undone = 0;
+    for (j, (core, node)) in cores.iter_mut().zip(nodes.iter_mut()).enumerate() {
+        if node.ahead.len == 0 {
+            continue;
+        }
+        let n = settle_ahead(core, node, edge);
+        if n > 0 {
+            sched.set(j, pack_entry(core.clock, j));
+            undone += n;
+        }
+    }
+    undone
+}
+
+/// Ends `holder`'s broadcast-stop quiesce (§III.E): every running CPU
+/// behind its clock resumes at that clock. Rare, so `#[cold]` keeps its
+/// loop out of the step loop's body (EXPERIMENTS.md S13).
+#[cold]
+fn release_quiesce(
+    cores: &mut [CpuCore],
+    programs: &[Option<Arc<Program>>],
+    sched: &mut WinnerTree,
+    holder: usize,
+) {
+    let t = cores[holder].clock;
+    for (j, core) in cores.iter_mut().enumerate() {
+        if j == holder || !core.is_running() || core.clock >= t {
+            continue;
+        }
+        core.clock = t;
+        if programs[j].is_some() {
+            sched.set(j, pack_entry(t, j));
+        }
+    }
+}
+
 impl System {
     /// Builds a system from a configuration.
     pub fn new(config: SystemConfig) -> Self {
@@ -221,6 +355,7 @@ impl System {
                 stalls: 0,
                 ifetch: IfetchBuffer::default(),
                 stm: crate::report::StmCounts::default(),
+                ahead: AheadLog::default(),
             })
             .collect();
         let fabric = match config.l3_geometry {
@@ -252,6 +387,7 @@ impl System {
             sharded_local_steps: 0,
             shard_rounds: 0,
             shard_round_max: 0,
+            schedule: Default::default(),
             config,
         }
     }
@@ -499,44 +635,55 @@ impl System {
         }
     }
 
-    /// The step driver: runs CPU `i` from one scheduler pick for up to
-    /// `limit` instructions, and returns the last step's outcome. Every
-    /// step — serial, batched, or one step of a sharded round (`limit` 1)
-    /// — goes through here.
+    /// The step loop, and the only caller of `ztm_isa::step*`: steps from
+    /// the pick `first` and follows the serial schedule across picks until
+    /// `limit` steps have run, the next pick's clock reaches `horizon`, or
+    /// every CPU has halted. Returns the last step's outcome. With `limit` 1
+    /// (`step_one` and the round planner) it steps `first` once.
     ///
-    /// The batch runs exactly the steps a `step_one` loop would: it goes on
-    /// only while `i` is still the serial scheduler's next pick. After the
-    /// first step, `i`'s leaf is written and compared with the root, which
-    /// is all a one-step batch (the common case with many CPUs) pays. Other
-    /// CPUs' keys cannot change during a step of `i` (a step reaches no
-    /// other core), so a batch that goes on reads the winner tree's
-    /// [`runner_up`](WinnerTree::runner_up) once, and each later test is one
+    /// A pick steps its CPU `i` while `i` stays the serial scheduler's next
+    /// pick. Other CPUs' keys cannot change during a step of `i` (a step
+    /// reaches no other core), so the pick reads the winner tree's
+    /// [`runner_up`](WinnerTree::runner_up) once, and each test is one
     /// compare of `i`'s live `(clock, cpu)` key against it. A
-    /// broadcast-stop holder's batch has no such bound. A broadcast stop, a
-    /// quiesce release, a halt, the `limit`, and a step ending at or past
-    /// `horizon` each end the batch.
+    /// broadcast-stop holder's pick has no such bound. A broadcast stop, a
+    /// quiesce release, a halt and a step ending at or past `horizon` each
+    /// end the pick, and `i`'s leaf is written once, when the pick ends.
     ///
-    /// The program, the [`View`], the dispatch mode and the tracing flags are
-    /// taken once per batch; each step still performs every obligation —
-    /// the timer interruption check, the tracer clock, issue-window events,
-    /// the step log and execution trace, stall counting and quiesce
-    /// hand-off. The leaf of a batch that went on is written when the batch
-    /// ends.
-    fn run_batch(&mut self, i: usize, limit: u64, horizon: u64) -> StepOutcome {
-        let holding = self.quiesce == Some(i);
+    /// **Quiet run-ahead.** When `i` passes the runner-up, the pick goes on
+    /// stepping `i` while its next instruction is quiet: a [`QUIET_OPS`]
+    /// op, outside a transaction, with no pending abort, PER off, no timer
+    /// tick due, and its text line in the i-fetch buffer at the current
+    /// page epoch. Only untraced calls with a budget above one run ahead:
+    /// no event tracer, traced CPU, step log or issue window, and no
+    /// quiesce held. Such a step reads and writes only `i`'s GRs, cc, pc,
+    /// clock, instruction count, reject epoch and i-fetch buffer order, and
+    /// reads the page epoch. No other CPU's step reads any of them: an XI
+    /// to a CPU outside a transaction is never stiff-armed and its
+    /// footprint events are ignored. So a quiet step commutes with every
+    /// step it overtakes except a change of page residency, and running it
+    /// early leaves the serial state.
+    ///
+    /// Each run-ahead step pushes its key and pre-state to `i`'s fixed-size
+    /// undo log, and the undo invariant keeps every edge exact: a step whose
+    /// key is at or past the serial frontier is undone before anything can
+    /// observe it. The frontier is the root when the call returns, which
+    /// leaves an exact serial prefix; and the key of a step that raises a
+    /// broadcast stop (the other CPUs freeze at that key) or changes page
+    /// residency. A pick forgets its CPU's log, whose steps all precede the
+    /// root.
+    fn run_batch(&mut self, first: usize, limit: u64, horizon: u64) -> StepOutcome {
         let tracing = self.tracer.is_enabled();
-        let traced = self.traced[i];
         let timer = self.config.timer_interval;
         let legacy = self.use_legacy_interpreter;
-        let prog: &Program = self.programs[i].as_ref().expect("program loaded");
-        let core = &mut self.cores[i];
-        let mut window = self
-            .pipeline
-            .as_mut()
-            .map(|pl| (pl.width, &mut pl.windows[i]));
+        let may_run_ahead = limit > 1
+            && !tracing
+            && self.step_log.is_none()
+            && self.pipeline.is_none()
+            && !self.traced.contains(&true);
         let mut view = View {
-            cpu: i,
-            now: core.clock,
+            cpu: first,
+            now: 0,
             tracer: &self.tracer,
             nodes: &mut self.nodes,
             fabric: &mut self.fabric,
@@ -545,142 +692,218 @@ impl System {
             fabric_busy: &mut self.fabric_busy,
             config: &self.config,
         };
-        // The smallest key of any other CPU, read once the batch goes past
-        // its first step.
-        let mut runner_up = None;
-        // Set when `i`'s leaf already holds its end-of-batch key.
-        let mut leaf_written = false;
-        let mut done = 0u64;
-        let mut release = false;
-        let out = loop {
-            let (pre_clock, pre_pc) = (core.clock, core.pc);
-            // Timer interruptions (abort any running transaction, §II.A).
-            if let Some(t) = timer {
-                let node = &mut view.nodes[i];
-                if pre_clock - node.last_timer >= t {
-                    node.last_timer = pre_clock;
-                    node.engine.raise_async_interruption();
-                }
-            }
-            if tracing {
-                self.tracer.set_clock(pre_clock);
-            }
-            view.now = pre_clock;
-            let out = match window.as_mut() {
-                Some((_, win)) => ztm_isa::step_pipelined(core, prog, &mut view, win),
-                None if legacy => ztm_isa::step_legacy(core, prog, &mut view),
-                None => ztm_isa::step(core, prog, &mut view),
+        // Set once a run-ahead step is logged; cleared when every log is.
+        let mut in_flight = false;
+        let (mut done, mut picks, mut ahead) = (0u64, 0u64, 0u64);
+        let mut i = first;
+        let mut out;
+        loop {
+            picks += 1;
+            let holding = self.quiesce == Some(i);
+            let traced = self.traced[i];
+            let prog: &Program = self.programs[i].as_ref().expect("program loaded");
+            view.cpu = i;
+            view.nodes[i].ahead.len = 0;
+            let page_epoch = view.pages.epoch();
+            // A holder runs unbounded: no key passes `IDLE`.
+            let runner_up = if holding {
+                WinnerTree::IDLE
+            } else {
+                self.sched.runner_up(i)
             };
-            // Pipeline trace events carry the retire-time clock. Only widths
-            // above 1 emit — the width-1 window is byte-identical to the
-            // scalar path and must leave digests untouched.
-            if let (true, Some((width, win))) = (tracing, window.as_mut()) {
-                if *width > 1 {
-                    let rep = win.take_report();
-                    self.tracer.set_clock(core.clock);
-                    if let Some(size) = rep.closed_group {
-                        let width = (*width).min(255) as u8;
-                        self.tracer
-                            .emit_at(i as u16, || Event::IssueGroup { width, size });
-                    }
-                    if let Some((reason, waited)) = rep.stall {
-                        self.tracer.emit_at(i as u16, || Event::IssueStall {
-                            reason: reason.code(),
-                            waited,
-                        });
+            let mut window = self
+                .pipeline
+                .as_mut()
+                .map(|pl| (pl.width, &mut pl.windows[i]));
+            let core = &mut self.cores[i];
+            let mut release = false;
+            // Set when `i` ended the pick by passing the runner-up.
+            let mut passed = false;
+            // The key of the pick's first step that raised a broadcast stop
+            // or changed page residency.
+            let mut edge = None;
+            out = loop {
+                let (pre_clock, pre_pc) = (core.clock, core.pc);
+                // Timer interruptions (abort any running transaction, §II.A).
+                if let Some(t) = timer {
+                    let node = &mut view.nodes[i];
+                    if pre_clock - node.last_timer >= t {
+                        node.last_timer = pre_clock;
+                        node.engine.raise_async_interruption();
                     }
                 }
-            }
-            done += 1;
-            if let Some(log) = self.step_log.as_mut() {
-                log.push(StepLogEntry {
-                    clock: pre_clock,
-                    cpu: i,
-                    event: out.event,
-                    cycles: out.cycles,
-                });
-            }
-            if traced {
-                if self.trace.len() == self.trace_capacity {
-                    self.trace.pop_front();
+                if tracing {
+                    self.tracer.set_clock(pre_clock);
                 }
-                self.trace.push_back(TraceRecord {
-                    cpu: i,
-                    clock: pre_clock,
-                    ia: prog.addr_of(pre_pc),
-                    text: prog.instr(pre_pc).to_string(),
-                    event: out.event,
-                    cycles: out.cycles,
-                });
-            }
-            if out.event == StepEvent::Stalled {
-                view.nodes[i].stalls += 1;
-            }
-            // Broadcast-stop quiesce hand-off (§III.E): a stop or a release
-            // ends the batch, and the holder releases when it commits, halts
-            // or stops running.
-            let running = core.is_running();
-            if out.broadcast_stop {
-                self.quiesce = Some(i);
-                release = !running;
-                break out;
-            }
-            if holding
-                && (matches!(out.event, StepEvent::Committed | StepEvent::Halted) || !running)
-            {
-                release = true;
-                break out;
-            }
-            if !running || done >= limit || core.clock >= horizon {
-                break out;
-            }
-            if !holding {
-                let key = pack_entry(core.clock, i);
-                match runner_up {
-                    Some(next) => {
-                        if key > next {
-                            break out;
+                view.now = pre_clock;
+                let out = match window.as_mut() {
+                    Some((_, win)) => ztm_isa::step_pipelined(core, prog, &mut view, win),
+                    None if legacy => ztm_isa::step_legacy(core, prog, &mut view),
+                    None => ztm_isa::step(core, prog, &mut view),
+                };
+                // Pipeline trace events carry the retire-time clock. Only widths
+                // above 1 emit — the width-1 window is byte-identical to the
+                // scalar path and must leave digests untouched.
+                if let (true, Some((width, win))) = (tracing, window.as_mut()) {
+                    if *width > 1 {
+                        let rep = win.take_report();
+                        self.tracer.set_clock(core.clock);
+                        if let Some(size) = rep.closed_group {
+                            let width = (*width).min(255) as u8;
+                            self.tracer
+                                .emit_at(i as u16, || Event::IssueGroup { width, size });
+                        }
+                        if let Some((reason, waited)) = rep.stall {
+                            self.tracer.emit_at(i as u16, || Event::IssueStall {
+                                reason: reason.code(),
+                                waited,
+                            });
                         }
                     }
-                    None => {
-                        // The first test writes the leaf and compares the
-                        // root: a one-step batch, the common case with many
-                        // CPUs, writes its leaf once and walks no other path.
-                        self.sched.set(i, key);
-                        if self.sched.min() != key {
-                            leaf_written = true;
-                            break out;
-                        }
-                        runner_up = Some(self.sched.runner_up(i));
-                    }
                 }
+                done += 1;
+                if let Some(log) = self.step_log.as_mut() {
+                    log.push(StepLogEntry {
+                        clock: pre_clock,
+                        cpu: i,
+                        event: out.event,
+                        cycles: out.cycles,
+                    });
+                }
+                if traced {
+                    if self.trace.len() == self.trace_capacity {
+                        self.trace.pop_front();
+                    }
+                    self.trace.push_back(TraceRecord {
+                        cpu: i,
+                        clock: pre_clock,
+                        ia: prog.addr_of(pre_pc),
+                        text: prog.instr(pre_pc).to_string(),
+                        event: out.event,
+                        cycles: out.cycles,
+                    });
+                }
+                if out.event == StepEvent::Stalled {
+                    view.nodes[i].stalls += 1;
+                }
+                if in_flight && view.pages.epoch() != page_epoch {
+                    edge = edge.or(Some(pack_entry(pre_clock, i)));
+                }
+                // Broadcast-stop quiesce hand-off (§III.E): a stop or a release
+                // ends the pick, and the holder releases when it commits, halts
+                // or stops running.
+                let running = core.is_running();
+                if out.broadcast_stop {
+                    self.quiesce = Some(i);
+                    release = !running;
+                    edge = edge.or(Some(pack_entry(pre_clock, i)));
+                    break out;
+                }
+                if holding
+                    && (matches!(out.event, StepEvent::Committed | StepEvent::Halted) || !running)
+                {
+                    release = true;
+                    break out;
+                }
+                if !running || done >= limit || core.clock >= horizon {
+                    break out;
+                }
+                if pack_entry(core.clock, i) > runner_up {
+                    passed = true;
+                    break out;
+                }
+            };
+            // Steps run ahead past a stop or a page-residency change are
+            // undone: in serial order they come after it.
+            if let (Some(edge), true) = (edge, in_flight) {
+                let undone = settle_all(&mut self.cores, view.nodes, &mut self.sched, edge);
+                done -= undone;
+                ahead -= undone;
+                in_flight = false;
             }
-        };
+            // Quiet run-ahead: past the runner-up, `i` steps on while its
+            // next instruction is quiet, logging each step's pre-state.
+            let core = &mut self.cores[i];
+            if passed && may_run_ahead {
+                while done < limit {
+                    let pre_clock = core.clock;
+                    let d = prog.decoded(core.pc);
+                    let node = &mut view.nodes[i];
+                    if node.ahead.len == AHEAD_CAP
+                        || pre_clock >= horizon
+                        || QUIET_OPS >> d.op as u8 & 1 == 0
+                        || core.per.enabled
+                        || node.engine.in_tx()
+                        || node.engine.pending_abort().is_some()
+                        || timer.is_some_and(|t| pre_clock - node.last_timer >= t)
+                        || node.ifetch.epoch != view.pages.epoch()
+                    {
+                        break;
+                    }
+                    let line = Some(Address::new(d.addr).line());
+                    let swapped = node.ifetch.prev == line;
+                    if !swapped && node.ifetch.last != line {
+                        break;
+                    }
+                    let log = &mut node.ahead;
+                    log.steps[log.len] = AheadStep {
+                        key: pack_entry(pre_clock, i),
+                        old: core.grs[d.r1 as usize & 15],
+                        pc: core.pc as u32,
+                        reg: d.r1,
+                        cc: core.cc,
+                        swapped,
+                    };
+                    log.len += 1;
+                    view.now = pre_clock;
+                    out = if legacy {
+                        ztm_isa::step_legacy(core, prog, &mut view)
+                    } else {
+                        ztm_isa::step(core, prog, &mut view)
+                    };
+                    debug_assert_eq!(out.event, StepEvent::Executed);
+                    done += 1;
+                    ahead += 1;
+                }
+                in_flight |= view.nodes[i].ahead.len > 0;
+            }
+            let key = if core.is_running() {
+                pack_entry(core.clock, i)
+            } else {
+                WinnerTree::IDLE
+            };
+            self.sched.set(i, key);
+            if release {
+                self.quiesce = None;
+                release_quiesce(&mut self.cores, &self.programs, &mut self.sched, i);
+            }
+            if done >= limit {
+                break;
+            }
+            let root = self.sched.min();
+            if root == WinnerTree::IDLE || unpack_entry(root).0 >= horizon {
+                break;
+            }
+            i = match self.quiesce {
+                Some(holder) if self.cores[holder].is_running() => holder,
+                _ => {
+                    self.quiesce = None;
+                    unpack_entry(root).1
+                }
+            };
+        }
+        // Undo what ran ahead past the budget: the call leaves an exact
+        // serial prefix.
+        if in_flight {
+            let root = self.sched.min();
+            let undone = settle_all(&mut self.cores, view.nodes, &mut self.sched, root);
+            done -= undone;
+            ahead -= undone;
+        }
         self.steps += done;
-        if !leaf_written {
-            self.sched.set(i, self.sched_key(i));
-        }
-        if release {
-            self.release_quiesce(i);
-        }
+        self.schedule.picks += picks;
+        self.schedule.run_ahead_steps += ahead;
         out
-    }
-
-    /// Ends `holder`'s broadcast-stop quiesce (§III.E): every running CPU
-    /// behind its clock resumes at that clock. Rare, so `#[cold]` keeps its
-    /// loop out of the step driver's body (EXPERIMENTS.md S13).
-    #[cold]
-    fn release_quiesce(&mut self, holder: usize) {
-        self.quiesce = None;
-        let t = self.cores[holder].clock;
-        for j in 0..self.cores.len() {
-            let core = &mut self.cores[j];
-            if j == holder || !core.is_running() || core.clock >= t {
-                continue;
-            }
-            core.clock = t;
-            self.sched.set(j, self.sched_key(j));
-        }
     }
 
     /// Runs until every CPU halts.
@@ -700,9 +923,13 @@ impl System {
         panic!("system did not halt within {max_steps} steps");
     }
 
-    /// Steps up to `limit` instructions from one scheduler pick (one batch,
-    /// see the private `run_batch`), returning how many executed — 0 means
-    /// every CPU has halted.
+    /// Steps up to `limit` instructions in serial scheduling order across
+    /// as many picks as it takes (see the private `run_batch`), returning
+    /// how many executed. The steps are always an exact prefix of the
+    /// serial order, the one a `step_one` loop takes. Steps a CPU ran ahead
+    /// of the schedule past the budget's end are undone, so the call may
+    /// return fewer than `limit` while CPUs still run; it returns 0 only
+    /// when every CPU has halted.
     pub fn step_many(&mut self, limit: u64) -> u64 {
         if self.sharded_active() {
             return self.run_sharded_upto(limit, None);
@@ -721,11 +948,10 @@ impl System {
             self.run_sharded_upto(u64::MAX, Some(horizon));
             return;
         }
-        while self.peek_next_clock().is_some_and(|t| t < horizon) {
-            let Some(i) = self.pick() else {
-                return;
-            };
-            self.run_batch(i, u64::MAX, horizon);
+        if self.peek_next_clock().is_some_and(|t| t < horizon) {
+            if let Some(i) = self.pick() {
+                self.run_batch(i, u64::MAX, horizon);
+            }
         }
     }
 
@@ -763,6 +989,7 @@ impl System {
             coalesced_accesses: 0,
             stm,
             sharding: self.sharding_stats(),
+            schedule: self.schedule,
         }
     }
 

@@ -584,3 +584,197 @@ fn non_tx_store_conflicts_with_tx_reader() {
     let r = sys.report();
     assert!(r.tx.aborts >= 1);
 }
+
+/// Figure 1's lock elision with its fallback lock: each CPU increments a
+/// shared counter `n` times in a transaction that first tests the lock,
+/// and after an abort takes the lock instead and holds it a while. Waiters spin on the lock
+/// with `LTG; JZ; DELAY 24; J`, whose last three ops are quiet.
+fn figure1_convoy_program(var: u64, lock: u64, n: i64) -> Program {
+    let lock = MemOperand::absolute(lock);
+    let var = MemOperand::absolute(var);
+    let mut a = Assembler::new(0);
+    a.lghi(R6, n);
+    a.lghi(R5, 3);
+    a.lghi(R0, 0);
+    a.label("loop");
+    a.tbegin(TbeginParams::new());
+    a.jnz("aborted");
+    a.ltg(R1, lock);
+    a.jnz("busy");
+    // Every fourth iteration aborts, so the lock is taken and the
+    // transactions that read it abort too.
+    a.lgr(R4, R6);
+    a.ngr(R4, R5);
+    a.cgij_eq(R4, 0, "busy");
+    a.lg(R2, var);
+    a.aghi(R2, 1);
+    a.stg(R2, var);
+    a.tend();
+    a.lghi(R0, 0);
+    a.j("next");
+    a.label("busy");
+    a.tabort(256);
+    a.label("aborted");
+    a.aghi(R0, 1);
+    a.cgij_ge(R0, 1, "fallback");
+    a.ppa(R0);
+    a.label("wait");
+    a.ltg(R1, lock);
+    a.jz("loop");
+    a.delay(24);
+    a.j("wait");
+    a.label("fallback");
+    a.ltg(R1, lock);
+    a.jz("take");
+    a.delay(24);
+    a.j("fallback");
+    a.label("take");
+    a.lghi(R2, 0);
+    a.lghi(R3, 1);
+    a.csg(R2, R3, lock);
+    a.jnz("fallback");
+    a.lg(R2, var);
+    a.aghi(R2, 1);
+    a.stg(R2, var);
+    // A long hold, so the convoy spins.
+    a.delay(200);
+    a.lghi(R2, 0);
+    a.stg(R2, lock);
+    a.lghi(R0, 0);
+    a.label("next");
+    a.brctg(R6, "loop");
+    a.halt();
+    a.assemble().unwrap()
+}
+
+/// Quiet run-ahead on a two-chip Figure 1 spin convoy: waiters run their
+/// quiet spin ops past the runner-up, odd `step_many` budgets end calls
+/// with run-ahead steps in flight, and the undo must leave every core
+/// equal to a `step_one` reference after every call.
+#[test]
+fn run_ahead_undoes_in_flight_steps_at_budget_boundaries() {
+    let (var, lock) = (0xC0_000u64, 0xC1_000u64);
+    let build = || {
+        // 12 CPUs: two chips of six, so XIs cross chips.
+        let mut sys = System::new(SystemConfig::with_cpus(12));
+        sys.load_program_all(&figure1_convoy_program(var, lock, 40));
+        sys
+    };
+    let (mut batched, mut reference) = (build(), build());
+    let mut cut_short = 0;
+    for (n, chunk) in (0..).map(|k| 2 + (k * 7) % 29).enumerate() {
+        let k = batched.step_many(chunk);
+        if k == 0 {
+            break;
+        }
+        assert!(k <= chunk, "call {n}: {k} steps on a budget of {chunk}");
+        // A call ends early only when the undo took back steps that ran
+        // ahead past the budget: the first step of a call is never undone
+        // and the loop stops only at the budget or when every CPU halts.
+        if k < chunk && batched.any_running() {
+            cut_short += 1;
+        }
+        for _ in 0..k {
+            reference.step_one().expect("the reference halted early");
+        }
+        for cpu in 0..12 {
+            let (b, r) = (batched.core(cpu), reference.core(cpu));
+            assert_eq!(
+                (b.clock, b.pc, b.grs, b.cc, b.instructions),
+                (r.clock, r.pc, r.grs, r.cc, r.instructions),
+                "cpu {cpu} diverged after call {n}"
+            );
+            // The undo also puts the i-fetch buffer's lines back in order.
+            let (b, r) = (&batched.nodes[cpu].ifetch, &reference.nodes[cpu].ifetch);
+            assert_eq!(
+                (b.last, b.prev, b.epoch),
+                (r.last, r.prev, r.epoch),
+                "cpu {cpu} i-fetch buffer diverged after call {n}"
+            );
+        }
+        assert_eq!(batched.sched.min(), linear_pick(&batched), "call {n}");
+    }
+    assert!(reference.step_one().is_none(), "step_many halted early");
+    assert_eq!(batched.mem().load_u64(Address::new(var)), 12 * 40);
+    let schedule = batched.report().schedule;
+    assert!(schedule.run_ahead_steps > 0, "no step ran ahead");
+    assert!(cut_short > 0, "no budget boundary undid an in-flight step");
+    assert_eq!(batched.report().steps, reference.report().steps);
+}
+
+/// A page-in changes the page epoch that every quiet fetch reads, so a
+/// step that pages in settles the run-ahead steps past its key: in serial
+/// order they fetch at the new epoch, through a directory walk that
+/// re-records the i-fetch buffer. CPU 0 loads from a page the test evicts
+/// between calls; CPUs 1–3 run quiet tails beside it. Every core and every
+/// i-fetch buffer must equal a `step_one` reference after each call.
+#[test]
+fn run_ahead_settles_at_a_page_in() {
+    let data = 0xD0_000u64;
+    let loader = {
+        let mut a = Assembler::new(0);
+        a.lghi(R6, 400);
+        a.label("loop");
+        a.lg(R1, MemOperand::absolute(data));
+        a.aghi(R1, 1);
+        a.delay(20);
+        a.brctg(R6, "loop");
+        a.halt();
+        a.assemble().unwrap()
+    };
+    // Each spin's quiet tail ends in a long delay, then a load of the
+    // CPU's own line: a call often ends between the two, with the tail
+    // final but the spinner not yet picked again.
+    let spinner = |cpu: u64| {
+        let mut a = Assembler::new(0);
+        a.lghi(R6, 600);
+        a.label("spin");
+        a.aghi(R2, 3);
+        a.lgr(R3, R2);
+        a.delay(200);
+        a.lg(R4, MemOperand::absolute(0xE0_000 + cpu * 256));
+        a.brctg(R6, "spin");
+        a.halt();
+        a.assemble().unwrap()
+    };
+    let build = || {
+        let mut sys = System::new(SystemConfig::with_cpus(4));
+        sys.load_program(0, &loader);
+        for cpu in 1..4 {
+            sys.load_program(cpu, &spinner(cpu as u64));
+        }
+        sys
+    };
+    let (mut batched, mut reference) = (build(), build());
+    for (n, chunk) in (0..).map(|k| 5 + (k * 11) % 37).enumerate() {
+        if n % 2 == 0 {
+            for sys in [&mut batched, &mut reference] {
+                sys.pages_mut().evict(Address::new(data).page());
+            }
+        }
+        let k = batched.step_many(chunk);
+        if k == 0 {
+            break;
+        }
+        for _ in 0..k {
+            reference.step_one().expect("the reference halted early");
+        }
+        for cpu in 0..4 {
+            let (b, r) = (batched.core(cpu), reference.core(cpu));
+            assert_eq!(
+                (b.clock, b.pc, b.grs, b.cc, b.instructions),
+                (r.clock, r.pc, r.grs, r.cc, r.instructions),
+                "cpu {cpu} diverged after call {n}"
+            );
+            let (b, r) = (&batched.nodes[cpu].ifetch, &reference.nodes[cpu].ifetch);
+            assert_eq!(
+                (b.last, b.prev, b.epoch),
+                (r.last, r.prev, r.epoch),
+                "cpu {cpu} i-fetch buffer diverged after call {n}"
+            );
+        }
+    }
+    assert!(reference.step_one().is_none(), "step_many halted early");
+    assert!(batched.report().schedule.run_ahead_steps > 0);
+    assert!(batched.pages.fault_count() > 10, "the loader must page in");
+}

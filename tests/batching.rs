@@ -1,15 +1,21 @@
 //! Differential tests for the batched run drivers.
 //!
-//! `step_many`, `run_for_cycles` and `run_until_halt` keep stepping the
-//! same CPU while it stays the scheduler's next pick, instead of making
-//! one full scheduling decision per instruction. Batching must be
-//! invisible: each test drives one system through a batched driver and a
-//! reference system through `step_one`, and the two must agree on the full
-//! `StepLogEntry` stream, every core's clock and pc, and the trace digest —
-//! including when a `step_many` budget or a `run_for_cycles` horizon cuts a
-//! batch short. The `untraced_*` tests drive the configuration the figure
-//! binaries and perfbench run — no tracer, no step log — and compare the
-//! final state and `SystemReport` counters instead. Sharded-vs-serial
+//! `step_many`, `run_for_cycles` and `run_until_halt` follow the serial
+//! schedule across picks: each pick keeps stepping its CPU while it stays
+//! the scheduler's next pick, instead of making one full scheduling
+//! decision per instruction. Batching must be invisible: each test drives
+//! one system through a batched run method and a reference system through
+//! `step_one`, and the two must agree on the full `StepLogEntry` stream,
+//! every core's clock, pc, GRs and cc, and the trace digest — including
+//! when a `step_many` budget or a `run_for_cycles` horizon cuts a pick
+//! short.
+//!
+//! The `untraced_*` tests drive the configuration the figure binaries and
+//! perfbench run — no tracer, no step log — and compare the final state
+//! and `SystemReport` counters instead. Only there do CPUs run quiet
+//! (register-only) instructions ahead of the scheduler's runner-up, and
+//! undo the ones past a budget's end or a broadcast stop; the
+//! `untraced_*` differentials are what pin that undo. Sharded-vs-serial
 //! identity is covered by `tests/sharded.rs`.
 
 use proptest::prelude::*;
@@ -106,19 +112,16 @@ fn drain(sys: &mut System, cap: u64) -> u64 {
     }
 }
 
-/// Asserts two systems agree on every core's clock and pc.
+/// Asserts two systems agree on every core's clock, pc, general registers
+/// and condition code. Run-ahead writes all four, so an undo that restored
+/// only the clock and pc would fail here.
 fn assert_same_cores(batched: &System, reference: &System, at: &str) {
     for cpu in 0..batched.cpus() {
-        assert_eq!(
-            batched.core(cpu).clock,
-            reference.core(cpu).clock,
-            "cpu {cpu} clock diverged {at}"
-        );
-        assert_eq!(
-            batched.core(cpu).pc,
-            reference.core(cpu).pc,
-            "cpu {cpu} pc diverged {at}"
-        );
+        let (b, r) = (batched.core(cpu), reference.core(cpu));
+        assert_eq!(b.clock, r.clock, "cpu {cpu} clock diverged {at}");
+        assert_eq!(b.pc, r.pc, "cpu {cpu} pc diverged {at}");
+        assert_eq!(b.grs, r.grs, "cpu {cpu} GRs diverged {at}");
+        assert_eq!(b.cc, r.cc, "cpu {cpu} cc diverged {at}");
     }
 }
 
@@ -359,30 +362,68 @@ fn untraced_batches_cross_timer_ticks_on_one_cpu() {
 /// other CPU's clock.
 #[test]
 fn untraced_batches_match_step_one_through_broadcast_stops() {
+    let report = assert_untraced_drivers_match_step_one(|| broadcast_stop_system(10), 80_000_000);
+    assert!(
+        report.tx.broadcast_stops > 0,
+        "the kernel must broadcast-stop"
+    );
+}
+
+/// A `cpus`-CPU system whose first ten CPUs run the broadcast-stop kernel:
+/// crossed constrained transactions on two lines that escalate to
+/// broadcast stops. CPUs past the tenth get no program.
+fn broadcast_stop_system(cpus: usize) -> System {
+    let var = 0xE0_000u64;
+    let kernel = |first: u64, second: u64| {
+        let mut a = Assembler::new(0);
+        a.lghi(R6, 30);
+        a.label("loop");
+        a.tbeginc(ztm::core::GrSaveMask::ALL);
+        a.lg(R2, MemOperand::absolute(first));
+        a.aghi(R2, 1);
+        a.stg(R2, MemOperand::absolute(first));
+        a.lg(R3, MemOperand::absolute(second));
+        a.aghi(R3, 1);
+        a.stg(R3, MemOperand::absolute(second));
+        a.tend();
+        a.brctg(R6, "loop");
+        a.halt();
+        a.assemble().unwrap()
+    };
+    let (fwd, rev) = (kernel(var, var + 256), kernel(var + 256, var));
+    let mut cfg = SystemConfig::with_cpus(cpus);
+    cfg.engine.retry_ladder.broadcast_stop_after = 2;
+    let mut sys = System::new(cfg);
+    for i in 0..10 {
+        sys.load_program(i, if i % 2 == 0 { &fwd } else { &rev });
+    }
+    sys
+}
+
+/// A register-only spinner: every op in its loop is quiet, so its CPU runs
+/// ahead of the schedule whenever another CPU holds the next pick.
+fn register_spinner(iterations: i64) -> Program {
+    let mut a = Assembler::new(0);
+    a.lghi(R6, iterations);
+    a.label("spin");
+    a.aghi(R2, 3);
+    a.delay(5);
+    a.lgr(R3, R2);
+    a.brctg(R6, "spin");
+    a.halt();
+    a.assemble().expect("spinner assembles")
+}
+
+/// Two register-only spinners beside the 10-CPU broadcast-stop kernel:
+/// run-ahead steps are in flight at every stop, and every one past the
+/// stopping step's key must be undone before the other CPUs freeze.
+#[test]
+fn untraced_run_ahead_is_undone_at_broadcast_stops() {
     let build = || {
-        let var = 0xE0_000u64;
-        let kernel = |first: u64, second: u64| {
-            let mut a = Assembler::new(0);
-            a.lghi(R6, 30);
-            a.label("loop");
-            a.tbeginc(ztm::core::GrSaveMask::ALL);
-            a.lg(R2, MemOperand::absolute(first));
-            a.aghi(R2, 1);
-            a.stg(R2, MemOperand::absolute(first));
-            a.lg(R3, MemOperand::absolute(second));
-            a.aghi(R3, 1);
-            a.stg(R3, MemOperand::absolute(second));
-            a.tend();
-            a.brctg(R6, "loop");
-            a.halt();
-            a.assemble().unwrap()
-        };
-        let (fwd, rev) = (kernel(var, var + 256), kernel(var + 256, var));
-        let mut cfg = SystemConfig::with_cpus(10);
-        cfg.engine.retry_ladder.broadcast_stop_after = 2;
-        let mut sys = System::new(cfg);
-        for i in 0..10 {
-            sys.load_program(i, if i % 2 == 0 { &fwd } else { &rev });
+        let mut sys = broadcast_stop_system(12);
+        let spinner = register_spinner(20_000);
+        for i in 10..12 {
+            sys.load_program(i, &spinner);
         }
         sys
     };
@@ -390,6 +431,13 @@ fn untraced_batches_match_step_one_through_broadcast_stops() {
     assert!(
         report.tx.broadcast_stops > 0,
         "the kernel must broadcast-stop"
+    );
+    let mut batched = build();
+    batched.run_until_halt(80_000_000);
+    let schedule = batched.report().schedule;
+    assert!(
+        schedule.run_ahead_steps > 0,
+        "the spinners must run ahead: {schedule:?}"
     );
 }
 

@@ -15,13 +15,14 @@ use ztm::workloads::bank::{Bank, BankMethod};
 use ztm::workloads::hashtable::{HashTable, TableMethod};
 use ztm::workloads::pool::{PoolLayout, PoolWorkload, SyncMethod};
 
-/// The deterministic portion of a report. The `sharding` stats measure how
-/// the run was planned (rounds, round sizes) and legitimately vary with
-/// thread count — every simulated outcome must not, so differential tests
-/// zero them and diff everything else.
+/// The deterministic portion of a report. The `sharding` and `schedule`
+/// stats measure how the run was planned (rounds, round sizes, picks) and
+/// legitimately vary with thread count — every simulated outcome must not,
+/// so differential tests zero them and diff everything else.
 fn det(sys: &System) -> String {
     let mut r = sys.report();
     r.sharding = Default::default();
+    r.schedule = Default::default();
     format!("{r:?}")
 }
 
