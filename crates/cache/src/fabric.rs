@@ -3,6 +3,7 @@
 
 use crate::{ChipId, CpuId, McmId, SetAssoc, Topology, XiKind};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use ztm_mem::{AddrHashBuilder, LineAddr};
 use ztm_trace::{Event, Tracer};
 
@@ -45,7 +46,7 @@ pub struct FetchPlan {
 
 /// Per-line directory state: at most one exclusive owner, or any number of
 /// read-only sharers (the store-through hierarchy holds no dirty lines).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Hash)]
 struct LineState {
     owner: Option<CpuId>,
     sharers: Vec<CpuId>,
@@ -338,6 +339,33 @@ impl Fabric {
     /// Total XIs recorded, by kind: `[exclusive, demote, read-only, lru]`.
     pub fn xi_counts(&self) -> [u64; 4] {
         self.xi_counts
+    }
+}
+
+/// Folds the directory, the L3 and L4 presence maps (each in line order),
+/// every chip's L3 directory and the XI counts. The topology is
+/// configuration and the tracer observes; both are left out.
+impl Hash for Fabric {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        fn sorted<V>(map: &HashMap<LineAddr, V, AddrHashBuilder>) -> Vec<(&LineAddr, &V)> {
+            let mut entries: Vec<_> = map.iter().collect();
+            entries.sort_unstable_by_key(|&(line, _)| *line);
+            entries
+        }
+        let Fabric {
+            topology: _,
+            lines,
+            l3_presence,
+            l4_presence,
+            l3,
+            xi_counts,
+            tracer: _,
+        } = self;
+        sorted(lines).hash(state);
+        sorted(l3_presence).hash(state);
+        sorted(l4_presence).hash(state);
+        l3.hash(state);
+        xi_counts.hash(state);
     }
 }
 

@@ -4,6 +4,7 @@
 
 use crate::store_cache::{DrainWrite, StoreCache, StoreOutcome};
 use crate::{CacheGeometry, CpuId, FootprintEvent, SetAssoc, Xi, XiKind, XiResponse};
+use std::hash::{Hash, Hasher};
 use ztm_mem::{Address, LineAddr};
 use ztm_trace::{hit_level, Event, Tracer};
 
@@ -21,7 +22,7 @@ pub enum CohState {
 /// L1 directory entry: the paper moved the valid bits into latches and added
 /// the tx-read / tx-dirty bits (§III.C). Presence in the [`SetAssoc`] is the
 /// valid bit.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, Hash)]
 struct L1Entry {
     tx_read: bool,
     tx_dirty: bool,
@@ -29,7 +30,7 @@ struct L1Entry {
 
 /// L2 directory entry; the unit's coherence state lives here (the L1 is
 /// inclusive in the L2 and shares the state).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 struct L2Entry {
     state: CohState,
 }
@@ -122,7 +123,7 @@ pub struct PrivateCache {
 }
 
 /// One per-requester XI-reject counter, valid only for a matching epoch.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, Hash)]
 struct RejectSlot {
     epoch: u64,
     count: u32,
@@ -672,6 +673,37 @@ impl PrivateCache {
     }
 }
 
+/// Folds the unit's state: both directories (LRU stamps and tx marks
+/// included), the LRU-extension vector, the store cache, the tx mode, the
+/// XI-reject counters with their epoch, and the tx-mark journals. The
+/// geometry is configuration and the tracer observes; both are left out.
+impl Hash for PrivateCache {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let PrivateCache {
+            geom: _,
+            l1,
+            l2,
+            lru_ext,
+            store_cache,
+            in_tx,
+            reject_counts,
+            reject_epoch,
+            tx_read_marks,
+            tx_dirty_marks,
+            tracer: _,
+        } = self;
+        l1.hash(state);
+        l2.hash(state);
+        lru_ext.hash(state);
+        store_cache.hash(state);
+        in_tx.hash(state);
+        reject_counts.hash(state);
+        reject_epoch.hash(state);
+        tx_read_marks.hash(state);
+        tx_dirty_marks.hash(state);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -947,5 +979,35 @@ mod tests {
         u.begin_outermost_tx();
         assert_eq!(u.tx_read_lines(), 0);
         assert_eq!(u.lru_ext_rows(), 0);
+    }
+
+    fn fold(u: &PrivateCache) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        u.hash(&mut h);
+        h.finish()
+    }
+
+    /// The fold sees each directory on its own: an L1-only LRU touch, an
+    /// L1 tx bit and an L2 state change each change it.
+    #[test]
+    fn fold_sees_each_directory() {
+        let build = || {
+            let mut u = unit();
+            for i in 1..=2 {
+                u.install(line(i), CohState::ReadOnly, AccessClass::Fetch, false);
+            }
+            u
+        };
+        let base = fold(&build());
+        assert_eq!(base, fold(&build()));
+        let mut u = build();
+        u.l1.get(line(1));
+        assert_ne!(fold(&u), base, "an L1 LRU touch");
+        let mut u = build();
+        u.l1.peek_mut(line(1)).unwrap().tx_read = true;
+        assert_ne!(fold(&u), base, "an L1 tx-read bit");
+        let mut u = build();
+        u.l2.peek_mut(line(2)).unwrap().state = CohState::Exclusive;
+        assert_ne!(fold(&u), base, "an L2 coherence state");
     }
 }

@@ -1,5 +1,6 @@
 //! A generic set-associative directory with true-LRU replacement.
 
+use std::hash::{Hash, Hasher};
 use ztm_mem::LineAddr;
 
 #[derive(Debug, Clone)]
@@ -376,6 +377,39 @@ impl<E> SetAssoc<E> {
     /// Whether the directory holds no lines.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// Folds the directory in (class, way) order: each resident line with its
+/// LRU stamp and entry, then the stamp counter. The arena's row order (the
+/// order classes first received a line) and the MRU slot memo are left out.
+impl<E: Hash> Hash for SetAssoc<E> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let SetAssoc {
+            slots,
+            rows: _,
+            sets: _,
+            ways,
+            pow2_mask: _,
+            stamp,
+            hot: _,
+        } = self;
+        // Every line of a row shares its class, and occupied slots form a
+        // prefix, so a row's first slot names its class. Arena row 0 is the
+        // shared empty row.
+        let mut rows: Vec<(usize, &[Option<Slot<E>>])> = slots
+            .chunks(*ways)
+            .skip(1)
+            .filter_map(|row| row[0].as_ref().map(|s| (self.class_of(s.line), row)))
+            .collect();
+        rows.sort_unstable_by_key(|&(class, _)| class);
+        for (class, row) in rows {
+            for (way, slot) in row.iter().map_while(Option::as_ref).enumerate() {
+                (class, way, slot.line, slot.lru).hash(state);
+                slot.entry.hash(state);
+            }
+        }
+        stamp.hash(state);
     }
 }
 

@@ -1,10 +1,11 @@
 //! The gathering store cache (§III.D).
 
+use std::hash::{Hash, Hasher};
 use ztm_mem::{Address, HalfLineAddr, LineAddr, MainMemory, HALF_LINE_SIZE};
 use ztm_trace::{Event, Tracer};
 
 /// One 128-byte gathering entry.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct Entry {
     half_line: HalfLineAddr,
     data: [u8; HALF_LINE_SIZE as usize],
@@ -399,6 +400,24 @@ impl StoreCache {
 impl Default for StoreCache {
     fn default() -> Self {
         StoreCache::new(64)
+    }
+}
+
+/// Folds the entries in queue order with their bytes, valid bits, marks
+/// and ages, the next age and the transactional line cache. The capacity
+/// is configuration and the tracer observes; both are left out.
+impl Hash for StoreCache {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let StoreCache {
+            entries,
+            capacity: _,
+            next_age,
+            tx_line_cache,
+            tracer: _,
+        } = self;
+        entries.hash(state);
+        next_age.hash(state);
+        tx_line_cache.hash(state);
     }
 }
 

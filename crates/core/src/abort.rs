@@ -91,7 +91,7 @@ impl ProgramException {
 
 /// Why a transaction aborted. Carries enough detail to build the Transaction
 /// Diagnostic Block (§II.E.1) and select condition code and abort code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AbortCause {
     /// An XI from another CPU (or the I/O subsystem) hit the footprint.
     Conflict {

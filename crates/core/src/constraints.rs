@@ -103,7 +103,7 @@ impl Error for ConstraintViolation {}
 /// t.note_data_access(Address::new(0x4000), 8)?;
 /// # Ok::<(), ztm_core::ConstraintViolation>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct ConstraintTracker {
     /// Addresses of counted instructions. Constrained transactions contain
     /// no loops (forward branches only), so each address executes at most

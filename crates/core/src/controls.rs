@@ -105,7 +105,7 @@ impl Pifc {
 }
 
 /// The operand fields of a TBEGIN instruction (§II.B, Figure 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TbeginParams {
     /// Which GR pairs to save/restore.
     pub grsm: GrSaveMask,
@@ -154,7 +154,7 @@ impl Default for TbeginParams {
 
 /// The effective controls of a transaction nest: AR/FPR controls are the AND
 /// of all levels, PIFC is the maximum of all levels (§II.B/§II.C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EffectiveControls {
     /// Effective AR-modification permission.
     pub allow_ar_mod: bool,

@@ -8,6 +8,7 @@ use crate::millicode::{ConstrainedRetry, MillicodeCosts, RetryAction, RetryLadde
 use crate::stats::TxStats;
 use crate::tdb::Tdb;
 use rand::Rng;
+use std::hash::{Hash, Hasher};
 use ztm_cache::FootprintEvent;
 use ztm_mem::Address;
 use ztm_trace::{Event, Tracer};
@@ -27,7 +28,7 @@ pub struct TxEngineConfig {
 }
 
 /// State captured at the outermost TBEGIN, needed for abort processing.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct OuterState {
     grsm: GrSaveMask,
     backup_grs: [u64; 16],
@@ -546,6 +547,42 @@ impl TxEngine {
 impl Default for TxEngine {
     fn default() -> Self {
         TxEngine::new(TxEngineConfig::default())
+    }
+}
+
+/// Folds the engine's state: the nest (levels, effective controls, the
+/// outermost TBEGIN's saved state), the pending abort, the diagnostic
+/// countdown, the retry ladder, the statistics, the speculation switch,
+/// the abort streak and the last abort code. The diagnostic control and
+/// the millicode costs are configuration and the tracer observes; they are
+/// left out.
+impl Hash for TxEngine {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let TxEngine {
+            level_params,
+            effective,
+            outer,
+            pending,
+            tdc: _,
+            tdc_countdown,
+            retry,
+            costs: _,
+            stats,
+            speculation_disabled,
+            abort_streak,
+            last_abort_code,
+            tracer: _,
+        } = self;
+        level_params.hash(state);
+        effective.hash(state);
+        outer.hash(state);
+        pending.hash(state);
+        tdc_countdown.hash(state);
+        retry.hash(state);
+        stats.hash(state);
+        speculation_disabled.hash(state);
+        abort_streak.hash(state);
+        last_abort_code.hash(state);
     }
 }
 

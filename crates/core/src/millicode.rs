@@ -2,6 +2,7 @@
 //! assist, and the constrained-transaction retry ladder (§III.E).
 
 use rand::Rng;
+use std::hash::{Hash, Hasher};
 use ztm_trace::{Event, Tracer};
 
 /// Cycle costs of millicode routines (§III.E: "Every transaction abort
@@ -166,6 +167,19 @@ impl ConstrainedRetry {
     /// if or when the OS returns, §III.E).
     pub fn on_os_interruption(&mut self) {
         self.count = 0;
+    }
+}
+
+/// Folds the abort count. The ladder configuration is configuration and
+/// the tracer observes; both are left out.
+impl Hash for ConstrainedRetry {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let ConstrainedRetry {
+            config: _,
+            count,
+            tracer: _,
+        } = self;
+        count.hash(state);
     }
 }
 

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 /// Counters describing one CPU's transactional activity. Benchmarks
 /// aggregate these to compute abort rates and abort-reason histograms.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct TxStats {
     /// Outermost TBEGIN executions.
     pub tbegins: u64,

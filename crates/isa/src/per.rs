@@ -13,7 +13,7 @@
 /// * **the TEND event** ([`Self::tend_event`]): triggers on successful
 ///   completion of an outermost TEND, so a debugger can re-check its
 ///   watch-points at transaction granularity.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct PerControls {
     /// Master enable.
     pub enabled: bool,

@@ -44,7 +44,7 @@ use crate::machine::Machine;
 use crate::reg::CpuCore;
 
 /// Why an instruction's issue was delayed past its candidate cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StallReason {
     /// A source register was still in flight (RAW hazard).
     RegisterDep,
@@ -68,7 +68,7 @@ impl StallReason {
 
 /// What the window observed during the last [`step_pipelined`] call, for
 /// trace emission by the system (the window itself has no tracer handle).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct IssueReport {
     /// An issue group closed this step; carries its size in instructions.
     pub closed_group: Option<u8>,
@@ -222,7 +222,7 @@ fn deps(d: &DecodedInstr) -> Deps {
 
 /// Per-core scoreboard state. All times are absolute core-clock values, so
 /// the window survives external clock bumps (quiesce release) by resyncing.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct IssueWindow {
     width: u64,
     lsu_ports: u64,

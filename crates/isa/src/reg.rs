@@ -68,7 +68,7 @@ pub mod gr {
 }
 
 /// Why a CPU stopped running.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum HaltReason {
     /// The program executed HALT (normal completion).
     Completed,
@@ -77,7 +77,7 @@ pub enum HaltReason {
 }
 
 /// Execution state of a simulated CPU.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum CpuState {
     /// Executing instructions.
     Running,
@@ -88,7 +88,7 @@ pub enum CpuState {
 /// The architectural core state of one simulated CPU: 16 general registers,
 /// 16 access registers, 16 floating-point registers, the condition code, the
 /// instruction counter, and a local cycle clock (read by STCKF, §IV).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct CpuCore {
     /// General registers.
     pub grs: [u64; 16],

@@ -3,7 +3,7 @@
 use crate::{Address, LineAddr, LINE_SIZE};
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// A multiplicative hasher for the simulator's internal address-keyed maps.
 ///
@@ -72,6 +72,29 @@ pub struct MainMemory {
     /// `(line index, arena slot)`. Purely an accessor-side memo — slots never
     /// move or die — so it lives in `Cell`s and loads stay `&self`.
     front: Box<[Cell<(u64, u32)>]>,
+}
+
+/// Folds the memory image: every line holding a non-zero byte, with its
+/// address, in address order. A line never stored to and a line of zeros
+/// read the same, so they fold the same; the arena layout and the `front`
+/// memo are left out.
+impl Hash for MainMemory {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let MainMemory {
+            index,
+            arena,
+            front: _,
+        } = self;
+        let mut lines: Vec<(LineAddr, u32)> = index.iter().map(|(&l, &s)| (l, s)).collect();
+        lines.sort_unstable();
+        for (line, slot) in lines {
+            let bytes = &arena[slot as usize];
+            if bytes.iter().any(|&b| b != 0) {
+                line.hash(state);
+                bytes.hash(state);
+            }
+        }
+    }
 }
 
 /// Front-cache size; must be a power of two.

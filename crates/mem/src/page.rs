@@ -2,6 +2,7 @@
 
 use crate::{Address, MemFault, PageAddr};
 use std::collections::HashSet;
+use std::hash::{Hash, Hasher};
 
 /// Tracks which pages are resident, so the simulator can inject page faults.
 ///
@@ -99,6 +100,23 @@ impl PageTable {
     /// Total number of faults observed through [`access`](Self::access).
     pub fn fault_count(&self) -> u64 {
         self.faults
+    }
+}
+
+/// Folds the evicted pages in address order, the fault count and the
+/// residency epoch.
+impl Hash for PageTable {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let PageTable {
+            evicted,
+            faults,
+            epoch,
+        } = self;
+        let mut pages: Vec<PageAddr> = evicted.iter().copied().collect();
+        pages.sort_unstable();
+        pages.hash(state);
+        faults.hash(state);
+        epoch.hash(state);
     }
 }
 

@@ -13,12 +13,14 @@
 //! the paper's "stall completion while XIs are pending" rule (§III.C).
 //! Determinism makes every contention experiment exactly reproducible.
 //! Untraced batched runs let a CPU step register-only instructions past
-//! the scheduler's runner-up and undo any that end up past a budget or a
-//! broadcast stop, so the result is still exactly the serial one.
+//! the scheduler's runner-up and undo any that end up past a budget, a
+//! broadcast stop or a page-residency change, so the result is still
+//! exactly the serial one; [`System::fingerprint`] folds the whole
+//! simulated state, and the differential tests compare it.
 //! [`System::set_sim_threads`] above 1 plans the same schedule in rounds of
 //! provably node-local steps (`system/shard.rs`), still on the
-//! calling thread and through the same step driver, so results are
-//! byte-identical either way.
+//! calling thread and through the same step driver, so the state and the
+//! statistics are identical either way.
 //!
 //! The simulator also implements the millicode *broadcast-stop* quiesce
 //! (§III.E): when a struggling constrained transaction escalates to the last
@@ -39,7 +41,7 @@ mod system;
 
 pub use config::SystemConfig;
 pub use report::{ScheduleStats, ShardingStats, StmCounts, SystemReport};
-pub use system::{StepLogEntry, System, TraceRecord};
+pub use system::{System, TraceRecord};
 
 /// Reads a `ZTM_*` boolean switch. Per the workspace convention only the
 /// value `"1"` engages a switch — `ZTM_FOO=0` and `ZTM_FOO=` must mean off,

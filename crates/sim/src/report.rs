@@ -6,7 +6,7 @@ use ztm_core::TxStats;
 /// Software-TM (TL2) statistics, accumulated from the `STMNOTE` markers the
 /// emitted STM programs execute (see `ztm_stm`). All zero for workloads that
 /// never run the software path.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct StmCounts {
     /// STM transaction attempts begun (including retries).
     pub begins: u64,
@@ -45,9 +45,9 @@ impl StmCounts {
 /// Sharded round-planner statistics (all zero on serial runs). They
 /// describe how the run was planned, not what it simulated: simulated
 /// outcomes stay byte-identical for any `ZTM_SIM_THREADS` value, but the
-/// rounds exist only when the planner runs, so differential tests zero
-/// this field before comparing whole reports. Every round runs on the
-/// calling thread.
+/// rounds exist only when the planner runs, so
+/// [`System::fingerprint`](crate::System::fingerprint) leaves them out.
+/// Every round runs on the calling thread.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardingStats {
     /// Shard-local rounds run.
@@ -97,7 +97,8 @@ impl ShardingStats {
 /// Deterministic for a given sequence of run-method calls, but they describe
 /// the schedule, not the simulated outcome: a `step_one` loop and a batched
 /// run of the same program count different picks, and traced runs never
-/// run ahead, so differential tests compare the rest of the report.
+/// run ahead, so [`System::fingerprint`](crate::System::fingerprint)
+/// leaves them out.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScheduleStats {
     /// Scheduler picks: the times the scheduler chose the CPU to step next.

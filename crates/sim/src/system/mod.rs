@@ -13,7 +13,8 @@ use crate::config::SystemConfig;
 use crate::report::SystemReport;
 use crate::sched::{pack_entry, unpack_entry, WinnerTree};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use view::{deliver_xi, View};
 use ztm_cache::{Fabric, PrivateCache, XiKind};
@@ -45,6 +46,37 @@ struct Node {
     ahead: AheadLog,
 }
 
+/// Folds every per-CPU state component (see [`System::fingerprint`]). The
+/// RNG folds as one draw from a clone, so the fold leaves the stream where
+/// it was. Only the undo log's length folds: a driver returns with every
+/// log empty, and the slots past the length are scratch.
+impl Hash for Node {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let Node {
+            cache,
+            icache,
+            engine,
+            rng,
+            prefix_area,
+            last_timer,
+            stalls,
+            ifetch,
+            stm,
+            ahead,
+        } = self;
+        cache.hash(state);
+        icache.hash(state);
+        engine.hash(state);
+        rng.clone().next_u64().hash(state);
+        prefix_area.hash(state);
+        last_timer.hash(state);
+        stalls.hash(state);
+        ifetch.hash(state);
+        stm.hash(state);
+        ahead.len.hash(state);
+    }
+}
+
 /// The text lines an i-fetch may take without an L1-I directory walk.
 ///
 /// Both lines were resident at the last walk, and both stay valid while
@@ -52,7 +84,7 @@ struct Node {
 /// no XIs (the i-cache is outside the coherence protocol), and only a walk
 /// installs into the i-cache — and every walk re-records this buffer — so
 /// no install can happen while it is valid.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Hash)]
 struct IfetchBuffer {
     /// The text line the previous instruction fetched from.
     last: Option<LineAddr>,
@@ -80,34 +112,23 @@ pub struct TraceRecord {
     pub cycles: u64,
 }
 
-/// One entry of the lightweight step log (see [`System::set_step_log`]):
-/// which CPU stepped at which pre-step clock, what the step did, and how
-/// many cycles it took. Every driver — `step_one`, batched runs and the
-/// sharded round planner — must produce identical logs; `tests/batching.rs`
-/// and `tests/sharded.rs` pin that.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StepLogEntry {
-    /// The CPU's local clock before the step.
-    pub clock: u64,
-    /// The CPU that stepped.
-    pub cpu: usize,
-    /// What the step did.
-    pub event: StepEvent,
-    /// Cycles the step consumed.
-    pub cycles: u64,
-}
-
 /// The full simulated SMP system.
 ///
 /// Owns everything: committed memory, the page table, the coherence fabric,
 /// and per CPU a [`CpuCore`] (architectural registers), a
 /// [`PrivateCache`] (L1/L2/store cache) and a [`TxEngine`].
 ///
-/// Simulation is deterministic: a single thread steps the CPU with the
-/// smallest local clock, one instruction at a time; cross-interrogates are
+/// Simulation is single-threaded and deterministic, and its result is the
+/// serial schedule: the running CPU with the smallest `(clock, cpu)` key
+/// steps next, one instruction per step, and cross-interrogates are
 /// delivered synchronously at instruction boundaries, which realizes the
 /// paper's rule that instruction completion stalls while XIs are pending
-/// (§III.C).
+/// (§III.C). Untraced batched runs may step a CPU's register-only
+/// instructions ahead of that order (quiet run-ahead, see the private
+/// `run_batch`) and undo any that end up past a step budget, a broadcast
+/// stop or a page-residency change, so every run method leaves the state a
+/// [`step_one`](Self::step_one) loop would. [`fingerprint`](Self::fingerprint)
+/// folds that state, and the differential tests compare it.
 ///
 /// # Examples
 ///
@@ -174,10 +195,6 @@ pub struct System {
     /// node-local steps into rounds. Simulation results are byte-identical
     /// for any value.
     sim_threads: usize,
-    /// Optional full step log ([`set_step_log`](Self::set_step_log)) — the
-    /// differential-test hook proving every driver replays the serial step
-    /// order exactly.
-    step_log: Option<Vec<StepLogEntry>>,
     /// Steps the round planner admitted into shard-local rounds, as opposed
     /// to steps it ran one at a time. Pure statistics.
     sharded_local_steps: u64,
@@ -383,7 +400,6 @@ impl System {
                 .filter(|&w| w > 1)
                 .map(|w| PipelineState::new(w as u64, cpus, config.latency.lsu_ports)),
             sim_threads: crate::env_usize("ZTM_SIM_THREADS").unwrap_or(1),
-            step_log: None,
             sharded_local_steps: 0,
             shard_rounds: 0,
             shard_round_max: 0,
@@ -470,9 +486,9 @@ impl System {
     /// with more than one chip, and every such value runs the same schedule
     /// on the calling thread: each round admits the key-ordered prefix of
     /// provably node-local steps the serial scheduler would run next, one
-    /// step per CPU, and runs them in that order. Simulation results
-    /// (architectural state, statistics and the step log) are
-    /// byte-identical for any value; only
+    /// step per CPU, and runs them in that order. Simulation results (the
+    /// whole [`fingerprint`](Self::fingerprint) and the statistics) are
+    /// identical for any value; only
     /// [`ShardingStats`](crate::ShardingStats) counts the rounds. Runs with
     /// an event tracer attached always take the serial scheduler.
     ///
@@ -482,23 +498,6 @@ impl System {
     pub fn set_sim_threads(&mut self, threads: usize) {
         assert!(threads > 0, "sim_threads must be positive");
         self.sim_threads = threads;
-    }
-
-    /// Enables or disables the full step log: every executed step is
-    /// recorded as a [`StepLogEntry`] in serial scheduling order. This is
-    /// the lockstep hook for the sharded-vs-serial differential tests;
-    /// unbounded, so keep runs short while enabled.
-    pub fn set_step_log(&mut self, enabled: bool) {
-        self.step_log = if enabled { Some(Vec::new()) } else { None };
-    }
-
-    /// Takes the accumulated step log, leaving an empty one behind (empty
-    /// `Vec` if logging was never enabled).
-    pub fn take_step_log(&mut self) -> Vec<StepLogEntry> {
-        match self.step_log.as_mut() {
-            Some(log) => std::mem::take(log),
-            None => Vec::new(),
-        }
     }
 
     /// CPU `i`'s winner-tree key: its packed `(clock, cpu)` when it is
@@ -655,7 +654,7 @@ impl System {
     /// op, outside a transaction, with no pending abort, PER off, no timer
     /// tick due, and its text line in the i-fetch buffer at the current
     /// page epoch. Only untraced calls with a budget above one run ahead:
-    /// no event tracer, traced CPU, step log or issue window, and no
+    /// no event tracer, traced CPU or issue window, and no
     /// quiesce held. Such a step reads and writes only `i`'s GRs, cc, pc,
     /// clock, instruction count, reject epoch and i-fetch buffer order, and
     /// reads the page epoch. No other CPU's step reads any of them: an XI
@@ -676,11 +675,8 @@ impl System {
         let tracing = self.tracer.is_enabled();
         let timer = self.config.timer_interval;
         let legacy = self.use_legacy_interpreter;
-        let may_run_ahead = limit > 1
-            && !tracing
-            && self.step_log.is_none()
-            && self.pipeline.is_none()
-            && !self.traced.contains(&true);
+        let may_run_ahead =
+            limit > 1 && !tracing && self.pipeline.is_none() && !self.traced.contains(&true);
         let mut view = View {
             cpu: first,
             now: 0,
@@ -762,14 +758,6 @@ impl System {
                     }
                 }
                 done += 1;
-                if let Some(log) = self.step_log.as_mut() {
-                    log.push(StepLogEntry {
-                        clock: pre_clock,
-                        cpu: i,
-                        event: out.event,
-                        cycles: out.cycles,
-                    });
-                }
                 if traced {
                     if self.trace.len() == self.trace_capacity {
                         self.trace.pop_front();
@@ -991,6 +979,71 @@ impl System {
             sharding: self.sharding_stats(),
             schedule: self.schedule,
         }
+    }
+
+    /// A 64-bit fold of the whole simulated state, for differential tests:
+    /// two runs of one configuration that leave the same state have the
+    /// same fingerprint, whatever driver took them there.
+    ///
+    /// It folds every core (registers, pc, clock, run state, PER controls,
+    /// counts) and per CPU the transaction engine, the L1/L2 directories in
+    /// (class, way) order with their LRU stamps and tx marks, the store
+    /// cache, the XI-reject counters and their epoch, the L1-I directory,
+    /// the i-fetch buffer, the issue window, the stall and STM counters, the
+    /// last timer tick and the RNG (as one draw from a clone); then the
+    /// step count, the effective broadcast-stop holder, the fabric channels'
+    /// busy times, the coherence fabric (its maps in line order), memory
+    /// (lines in address order) and the page table.
+    ///
+    /// It leaves out the configuration and the run switches (interpreter,
+    /// sim threads, traced CPUs), which both sides of a differential choose;
+    /// the event tracer and the execution-trace ring, which observe; the
+    /// `schedule` and `sharding` statistics, which describe how a driver
+    /// chose its steps; and memos, which a lookup re-derives: the winner
+    /// tree, `sched_stale`, `MainMemory`'s front cache and `SetAssoc`'s MRU
+    /// slot. The value is stable within one process only.
+    pub fn fingerprint(&self) -> u64 {
+        let System {
+            config: _,
+            mem,
+            pages,
+            fabric,
+            nodes,
+            cores,
+            sched_stale: _,
+            use_legacy_interpreter: _,
+            programs,
+            quiesce,
+            sched: _,
+            fabric_busy,
+            traced: _,
+            trace: _,
+            trace_capacity: _,
+            tracer: _,
+            steps,
+            pipeline,
+            sim_threads: _,
+            sharded_local_steps: _,
+            shard_rounds: _,
+            shard_round_max: _,
+            schedule: _,
+        } = self;
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        cores.hash(&mut h);
+        nodes.hash(&mut h);
+        if let Some(pl) = pipeline {
+            pl.windows.hash(&mut h);
+        }
+        for program in programs {
+            program.is_some().hash(&mut h);
+        }
+        steps.hash(&mut h);
+        quiesce.filter(|&q| cores[q].is_running()).hash(&mut h);
+        fabric_busy.hash(&mut h);
+        fabric.hash(&mut h);
+        mem.hash(&mut h);
+        pages.hash(&mut h);
+        h.finish()
     }
 
     /// Sharded-driver schedule statistics (all zero on serial runs).

@@ -5,10 +5,10 @@
 //! than one chip: each round admits one *provably node-local* instruction
 //! step per CPU, in the serial `(clock, cpu)` order, and runs them on the
 //! calling thread. A step that may cross a node (a fabric fetch, an XI
-//! broadcast, a quiesce, an abort) runs alone, so architectural state,
-//! statistics and the step log are byte-identical to the serial scheduler
-//! for any `ZTM_SIM_THREADS` value. Runs with an event tracer attached
-//! never shard.
+//! broadcast, a quiesce, an abort) runs alone, so the simulated state
+//! ([`System::fingerprint`]) and the statistics are identical to the serial
+//! scheduler's for any `ZTM_SIM_THREADS` value. Runs with an event tracer
+//! attached never shard.
 //!
 //! The module holds the whole planner: the conservative safe-set rule that
 //! decides which steps may share a round, the step classifier and the
@@ -174,8 +174,8 @@ impl System {
     /// order. When the serial pick itself is global (or a CPU holds the
     /// broadcast-stop quiesce) that one step runs alone. Every step goes
     /// through [`run_batch`](Self::run_batch) with a limit of 1, which keeps
-    /// the winner tree current, so state, statistics and step logs are
-    /// byte-identical to the serial scheduler's.
+    /// the winner tree current, so the state and the statistics are
+    /// identical to the serial scheduler's.
     pub(super) fn run_sharded_upto(&mut self, limit: u64, horizon: Option<u64>) -> u64 {
         let mut executed = 0u64;
         let mut cands: Vec<Candidate> = Vec::new();

@@ -649,8 +649,8 @@ fn figure1_convoy_program(var: u64, lock: u64, n: i64) -> Program {
 
 /// Quiet run-ahead on a two-chip Figure 1 spin convoy: waiters run their
 /// quiet spin ops past the runner-up, odd `step_many` budgets end calls
-/// with run-ahead steps in flight, and the undo must leave every core
-/// equal to a `step_one` reference after every call.
+/// with run-ahead steps in flight, and the undo must leave the whole state
+/// equal to a `step_one` reference's after every call.
 #[test]
 fn run_ahead_undoes_in_flight_steps_at_budget_boundaries() {
     let (var, lock) = (0xC0_000u64, 0xC1_000u64);
@@ -677,21 +677,11 @@ fn run_ahead_undoes_in_flight_steps_at_budget_boundaries() {
         for _ in 0..k {
             reference.step_one().expect("the reference halted early");
         }
-        for cpu in 0..12 {
-            let (b, r) = (batched.core(cpu), reference.core(cpu));
-            assert_eq!(
-                (b.clock, b.pc, b.grs, b.cc, b.instructions),
-                (r.clock, r.pc, r.grs, r.cc, r.instructions),
-                "cpu {cpu} diverged after call {n}"
-            );
-            // The undo also puts the i-fetch buffer's lines back in order.
-            let (b, r) = (&batched.nodes[cpu].ifetch, &reference.nodes[cpu].ifetch);
-            assert_eq!(
-                (b.last, b.prev, b.epoch),
-                (r.last, r.prev, r.epoch),
-                "cpu {cpu} i-fetch buffer diverged after call {n}"
-            );
-        }
+        assert_eq!(
+            batched.fingerprint(),
+            reference.fingerprint(),
+            "state diverged after call {n}"
+        );
         assert_eq!(batched.sched.min(), linear_pick(&batched), "call {n}");
     }
     assert!(reference.step_one().is_none(), "step_many halted early");
@@ -699,15 +689,15 @@ fn run_ahead_undoes_in_flight_steps_at_budget_boundaries() {
     let schedule = batched.report().schedule;
     assert!(schedule.run_ahead_steps > 0, "no step ran ahead");
     assert!(cut_short > 0, "no budget boundary undid an in-flight step");
-    assert_eq!(batched.report().steps, reference.report().steps);
 }
 
 /// A page-in changes the page epoch that every quiet fetch reads, so a
 /// step that pages in settles the run-ahead steps past its key: in serial
 /// order they fetch at the new epoch, through a directory walk that
 /// re-records the i-fetch buffer. CPU 0 loads from a page the test evicts
-/// between calls; CPUs 1–3 run quiet tails beside it. Every core and every
-/// i-fetch buffer must equal a `step_one` reference after each call.
+/// between calls; CPUs 1–3 run quiet tails beside it. The whole state, the
+/// i-fetch buffers included, must equal a `step_one` reference's after each
+/// call.
 #[test]
 fn run_ahead_settles_at_a_page_in() {
     let data = 0xD0_000u64;
@@ -759,22 +749,96 @@ fn run_ahead_settles_at_a_page_in() {
         for _ in 0..k {
             reference.step_one().expect("the reference halted early");
         }
-        for cpu in 0..4 {
-            let (b, r) = (batched.core(cpu), reference.core(cpu));
-            assert_eq!(
-                (b.clock, b.pc, b.grs, b.cc, b.instructions),
-                (r.clock, r.pc, r.grs, r.cc, r.instructions),
-                "cpu {cpu} diverged after call {n}"
-            );
-            let (b, r) = (&batched.nodes[cpu].ifetch, &reference.nodes[cpu].ifetch);
-            assert_eq!(
-                (b.last, b.prev, b.epoch),
-                (r.last, r.prev, r.epoch),
-                "cpu {cpu} i-fetch buffer diverged after call {n}"
-            );
-        }
+        assert_eq!(
+            batched.fingerprint(),
+            reference.fingerprint(),
+            "state diverged after call {n}"
+        );
     }
     assert!(reference.step_one().is_none(), "step_many halted early");
     assert!(batched.report().schedule.run_ahead_steps > 0);
     assert!(batched.pages.fault_count() > 10, "the loader must page in");
+}
+
+/// Two CPUs that each leave three data lines in their L1 (the first
+/// loaded is not the MRU), a store-cache entry, fabric directory entries
+/// and an i-fetch buffer holding two text lines.
+fn fingerprint_system() -> System {
+    let mut a = Assembler::new(0);
+    a.lg(R1, MemOperand::absolute(0x9000));
+    a.lg(R2, MemOperand::absolute(0x9100));
+    a.lghi(R3, 7);
+    a.stg(R3, MemOperand::absolute(0x9200));
+    // Pad the text past its first 256-byte line.
+    for _ in 0..160 {
+        a.nop();
+    }
+    a.halt();
+    let mut sys = System::new(SystemConfig::with_cpus(2));
+    sys.load_program_all(&a.assemble().unwrap());
+    sys.run_until_halt(10_000);
+    sys
+}
+
+/// The fingerprint self-test: identically built systems agree, folding
+/// changes nothing, and each perturbation of one state component changes
+/// the fingerprint. A fold that skipped a component would pass every
+/// differential that compares fingerprints while checking less.
+#[test]
+fn fingerprint_sees_every_state_component() {
+    use ztm_cache::{AccessClass, CpuId};
+    let base = fingerprint_system();
+    let fp = base.fingerprint();
+    assert_eq!(fp, fingerprint_system().fingerprint(), "identical builds");
+    assert_eq!(fp, base.fingerprint(), "folding must not change the state");
+    type Perturbation = (&'static str, fn(&mut System));
+    let perturbations: [Perturbation; 10] = [
+        ("a memory byte", |s| {
+            s.mem_mut().store_bytes(Address::new(0xA003), &[1]);
+        }),
+        ("a GR", |s| s.core_mut(1).grs[9] ^= 1),
+        ("an L1 LRU touch", |s| {
+            let line = Address::new(0x9000).line();
+            let out = s.nodes[0]
+                .cache
+                .access_local(line, AccessClass::Fetch, false, false);
+            assert!(out.1.events.is_empty());
+        }),
+        ("a tx-read mark", |s| {
+            // The LRU case's touch, with the mark; `ztm-cache`'s
+            // `fold_sees_each_directory` checks the mark on its own.
+            let line = Address::new(0x9000).line();
+            s.nodes[0]
+                .cache
+                .access_local(line, AccessClass::Fetch, false, true);
+        }),
+        ("a store-cache entry", |s| {
+            let out = s.nodes[1]
+                .cache
+                .buffer_store(Address::new(0x9400), &[5], false, false);
+            assert_eq!(out, ztm_cache::StoreOutcome::NewEntry);
+        }),
+        ("reject_epoch", |s| {
+            s.nodes[1].cache.note_instruction_complete()
+        }),
+        ("a fabric directory entry", |s| {
+            s.fabric.drop_holder(CpuId(0), Address::new(0x9000).line());
+        }),
+        ("a page eviction", |s| {
+            s.pages_mut().evict(Address::new(0xA000).page());
+        }),
+        ("an RNG draw", |s| {
+            s.nodes[1].rng.next_u64();
+        }),
+        ("an i-fetch buffer swap", |s| {
+            let buf = &mut s.nodes[0].ifetch;
+            assert!(buf.last.is_some() && buf.prev.is_some() && buf.last != buf.prev);
+            std::mem::swap(&mut buf.last, &mut buf.prev);
+        }),
+    ];
+    for (what, perturb) in perturbations {
+        let mut sys = fingerprint_system();
+        perturb(&mut sys);
+        assert_ne!(sys.fingerprint(), fp, "{what} must change the fingerprint");
+    }
 }

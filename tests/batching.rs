@@ -5,24 +5,24 @@
 //! the scheduler's next pick, instead of making one full scheduling
 //! decision per instruction. Batching must be invisible: each test drives
 //! one system through a batched run method and a reference system through
-//! `step_one`, and the two must agree on the full `StepLogEntry` stream,
-//! every core's clock, pc, GRs and cc, and the trace digest — including
-//! when a `step_many` budget or a `run_for_cycles` horizon cuts a pick
-//! short.
+//! `step_one`, and the two must agree on [`System::fingerprint`], the fold
+//! of the whole simulated state, and on the trace digest where a tracer is
+//! attached — including when a `step_many` budget or a `run_for_cycles`
+//! horizon cuts a pick short.
 //!
-//! The `untraced_*` tests drive the configuration the figure binaries and
-//! perfbench run — no tracer, no step log — and compare the final state
-//! and `SystemReport` counters instead. Only there do CPUs run quiet
-//! (register-only) instructions ahead of the scheduler's runner-up, and
-//! undo the ones past a budget's end or a broadcast stop; the
-//! `untraced_*` differentials are what pin that undo. Sharded-vs-serial
-//! identity is covered by `tests/sharded.rs`.
+//! Untraced runs are the configuration the figure binaries and perfbench
+//! run. Only there do CPUs run quiet (register-only) instructions ahead of
+//! the scheduler's runner-up, and undo the ones past a budget's end, a
+//! broadcast stop or a page-residency change; the `untraced_*` tests and
+//! the untraced cases of `random_programs_agree_per_step` are what pin
+//! that undo. Sharded-vs-serial identity is covered by `tests/sharded.rs`.
 
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 use ztm::core::TbeginParams;
 use ztm::isa::gr::*;
 use ztm::isa::{Assembler, MemOperand, Program};
+use ztm::mem::Address;
 use ztm::sim::{System, SystemConfig};
 use ztm::trace::{Recorder, Tracer};
 use ztm::workloads::hashtable::{HashTable, TableMethod};
@@ -65,14 +65,12 @@ fn mixed_program() -> Program {
     a.assemble().expect("mixed program assembles")
 }
 
-/// Builds a system running `prog` on every CPU with a recording tracer and
-/// the step log on.
-fn logged_system(cpus: usize, prog: &Program) -> (System, Arc<Mutex<Recorder>>) {
+/// Builds a system running `prog` on every CPU with a recording tracer.
+fn traced_system(cpus: usize, prog: &Program) -> (System, Arc<Mutex<Recorder>>) {
     let mut sys = System::new(SystemConfig::with_cpus(cpus).seed(42));
     let (tracer, recorder) = Tracer::recording(Recorder::DEFAULT_CAPACITY);
     sys.set_tracer(tracer);
     sys.load_program_all(prog);
-    sys.set_step_log(true);
     (sys, recorder)
 }
 
@@ -112,16 +110,22 @@ fn drain(sys: &mut System, cap: u64) -> u64 {
     }
 }
 
-/// Asserts two systems agree on every core's clock, pc, general registers
-/// and condition code. Run-ahead writes all four, so an undo that restored
-/// only the clock and pc would fail here.
-fn assert_same_cores(batched: &System, reference: &System, at: &str) {
-    for cpu in 0..batched.cpus() {
-        let (b, r) = (batched.core(cpu), reference.core(cpu));
-        assert_eq!(b.clock, r.clock, "cpu {cpu} clock diverged {at}");
-        assert_eq!(b.pc, r.pc, "cpu {cpu} pc diverged {at}");
-        assert_eq!(b.grs, r.grs, "cpu {cpu} GRs diverged {at}");
-        assert_eq!(b.cc, r.cc, "cpu {cpu} cc diverged {at}");
+/// The smallest clock among running CPUs, or `None` when all have halted.
+/// Every CPU in these tests has a program, so the running CPUs are the
+/// ones the scheduler picks from.
+fn next_clock(sys: &System) -> Option<u64> {
+    (0..sys.cpus())
+        .filter(|&cpu| sys.core(cpu).is_running())
+        .map(|cpu| sys.core(cpu).clock)
+        .min()
+}
+
+/// Advances `sys` by the serial `run_for_cycles` rule itself: `step_one`
+/// while the smallest running clock is below `horizon` (under a broadcast
+/// stop `step_one` steps the holder, as `run_for_cycles` does).
+fn step_one_below(sys: &mut System, horizon: u64) {
+    while next_clock(sys).is_some_and(|t| t < horizon) {
+        sys.step_one().expect("a running CPU steps");
     }
 }
 
@@ -135,16 +139,19 @@ fn digest(rec: &Arc<Mutex<Recorder>>) -> u64 {
 #[test]
 fn unbounded_step_many_matches_step_one() {
     for cpus in [1, 4] {
-        let (mut batched, batched_rec) = logged_system(cpus, &mixed_program());
-        let (mut reference, reference_rec) = logged_system(cpus, &mixed_program());
+        let (mut batched, batched_rec) = traced_system(cpus, &mixed_program());
+        let (mut reference, reference_rec) = traced_system(cpus, &mixed_program());
         let steps = drain(&mut batched, 2_000_000);
         assert_eq!(steps, step_one_to_halt(&mut reference, 2_000_000));
         assert!(
             steps > 2_000 * cpus as u64,
             "program too short to be a meaningful differential"
         );
-        assert_same_cores(&batched, &reference, &format!("at {cpus} cpus"));
-        assert_eq!(batched.take_step_log(), reference.take_step_log());
+        assert_eq!(
+            batched.fingerprint(),
+            reference.fingerprint(),
+            "state diverged at {cpus} cpus"
+        );
         assert_eq!(digest(&batched_rec), digest(&reference_rec));
     }
 }
@@ -154,8 +161,8 @@ fn unbounded_step_many_matches_step_one() {
 /// with a reference that took the same number of `step_one` steps.
 #[test]
 fn step_many_odd_budgets_match_step_one() {
-    let (mut batched, batched_rec) = logged_system(2, &mixed_program());
-    let (mut reference, reference_rec) = logged_system(2, &mixed_program());
+    let (mut batched, batched_rec) = traced_system(2, &mixed_program());
+    let (mut reference, reference_rec) = traced_system(2, &mixed_program());
     // Odd, prime-ish chunk sizes so budget boundaries sweep across every
     // offset inside the 6-load burst.
     for (i, chunk) in (0..).map(|i| 1 + (i * 7) % 13).enumerate() {
@@ -169,28 +176,28 @@ fn step_many_odd_budgets_match_step_one() {
             break;
         }
         step_one_times(&mut reference, k);
-        assert_same_cores(&batched, &reference, &format!("after chunk {i}"));
+        assert_eq!(
+            batched.fingerprint(),
+            reference.fingerprint(),
+            "state diverged after chunk {i}"
+        );
     }
-    assert_eq!(batched.take_step_log(), reference.take_step_log());
     assert_eq!(digest(&batched_rec), digest(&reference_rec));
 }
 
-/// `run_for_cycles` horizons must stop exactly at the horizon: no logged
-/// step starts at or past it, every running CPU has reached it, and the
-/// steps taken match the same number of `step_one` steps on the reference.
+/// `run_for_cycles` horizons must stop exactly at the horizon: every
+/// running CPU has reached it, and the state equals a reference advanced by
+/// the serial rule itself (`step_one` while the smallest running clock is
+/// below the horizon), so a step at or past the horizon, or one missing
+/// below it, diverges.
 #[test]
 fn run_for_cycles_odd_horizons_match_step_one() {
-    let (mut batched, batched_rec) = logged_system(2, &mixed_program());
-    let (mut reference, reference_rec) = logged_system(2, &mixed_program());
+    let (mut batched, batched_rec) = traced_system(2, &mixed_program());
+    let (mut reference, reference_rec) = traced_system(2, &mixed_program());
     let mut horizon = 0u64;
     for _ in 0..300 {
         horizon += 97;
         batched.run_for_cycles(horizon);
-        let log = batched.take_step_log();
-        assert!(
-            log.iter().all(|e| e.clock < horizon),
-            "a step at or past horizon {horizon} executed"
-        );
         for cpu in 0..batched.cpus() {
             let core = batched.core(cpu);
             assert!(
@@ -198,13 +205,12 @@ fn run_for_cycles_odd_horizons_match_step_one() {
                 "cpu {cpu} stopped short of horizon {horizon}"
             );
         }
-        step_one_times(&mut reference, log.len() as u64);
+        step_one_below(&mut reference, horizon);
         assert_eq!(
-            log,
-            reference.take_step_log(),
-            "diverged at horizon {horizon}"
+            batched.fingerprint(),
+            reference.fingerprint(),
+            "state diverged at horizon {horizon}"
         );
-        assert_same_cores(&batched, &reference, &format!("at horizon {horizon}"));
     }
     assert_eq!(digest(&batched_rec), digest(&reference_rec));
 }
@@ -219,7 +225,6 @@ fn run_until_halt_matches_step_one_on_the_elision_hashtable() {
         let mut sys = System::new(SystemConfig::with_cpus(4).seed(42));
         let (tracer, recorder) = Tracer::recording(Recorder::DEFAULT_CAPACITY);
         sys.set_tracer(tracer);
-        sys.set_step_log(true);
         table.populate(&mut sys, &(0..256).collect::<Vec<_>>());
         (sys, recorder)
     };
@@ -237,40 +242,14 @@ fn run_until_halt_matches_step_one_on_the_elision_hashtable() {
     let steps = step_one_to_halt(&mut reference, 2_000_000_000);
 
     assert_eq!(rep.system.steps, steps);
-    assert_same_cores(&batched, &reference, "at halt");
-    assert_eq!(batched.take_step_log(), reference.take_step_log());
+    assert_eq!(batched.fingerprint(), reference.fingerprint());
     assert_eq!(digest(&batched_rec), digest(&reference_rec));
 }
 
-/// Asserts two systems agree on every core's clock, pc and instruction
-/// count, and on the `SystemReport` counters.
-fn assert_same_run(batched: &System, reference: &System, at: &str) {
-    assert_same_cores(batched, reference, at);
-    for cpu in 0..batched.cpus() {
-        assert_eq!(
-            batched.core(cpu).instructions,
-            reference.core(cpu).instructions,
-            "cpu {cpu} instruction count diverged {at}"
-        );
-    }
-    let (b, r) = (batched.report(), reference.report());
-    assert_eq!(b.elapsed_cycles, r.elapsed_cycles, "elapsed cycles {at}");
-    assert_eq!(
-        b.total_instructions, r.total_instructions,
-        "instructions {at}"
-    );
-    assert_eq!(b.steps, r.steps, "steps {at}");
-    assert_eq!(b.stalls, r.stalls, "stalls {at}");
-    assert_eq!(b.tx, r.tx, "tx stats {at}");
-    assert_eq!(b.xi_counts, r.xi_counts, "xi counts {at}");
-    assert_eq!(b.stm, r.stm, "stm counts {at}");
-}
-
-/// Runs fresh systems from `build` (untraced, no step log) through
-/// `step_many` at odd budgets, `run_for_cycles` at odd horizons and
-/// `run_until_halt`, each in lockstep with a `step_one` reference, and
-/// checks every core and the report counters after each chunk and at halt.
-/// Returns the reference's report.
+/// Runs fresh systems from `build` (untraced) through `step_many` at odd
+/// budgets, `run_for_cycles` at odd horizons and `run_until_halt`, each in
+/// lockstep with a `step_one` reference, and compares fingerprints after
+/// each chunk and at halt. Returns the reference's report.
 fn assert_untraced_drivers_match_step_one(
     build: impl Fn() -> System,
     cap: u64,
@@ -292,7 +271,11 @@ fn assert_untraced_drivers_match_step_one(
             break;
         }
         step_one_times(&mut reference, k);
-        assert_same_run(&batched, &reference, &format!("after step_many chunk {i}"));
+        assert_eq!(
+            batched.fingerprint(),
+            reference.fingerprint(),
+            "state diverged after step_many chunk {i}"
+        );
         assert!(
             reference.report().steps < cap,
             "failed to halt within {cap} steps"
@@ -304,10 +287,13 @@ fn assert_untraced_drivers_match_step_one(
     let mut horizon = 0u64;
     while batched.any_running() {
         horizon += 997;
-        let before = batched.report().steps;
         batched.run_for_cycles(horizon);
-        step_one_times(&mut reference, batched.report().steps - before);
-        assert_same_run(&batched, &reference, &format!("at horizon {horizon}"));
+        step_one_below(&mut reference, horizon);
+        assert_eq!(
+            batched.fingerprint(),
+            reference.fingerprint(),
+            "state diverged at horizon {horizon}"
+        );
         assert!(
             reference.report().steps < cap,
             "failed to halt within {cap} steps"
@@ -322,7 +308,11 @@ fn assert_untraced_drivers_match_step_one(
     let (mut batched, mut reference) = (build(), build());
     batched.run_until_halt(cap);
     step_one_to_halt(&mut reference, cap);
-    assert_same_run(&batched, &reference, "at halt");
+    assert_eq!(
+        batched.fingerprint(),
+        reference.fingerprint(),
+        "state diverged at halt"
+    );
     reference.report()
 }
 
@@ -454,12 +444,26 @@ fn untraced_batches_match_step_one_on_four_cpus() {
     assert!(report.stalls > 0, "{report:?}");
 }
 
+/// The data page whose residency the random differential flips between
+/// chunks; the lock and the crossed lines below sit on other pages.
+const DATA: u64 = 0x8000;
+/// The random programs' shared lock and the counter it guards.
+const LOCK: u64 = 0xE1_000;
+const COUNTER: u64 = 0xE1_100;
+/// The two lines of the random programs' constrained read-modify-write.
+const CROSSED: [u64; 2] = [0xE2_000, 0xE2_100];
+
 /// Lowers a random op stream into a halting program: straight-line access
-/// and ALU bursts over two lines, transaction begin/end, and forward-only
+/// and ALU bursts over two data lines, transaction begin/end, forward-only
 /// conditional branches (labels sit at every op boundary, so targets land
-/// anywhere ahead). A bounded outer `brctg` loop re-runs the whole body a
-/// few times so backward branches are exercised too.
-fn random_program(ops: &[(u8, u8)]) -> Program {
+/// anywhere ahead), register-only spinners whose ops are all quiet,
+/// polling loops whose quiet tails end in a long delay before a load,
+/// Figure 1's `LTG` spin on a shared lock followed by a `CSG` take, an
+/// increment and the release, and a constrained read-modify-write of two
+/// lines in an order `crossed` flips, so CPUs running both orders escalate
+/// to broadcast stops. A bounded outer `brctg` loop re-runs the whole body
+/// a few times so backward branches are exercised too.
+fn random_program(ops: &[(u8, u8)], crossed: bool) -> Program {
     let mut a = Assembler::new(0);
     let mut depth = 0u32;
     a.lghi(R6, 3);
@@ -469,16 +473,16 @@ fn random_program(ops: &[(u8, u8)]) -> Program {
         let at = |base: u64| MemOperand::absolute(base + (off % 32) as u64 * 8);
         match kind {
             0 => {
-                a.lg(R1, at(0x8000));
+                a.lg(R1, at(DATA));
             }
             1 => {
-                a.stg(R1, at(0x8000));
+                a.stg(R1, at(DATA));
             }
             2 => {
-                a.lg(R2, at(0x8100));
+                a.lg(R2, at(DATA + 0x100));
             }
             3 => {
-                a.stg(R2, at(0x8100));
+                a.stg(R2, at(DATA + 0x100));
             }
             4 => {
                 a.tbegin(TbeginParams::new());
@@ -501,6 +505,69 @@ fn random_program(ops: &[(u8, u8)]) -> Program {
                     a.cgij_ge(R6, 2, "end");
                 }
             }
+            7 => {
+                // A register-only spinner. Its delay takes the CPU's clock
+                // far past the others, so a run-ahead tail often turns
+                // final long before the CPU is picked again.
+                let spin = format!("s{j}");
+                a.lghi(R5, 1 + (off % 6) as i64);
+                a.label(&spin);
+                a.aghi(R2, 3);
+                a.lgr(R3, R2);
+                a.delay(1 + (off % 8) as u64 * 40);
+                a.brctg(R5, &spin);
+            }
+            8 if depth == 0 => {
+                // Figure 1's wait-for-lock spin (`LTG; JZ; DELAY 24; J`),
+                // then a `CSG` take, an increment and the release.
+                let (wait, take) = (format!("w{j}"), format!("t{j}"));
+                let (lock, counter) = (MemOperand::absolute(LOCK), MemOperand::absolute(COUNTER));
+                a.label(&wait);
+                a.ltg(R4, lock);
+                a.jz(&take);
+                a.delay(24);
+                a.j(&wait);
+                a.label(&take);
+                a.lghi(R2, 0);
+                a.lghi(R3, 1);
+                a.csg(R2, R3, lock);
+                a.jnz(&wait);
+                a.lg(R2, counter);
+                a.aghi(R2, 1);
+                a.stg(R2, counter);
+                a.lghi(R2, 0);
+                a.stg(R2, lock);
+            }
+            9 if depth == 0 => {
+                // Constrained, so the retry ladder escalates.
+                let [first, second] = CROSSED.map(MemOperand::absolute);
+                let (first, second) = if crossed {
+                    (second, first)
+                } else {
+                    (first, second)
+                };
+                a.tbeginc(ztm::core::GrSaveMask::ALL);
+                a.lg(R2, first);
+                a.aghi(R2, 1);
+                a.stg(R2, first);
+                a.lg(R3, second);
+                a.aghi(R3, 1);
+                a.stg(R3, second);
+                a.tend();
+            }
+            10 => {
+                // A polling loop: a quiet tail ending in a long delay, then
+                // a load from the data page, which pages it back in after
+                // an eviction while other CPUs' tails are in flight.
+                let poll = format!("q{j}");
+                a.lghi(R5, 1 + (off % 4) as i64);
+                a.label(&poll);
+                a.aghi(R2, 3);
+                a.lgr(R3, R2);
+                a.delay(100 + (off % 8) as u64 * 25);
+                a.lg(R4, at(DATA + 0x200));
+                a.brctg(R5, &poll);
+            }
             _ => {
                 a.aghi(R3, 1);
             }
@@ -518,26 +585,64 @@ fn random_program(ops: &[(u8, u8)]) -> Program {
 
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 96,
+        cases: 256,
         .. ProptestConfig::default()
     })]
 
-    /// Random programs over one to three CPUs (XI stalls end batches at
-    /// random points) must produce the identical per-step `StepLogEntry`
-    /// stream, clocks, pcs and trace digest under unbounded `step_many` and
-    /// under `step_one`.
+    /// Random programs on one to twelve CPUs (one and two chips), traced
+    /// and untraced, with the ladder escalating to broadcast stops after
+    /// two aborts: a batched system runs chunks of `step_many` at random
+    /// budgets and `run_for_cycles` at random horizons, with the data page
+    /// evicted on both sides before some chunks, then `run_until_halt`.
+    /// After every chunk its state must equal a `step_one` reference's,
+    /// and a traced run must produce the reference's trace digest.
+    /// Untraced cases run ahead.
     #[test]
     fn random_programs_agree_per_step(
-        ops in proptest::collection::vec((0u8..8, any::<u8>()), 1..80),
-        cpus in 1usize..4,
+        ops in proptest::collection::vec((0u8..12, any::<u8>()), 1..40),
+        cpus in 1usize..13,
+        traced in any::<bool>(),
+        chunks in proptest::collection::vec((any::<bool>(), 1u64..64, any::<bool>()), 0..48),
     ) {
-        let prog = random_program(&ops);
-        let (mut batched, batched_rec) = logged_system(cpus, &prog);
-        let (mut reference, reference_rec) = logged_system(cpus, &prog);
-        let steps = drain(&mut batched, 500_000);
-        prop_assert_eq!(steps, step_one_to_halt(&mut reference, 500_000));
-        assert_same_cores(&batched, &reference, "at halt");
-        prop_assert_eq!(batched.take_step_log(), reference.take_step_log());
-        prop_assert_eq!(digest(&batched_rec), digest(&reference_rec));
+        let progs = [random_program(&ops, false), random_program(&ops, true)];
+        let build = || {
+            let mut cfg = SystemConfig::with_cpus(cpus).seed(42);
+            cfg.engine.retry_ladder.broadcast_stop_after = 2;
+            let mut sys = System::new(cfg);
+            let recorder = traced.then(|| {
+                let (tracer, recorder) = Tracer::recording(Recorder::DEFAULT_CAPACITY);
+                sys.set_tracer(tracer);
+                recorder
+            });
+            for cpu in 0..cpus {
+                sys.load_program(cpu, &progs[cpu % 2]);
+            }
+            (sys, recorder)
+        };
+        let (mut batched, batched_rec) = build();
+        let (mut reference, reference_rec) = build();
+        for (n, &(by_horizon, size, evict)) in chunks.iter().enumerate() {
+            if evict {
+                for sys in [&mut batched, &mut reference] {
+                    sys.pages_mut().evict(Address::new(DATA).page());
+                }
+            }
+            if by_horizon {
+                let horizon = next_clock(&batched).unwrap_or(0) + size * 41;
+                batched.run_for_cycles(horizon);
+                step_one_below(&mut reference, horizon);
+            } else {
+                let k = batched.step_many(size);
+                prop_assert!(k <= size, "chunk {}: {} steps on a budget of {}", n, k, size);
+                step_one_times(&mut reference, k);
+            }
+            prop_assert_eq!(batched.fingerprint(), reference.fingerprint(), "after chunk {}", n);
+        }
+        batched.run_until_halt(2_000_000);
+        step_one_to_halt(&mut reference, 2_000_000);
+        prop_assert_eq!(batched.fingerprint(), reference.fingerprint(), "at halt");
+        if let (Some(b), Some(r)) = (&batched_rec, &reference_rec) {
+            prop_assert_eq!(digest(b), digest(r));
+        }
     }
 }

@@ -71,7 +71,8 @@ fn mixed_system(legacy: bool) -> (System, std::sync::Arc<std::sync::Mutex<Record
 
 /// The legacy `Instr` walk and the predecoded dispatch must agree on every
 /// single step: same CPU scheduled, same [`ztm::isa::StepOutcome`]
-/// (cycles, event, broadcast-stop), and the same trace digest at the end.
+/// (cycles, event, broadcast-stop), and the same state and trace digest at
+/// the end.
 #[test]
 fn predecoded_and_legacy_interpreters_step_identically() {
     let (mut fast, fast_rec) = mixed_system(false);
@@ -91,6 +92,7 @@ fn predecoded_and_legacy_interpreters_step_identically() {
         steps > 10_000,
         "program too short to be a meaningful differential"
     );
+    assert_eq!(fast.fingerprint(), slow.fingerprint());
     assert_eq!(
         fast_rec.lock().unwrap().digest(),
         slow_rec.lock().unwrap().digest()
@@ -110,7 +112,7 @@ fn predecoded_and_legacy_agree_on_the_elision_hashtable() {
         t.populate(&mut sys, &(0..256).collect::<Vec<_>>());
         let rep = t.run(&mut sys, 60);
         let digest = recorder.lock().unwrap().digest();
-        (rep.system.steps, digest)
+        (rep.system.steps, sys.fingerprint(), digest)
     };
     assert_eq!(run(false), run(true));
 }

@@ -1,38 +1,27 @@
 //! Sharded round planning must be *invisible*: for any `ZTM_SIM_THREADS`
 //! value the round planner has to reproduce the serial winner-tree
-//! scheduler step for step — same `(clock, cpu, event, cycles)` sequence,
-//! same aggregate report. These tests run the same seeded workloads
-//! through both drivers and diff everything the simulator can observe
-//! about itself. (Runs with an event tracer attached never
-//! shard, so trace digests are the serial scheduler's by construction.)
+//! scheduler's run exactly. These tests run the same seeded workloads
+//! through both drivers and compare [`System::fingerprint`], the fold of
+//! the whole simulated state; only the `sharding` and `schedule`
+//! statistics, which describe how a driver chose its steps, may differ.
+//! (Runs with an event tracer attached never shard, so trace digests are
+//! the serial scheduler's by construction.)
 //!
 //! Every value above 1 selects the same sharded schedule;
 //! `set_sim_threads(1)` routes through the serial scheduler untouched.
 
 use proptest::prelude::*;
-use ztm::sim::{StepLogEntry, System, SystemConfig};
+use ztm::sim::{System, SystemConfig};
 use ztm::workloads::bank::{Bank, BankMethod};
 use ztm::workloads::hashtable::{HashTable, TableMethod};
 use ztm::workloads::pool::{PoolLayout, PoolWorkload, SyncMethod};
 
-/// The deterministic portion of a report. The `sharding` and `schedule`
-/// stats measure how the run was planned (rounds, round sizes, picks) and
-/// legitimately vary with thread count — every simulated outcome must not,
-/// so differential tests zero them and diff everything else.
-fn det(sys: &System) -> String {
-    let mut r = sys.report();
-    r.sharding = Default::default();
-    r.schedule = Default::default();
-    format!("{r:?}")
-}
-
-/// Runs the lock-elided hashtable on `cpus` CPUs with the step log armed
-/// and returns everything observable: the full step log and the report.
-fn hashtable_run(cpus: usize, threads: usize) -> (Vec<StepLogEntry>, String) {
+/// Runs the lock-elided hashtable on `cpus` CPUs and returns the final
+/// state's fingerprint.
+fn hashtable_run(cpus: usize, threads: usize) -> u64 {
     let t = HashTable::new(256, 1024, 30, TableMethod::Elision);
     let mut sys = System::new(SystemConfig::with_cpus(cpus).seed(42));
     sys.set_sim_threads(threads);
-    sys.set_step_log(true);
     t.populate(&mut sys, &(0..256).collect::<Vec<_>>());
     t.run(&mut sys, 60);
     if threads > 1 {
@@ -46,48 +35,36 @@ fn hashtable_run(cpus: usize, threads: usize) -> (Vec<StepLogEntry>, String) {
             report.steps
         );
     }
-    let report = det(&sys);
-    (sys.take_step_log(), report)
+    sys.fingerprint()
 }
 
 /// 12 CPUs = two chips of one book, enough to engage the planner. The
 /// hashtable under elision aborts, retries, takes the fallback lock — a
 /// dense mix of local steps, fabric fetches, XIs, and abort processing.
 #[test]
-fn hashtable_step_log_is_identical_across_thread_counts() {
+fn hashtable_state_is_identical_across_thread_counts() {
     let serial = hashtable_run(12, 1);
-    assert!(!serial.0.is_empty(), "step log must record the run");
     for threads in [2, 4, 7] {
-        let sharded = hashtable_run(12, threads);
-        assert_eq!(serial.0.len(), sharded.0.len(), "step count diverged");
-        for (at, (a, b)) in serial.0.iter().zip(&sharded.0).enumerate() {
-            assert_eq!(a, b, "first divergence at step {at} ({threads} threads)");
-        }
-        assert_eq!(serial.1, sharded.1, "report diverged ({threads} threads)");
+        assert_eq!(
+            serial,
+            hashtable_run(12, threads),
+            "state diverged ({threads} threads)"
+        );
     }
 }
 
 /// 48 CPUs = two books: rounds mix CPUs on both sides of the most
 /// expensive coherence boundary in the machine.
 #[test]
-fn bank_step_log_is_identical_across_books() {
+fn bank_state_is_identical_across_books() {
     let run = |threads: usize| {
         let bank = Bank::new(64, BankMethod::Tbegin);
         let mut sys = System::new(SystemConfig::with_cpus(48).seed(7));
         sys.set_sim_threads(threads);
-        sys.set_step_log(true);
         bank.run(&mut sys, 25);
-        let report = det(&sys);
-        (sys.take_step_log(), report)
+        sys.fingerprint()
     };
-    let serial = run(1);
-    let sharded = run(2);
-    assert!(!serial.0.is_empty());
-    assert_eq!(serial.0.len(), sharded.0.len(), "step count diverged");
-    for (at, (a, b)) in serial.0.iter().zip(&sharded.0).enumerate() {
-        assert_eq!(a, b, "first divergence at step {at}");
-    }
-    assert_eq!(serial.1, sharded.1, "report diverged");
+    assert_eq!(run(1), run(2), "state diverged");
 }
 
 /// Constrained transactions cross-holding cache lines escalate to the
@@ -99,35 +76,27 @@ fn quiesce_escalation_matches_serial_exactly() {
         let wl = PoolWorkload::new(PoolLayout::new(8, 2), SyncMethod::Tbeginc, 42);
         let mut sys = System::new(SystemConfig::with_cpus(16).seed(42));
         sys.set_sim_threads(threads);
-        sys.set_step_log(true);
         let rep = wl.run(&mut sys, 40);
-        let report = det(&sys);
-        (sys.take_step_log(), rep.system.tx.broadcast_stops, report)
+        (sys.fingerprint(), rep.system.tx.broadcast_stops)
     };
     let serial = run(1);
     assert!(
         serial.1 > 0,
         "kernel must escalate to broadcast-stop to make this test bite"
     );
-    let sharded = run(4);
-    assert_eq!(serial.0.len(), sharded.0.len(), "step count diverged");
-    for (at, (a, b)) in serial.0.iter().zip(&sharded.0).enumerate() {
-        assert_eq!(a, b, "first divergence at step {at}");
-    }
-    assert_eq!(serial.2, sharded.2, "report diverged");
+    assert_eq!(serial.0, run(4).0, "state diverged");
 }
 
 /// Partial-run entry and exit: `step_many` with small budgets forces the
 /// sharded driver to truncate rounds mid-flight and hand the serial
 /// scheduler's winner tree back on every boundary; interleaving must not
-/// disturb the step sequence.
+/// disturb the run.
 #[test]
 fn step_budget_boundaries_do_not_disturb_the_sequence() {
     let chunked = |threads: usize, chunk: u64| {
         let bank = Bank::new(64, BankMethod::Tbegin);
         let mut sys = System::new(SystemConfig::with_cpus(12).seed(9));
         sys.set_sim_threads(threads);
-        sys.set_step_log(true);
         sys.load_program_all(&bank.program(25));
         let mut total = 0u64;
         loop {
@@ -137,15 +106,15 @@ fn step_budget_boundaries_do_not_disturb_the_sequence() {
             }
             total += n;
         }
-        let report = det(&sys);
-        (total, sys.take_step_log(), report)
+        (total, sys.fingerprint())
     };
     let serial = chunked(1, 1_000_000_000);
     for (threads, chunk) in [(2, 997), (4, 1), (4, 64)] {
-        let sharded = chunked(threads, chunk);
-        assert_eq!(serial.0, sharded.0, "{threads} threads, chunk {chunk}");
-        assert_eq!(serial.1, sharded.1, "{threads} threads, chunk {chunk}");
-        assert_eq!(serial.2, sharded.2, "{threads} threads, chunk {chunk}");
+        assert_eq!(
+            serial,
+            chunked(threads, chunk),
+            "{threads} threads, chunk {chunk}"
+        );
     }
 }
 
@@ -161,7 +130,6 @@ fn cycle_horizons_do_not_disturb_the_sequence() {
         let bank = Bank::new(64, BankMethod::Tbegin);
         let mut sys = System::new(SystemConfig::with_cpus(12).seed(9));
         sys.set_sim_threads(threads);
-        sys.set_step_log(true);
         sys.load_program_all(&bank.program(25));
         let mut horizon = chunk;
         while horizon <= upto {
@@ -169,19 +137,12 @@ fn cycle_horizons_do_not_disturb_the_sequence() {
             horizon += chunk;
         }
         sys.run_until_halt(10_000_000);
-        let cycles = sys.report().elapsed_cycles;
-        let report = det(&sys);
-        (sys.take_step_log(), report, cycles)
+        (sys.fingerprint(), sys.report().elapsed_cycles)
     };
     let serial = chunked(1, u64::MAX, 0);
-    assert!(!serial.0.is_empty());
     for (threads, chunk) in [(2, 1009), (4, 113)] {
-        let sharded = chunked(threads, chunk, serial.2 + chunk);
-        assert_eq!(serial.0.len(), sharded.0.len(), "{threads} threads");
-        for (at, (a, b)) in serial.0.iter().zip(&sharded.0).enumerate() {
-            assert_eq!(a, b, "first divergence at step {at} (chunk {chunk})");
-        }
-        assert_eq!(serial.1, sharded.1, "report diverged ({threads} threads)");
+        let sharded = chunked(threads, chunk, serial.1 + chunk);
+        assert_eq!(serial.0, sharded.0, "state diverged (chunk {chunk})");
     }
 }
 
@@ -191,10 +152,10 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// Random system shapes and pool workloads: sharded execution replays
-    /// the serial step sequence exactly. This fuzzes the classifier — any
-    /// step it wrongly calls node-local either panics at a serialized
-    /// resource or diverges from the serial log right here.
+    /// Random system shapes and pool workloads: sharded execution leaves
+    /// the serial state exactly. This fuzzes the classifier — any step it
+    /// wrongly calls node-local either panics at a serialized resource or
+    /// changes the final state right here.
     #[test]
     fn sharded_matches_serial_for_random_shapes(
         cpus in 7usize..20,
@@ -214,18 +175,10 @@ proptest! {
             cfg.fabric_occupancy = occupancy;
             let mut sys = System::new(cfg);
             sys.set_sim_threads(host_threads);
-                sys.set_step_log(true);
             wl.run(&mut sys, 10);
-            let report = det(&sys);
-            (sys.take_step_log(), report)
+            sys.fingerprint()
         };
-        let serial = run(1);
-        let sharded = run(threads);
-        prop_assert_eq!(serial.0.len(), sharded.0.len(), "step count diverged");
-        for (at, (a, b)) in serial.0.iter().zip(&sharded.0).enumerate() {
-            prop_assert_eq!(a, b, "first divergence at step {} of {}", at, serial.0.len());
-        }
-        prop_assert_eq!(serial.1, sharded.1);
+        prop_assert_eq!(run(1), run(threads));
     }
 
     /// Shrunk cross-boundary latencies: with `l4_hit`/`cross_mcm`/`memory`
@@ -251,17 +204,9 @@ proptest! {
             cfg.latency.memory = memory;
             let mut sys = System::new(cfg);
             sys.set_sim_threads(host_threads);
-                sys.set_step_log(true);
             wl.run(&mut sys, 10);
-            let report = det(&sys);
-            (sys.take_step_log(), report)
+            sys.fingerprint()
         };
-        let serial = run(1);
-        let sharded = run(threads);
-        prop_assert_eq!(serial.0.len(), sharded.0.len(), "step count diverged");
-        for (at, (a, b)) in serial.0.iter().zip(&sharded.0).enumerate() {
-            prop_assert_eq!(a, b, "first divergence at step {} of {}", at, serial.0.len());
-        }
-        prop_assert_eq!(serial.1, sharded.1);
+        prop_assert_eq!(run(1), run(threads));
     }
 }
