@@ -217,7 +217,9 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
 
 fn build_system(o: &Options) -> Result<System, String> {
     let mut cfg = SystemConfig::with_cpus(o.cpus).seed(o.seed);
-    cfg.speculative_prefetch = !o.no_prefetch;
+    if o.no_prefetch {
+        cfg.prefetch_probability = 0.0;
+    }
     cfg.geometry.stiff_arm = !o.no_stiff_arm;
     match o.tdc.as_deref() {
         None => {}

@@ -20,13 +20,11 @@ pub struct SystemConfig {
     pub os: OsModel,
     /// Base RNG seed; each CPU derives its own stream from it.
     pub seed: u64,
-    /// Model speculative fetching: transactional load misses may prefetch
-    /// the next line, occasionally marking it tx-read (over-marking from
-    /// wrong-path loads, §III.C). The millicode retry ladder disables this
-    /// per-CPU for struggling constrained transactions (§III.E/§IV).
-    pub speculative_prefetch: bool,
     /// Probability that a transactional load miss issues a next-line
-    /// prefetch.
+    /// prefetch, which occasionally marks that line tx-read (over-marking
+    /// from wrong-path loads, §III.C); `0.0` turns speculative fetching
+    /// off. The millicode retry ladder disables it per-CPU for struggling
+    /// constrained transactions (§III.E/§IV).
     pub prefetch_probability: f64,
     /// Probability that such a prefetch was a wrong-path speculative load
     /// and over-marks the line tx-read.
@@ -54,7 +52,6 @@ impl SystemConfig {
             engine: TxEngineConfig::default(),
             os: OsModel::default(),
             seed: 0x5EC1_2BEE,
-            speculative_prefetch: true,
             prefetch_probability: 0.25,
             overmark_probability: 0.10,
             l3_geometry: None,
@@ -84,7 +81,7 @@ mod tests {
     fn testbed_mcm_is_24_cpus() {
         let c = SystemConfig::with_cpus(48);
         assert_eq!(c.topology.cores_per_mcm(), 24);
-        assert!(c.speculative_prefetch);
+        assert!(c.prefetch_probability > 0.0);
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! clock, and XIs are delivered synchronously at instruction boundaries —
 //! the paper's "stall completion while XIs are pending" rule (§III.C).
 //! Determinism makes every contention experiment exactly reproducible.
+//! Every run method ([`System::step_one`], [`System::step_many`],
+//! [`System::run_until_halt`]) stops on a step budget, none on a clock.
 //! Untraced batched runs let a CPU step register-only instructions past
 //! the scheduler's runner-up and undo any that end up past a budget, a
 //! broadcast stop or a page-residency change, so the result is still

@@ -112,6 +112,9 @@ pub struct TraceRecord {
     pub cycles: u64,
 }
 
+/// How many records the execution trace keeps (see [`System::set_trace`]).
+const TRACE_CAPACITY: usize = 10_000;
+
 /// The full simulated SMP system.
 ///
 /// Owns everything: committed memory, the page table, the coherence fabric,
@@ -123,12 +126,16 @@ pub struct TraceRecord {
 /// steps next, one instruction per step, and cross-interrogates are
 /// delivered synchronously at instruction boundaries, which realizes the
 /// paper's rule that instruction completion stalls while XIs are pending
-/// (§III.C). Untraced batched runs may step a CPU's register-only
-/// instructions ahead of that order (quiet run-ahead, see the private
-/// `run_batch`) and undo any that end up past a step budget, a broadcast
-/// stop or a page-residency change, so every run method leaves the state a
-/// [`step_one`](Self::step_one) loop would. [`fingerprint`](Self::fingerprint)
-/// folds that state, and the differential tests compare it.
+/// (§III.C). Each run method stops on a step budget, never on a clock:
+/// [`step_one`](Self::step_one) runs one step, [`step_many`](Self::step_many)
+/// up to `limit`, and [`run_until_halt`](Self::run_until_halt) loops
+/// `step_many` until every CPU halts. Untraced batched runs may step a
+/// CPU's register-only instructions ahead of the serial order (quiet
+/// run-ahead, see the private `run_batch`) and undo any that end up past a
+/// step budget, a broadcast stop or a page-residency change, so every run
+/// method leaves the state a `step_one` loop would.
+/// [`fingerprint`](Self::fingerprint) folds that state, and the
+/// differential tests compare it.
 ///
 /// # Examples
 ///
@@ -176,9 +183,8 @@ pub struct System {
     fabric_busy: Vec<u64>,
     /// CPUs whose steps are being traced.
     traced: Vec<bool>,
-    /// Bounded execution trace (most recent `trace_capacity` records).
+    /// Bounded execution trace (most recent [`TRACE_CAPACITY`] records).
     trace: std::collections::VecDeque<TraceRecord>,
-    trace_capacity: usize,
     /// Event tracer ([`ztm_trace`]); disabled by default.
     tracer: Tracer,
     steps: u64,
@@ -187,7 +193,7 @@ pub struct System {
     /// or [`set_issue_width`](Self::set_issue_width). Functional execution
     /// is identical either way — the window only re-times retirement
     /// (see `ztm_isa::step_pipelined`).
-    pipeline: Option<PipelineState>,
+    pipeline: Option<Vec<ztm_isa::IssueWindow>>,
     /// The `ZTM_SIM_THREADS` /
     /// [`set_sim_threads`](Self::set_sim_threads) value. `1` (the default)
     /// keeps the one-CPU-at-a-time scheduler; any value above `1` routes
@@ -206,23 +212,11 @@ pub struct System {
     schedule: crate::report::ScheduleStats,
 }
 
-/// The issue windows plus the width they were built with (cached for trace
-/// emission without re-asking each window).
-#[derive(Debug)]
-struct PipelineState {
-    width: u64,
-    windows: Vec<ztm_isa::IssueWindow>,
-}
-
-impl PipelineState {
-    fn new(width: u64, cpus: usize, lsu_ports: u64) -> PipelineState {
-        PipelineState {
-            width,
-            windows: (0..cpus)
-                .map(|_| ztm_isa::IssueWindow::new(width, lsu_ports))
-                .collect(),
-        }
-    }
+/// One issue window of `width` per CPU.
+fn issue_windows(width: u64, cpus: usize, lsu_ports: u64) -> Vec<ztm_isa::IssueWindow> {
+    (0..cpus)
+        .map(|_| ztm_isa::IssueWindow::new(width, lsu_ports))
+        .collect()
 }
 
 /// The ops a CPU may run ahead of the scheduler's runner-up (see
@@ -333,6 +327,26 @@ fn settle_all(cores: &mut [CpuCore], nodes: &mut [Node], sched: &mut WinnerTree,
     undone
 }
 
+/// The serial scheduler's pick: a running broadcast-stop holder whatever
+/// its clock, else the winner tree's root (smallest `(clock, cpu)`), or
+/// `None` when every CPU has halted. Forgets a holder that stopped running.
+fn serial_pick(
+    quiesce: &mut Option<usize>,
+    cores: &[CpuCore],
+    sched: &WinnerTree,
+) -> Option<usize> {
+    match *quiesce {
+        Some(holder) if cores[holder].is_running() => Some(holder),
+        _ => {
+            *quiesce = None;
+            match sched.min() {
+                WinnerTree::IDLE => None,
+                entry => Some(unpack_entry(entry).1),
+            }
+        }
+    }
+}
+
 /// Ends `holder`'s broadcast-stop quiesce (§III.E): every running CPU
 /// behind its clock resumes at that clock. Rare, so `#[cold]` keeps its
 /// loop out of the step loop's body (EXPERIMENTS.md S13).
@@ -393,12 +407,11 @@ impl System {
             fabric_busy: vec![0; config.topology.mcm_count()],
             traced: vec![false; cpus],
             trace: std::collections::VecDeque::new(),
-            trace_capacity: 10_000,
             tracer: Tracer::disabled(),
             steps: 0,
             pipeline: crate::env_usize("ZTM_ISSUE_WIDTH")
                 .filter(|&w| w > 1)
-                .map(|w| PipelineState::new(w as u64, cpus, config.latency.lsu_ports)),
+                .map(|w| issue_windows(w as u64, cpus, config.latency.lsu_ports)),
             sim_threads: crate::env_usize("ZTM_SIM_THREADS").unwrap_or(1),
             sharded_local_steps: 0,
             shard_rounds: 0,
@@ -473,7 +486,7 @@ impl System {
     ///
     /// Panics if `width` is zero.
     pub fn set_issue_width(&mut self, width: u64) {
-        self.pipeline = Some(PipelineState::new(
+        self.pipeline = Some(issue_windows(
             width,
             self.cores.len(),
             self.config.latency.lsu_ports,
@@ -595,49 +608,26 @@ impl System {
         out
     }
 
-    /// The smallest local clock among runnable CPUs, or `None` when every
-    /// CPU has halted. A broadcast-stop holder is running, so its leaf is in
-    /// the tree like every other CPU's.
-    fn peek_next_clock(&mut self) -> Option<u64> {
-        if self.sched_stale {
-            self.rebuild_sched();
-        }
-        match self.sched.min() {
-            WinnerTree::IDLE => None,
-            entry => Some(unpack_entry(entry).0),
-        }
-    }
-
     /// Steps the runnable CPU with the smallest local clock. Returns the
     /// CPU index and outcome, or `None` when every CPU has halted.
     pub fn step_one(&mut self) -> Option<(usize, StepOutcome)> {
         let i = self.pick()?;
-        Some((i, self.run_batch(i, 1, u64::MAX)))
+        Some((i, self.run_batch(i, 1)))
     }
 
-    /// The serial scheduler's pick: a running broadcast-stop holder whatever
-    /// its clock, else the winner tree's root (smallest `(clock, cpu)`), or
-    /// `None` when every CPU has halted.
+    /// The serial scheduler's pick (see [`serial_pick`]), after rebuilding
+    /// a stale winner tree.
     fn pick(&mut self) -> Option<usize> {
         if self.sched_stale {
             self.rebuild_sched();
         }
-        match self.quiesce {
-            Some(holder) if self.cores[holder].is_running() => Some(holder),
-            _ => {
-                self.quiesce = None;
-                match self.sched.min() {
-                    WinnerTree::IDLE => None,
-                    entry => Some(unpack_entry(entry).1),
-                }
-            }
-        }
+        serial_pick(&mut self.quiesce, &self.cores, &self.sched)
     }
 
     /// The step loop, and the only caller of `ztm_isa::step*`: steps from
-    /// the pick `first` and follows the serial schedule across picks until
-    /// `limit` steps have run, the next pick's clock reaches `horizon`, or
-    /// every CPU has halted. Returns the last step's outcome. With `limit` 1
+    /// the pick `first` and follows the serial schedule ([`serial_pick`])
+    /// across picks until `limit` (at least 1) steps have run or every CPU
+    /// has halted. Returns the last step's outcome. With `limit` 1
     /// (`step_one` and the round planner) it steps `first` once.
     ///
     /// A pick steps its CPU `i` while `i` stays the serial scheduler's next
@@ -646,8 +636,8 @@ impl System {
     /// [`runner_up`](WinnerTree::runner_up) once, and each test is one
     /// compare of `i`'s live `(clock, cpu)` key against it. A
     /// broadcast-stop holder's pick has no such bound. A broadcast stop, a
-    /// quiesce release, a halt and a step ending at or past `horizon` each
-    /// end the pick, and `i`'s leaf is written once, when the pick ends.
+    /// quiesce release, a halt and the budget each end the pick, and `i`'s
+    /// leaf is written once, when the pick ends.
     ///
     /// **Quiet run-ahead.** When `i` passes the runner-up, the pick goes on
     /// stepping `i` while its next instruction is quiet: a [`QUIET_OPS`]
@@ -671,7 +661,7 @@ impl System {
     /// broadcast stop (the other CPUs freeze at that key) or changes page
     /// residency. A pick forgets its CPU's log, whose steps all precede the
     /// root.
-    fn run_batch(&mut self, first: usize, limit: u64, horizon: u64) -> StepOutcome {
+    fn run_batch(&mut self, first: usize, limit: u64) -> StepOutcome {
         let tracing = self.tracer.is_enabled();
         let timer = self.config.timer_interval;
         let legacy = self.use_legacy_interpreter;
@@ -707,10 +697,7 @@ impl System {
             } else {
                 self.sched.runner_up(i)
             };
-            let mut window = self
-                .pipeline
-                .as_mut()
-                .map(|pl| (pl.width, &mut pl.windows[i]));
+            let mut window = self.pipeline.as_mut().map(|windows| &mut windows[i]);
             let core = &mut self.cores[i];
             let mut release = false;
             // Set when `i` ended the pick by passing the runner-up.
@@ -732,20 +719,20 @@ impl System {
                     self.tracer.set_clock(pre_clock);
                 }
                 view.now = pre_clock;
-                let out = match window.as_mut() {
-                    Some((_, win)) => ztm_isa::step_pipelined(core, prog, &mut view, win),
+                let out = match window.as_deref_mut() {
+                    Some(win) => ztm_isa::step_pipelined(core, prog, &mut view, win),
                     None if legacy => ztm_isa::step_legacy(core, prog, &mut view),
                     None => ztm_isa::step(core, prog, &mut view),
                 };
                 // Pipeline trace events carry the retire-time clock. Only widths
                 // above 1 emit — the width-1 window is byte-identical to the
                 // scalar path and must leave digests untouched.
-                if let (true, Some((width, win))) = (tracing, window.as_mut()) {
-                    if *width > 1 {
+                if let (true, Some(win)) = (tracing, window.as_deref_mut()) {
+                    if win.width() > 1 {
                         let rep = win.take_report();
                         self.tracer.set_clock(core.clock);
                         if let Some(size) = rep.closed_group {
-                            let width = (*width).min(255) as u8;
+                            let width = win.width().min(255) as u8;
                             self.tracer
                                 .emit_at(i as u16, || Event::IssueGroup { width, size });
                         }
@@ -759,7 +746,7 @@ impl System {
                 }
                 done += 1;
                 if traced {
-                    if self.trace.len() == self.trace_capacity {
+                    if self.trace.len() == TRACE_CAPACITY {
                         self.trace.pop_front();
                     }
                     self.trace.push_back(TraceRecord {
@@ -793,7 +780,7 @@ impl System {
                     release = true;
                     break out;
                 }
-                if !running || done >= limit || core.clock >= horizon {
+                if !running || done >= limit {
                     break out;
                 }
                 if pack_entry(core.clock, i) > runner_up {
@@ -818,7 +805,6 @@ impl System {
                     let d = prog.decoded(core.pc);
                     let node = &mut view.nodes[i];
                     if node.ahead.len == AHEAD_CAP
-                        || pre_clock >= horizon
                         || QUIET_OPS >> d.op as u8 & 1 == 0
                         || core.per.enabled
                         || node.engine.in_tx()
@@ -868,17 +854,10 @@ impl System {
             if done >= limit {
                 break;
             }
-            let root = self.sched.min();
-            if root == WinnerTree::IDLE || unpack_entry(root).0 >= horizon {
-                break;
+            match serial_pick(&mut self.quiesce, &self.cores, &self.sched) {
+                Some(next) => i = next,
+                None => break,
             }
-            i = match self.quiesce {
-                Some(holder) if self.cores[holder].is_running() => holder,
-                _ => {
-                    self.quiesce = None;
-                    unpack_entry(root).1
-                }
-            };
         }
         // Undo what ran ahead past the budget: the call leaves an exact
         // serial prefix.
@@ -916,31 +895,22 @@ impl System {
     /// how many executed. The steps are always an exact prefix of the
     /// serial order, the one a `step_one` loop takes. Steps a CPU ran ahead
     /// of the schedule past the budget's end are undone, so the call may
-    /// return fewer than `limit` while CPUs still run; it returns 0 only
-    /// when every CPU has halted.
+    /// return fewer than `limit` while CPUs still run; with a positive
+    /// `limit` it returns 0 only when every CPU has halted. `step_many(0)`
+    /// steps nothing.
     pub fn step_many(&mut self, limit: u64) -> u64 {
+        if limit == 0 {
+            return 0;
+        }
         if self.sharded_active() {
-            return self.run_sharded_upto(limit, None);
+            return self.run_sharded_upto(limit);
         }
         let Some(i) = self.pick() else {
             return 0;
         };
         let before = self.steps;
-        self.run_batch(i, limit, u64::MAX);
+        self.run_batch(i, limit);
         self.steps - before
-    }
-
-    /// Runs until every running CPU's clock reaches `horizon` (or all halt).
-    pub fn run_for_cycles(&mut self, horizon: u64) {
-        if self.sharded_active() {
-            self.run_sharded_upto(u64::MAX, Some(horizon));
-            return;
-        }
-        if self.peek_next_clock().is_some_and(|t| t < horizon) {
-            if let Some(i) = self.pick() {
-                self.run_batch(i, u64::MAX, horizon);
-            }
-        }
     }
 
     /// Performs a store from the I/O subsystem: invalidates every cached
@@ -1018,7 +988,6 @@ impl System {
             fabric_busy,
             traced: _,
             trace: _,
-            trace_capacity: _,
             tracer: _,
             steps,
             pipeline,
@@ -1031,8 +1000,8 @@ impl System {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         cores.hash(&mut h);
         nodes.hash(&mut h);
-        if let Some(pl) = pipeline {
-            pl.windows.hash(&mut h);
+        if let Some(windows) = pipeline {
+            windows.hash(&mut h);
         }
         for program in programs {
             program.is_some().hash(&mut h);

@@ -162,10 +162,8 @@ impl System {
     }
 
     /// Runs up to `limit` steps through the sharded round planner,
-    /// stopping early when every CPU halts or, with `horizon`, when the
-    /// next serial pick would start at or past it (the exact
-    /// [`run_for_cycles`](Self::run_for_cycles) stopping rule). Returns
-    /// how many steps executed.
+    /// stopping early when every CPU halts. Returns how many steps
+    /// executed.
     ///
     /// Each round classifies every runnable CPU within one cycle of the
     /// winner tree's minimum `(clock, cpu)` key and runs one step of each
@@ -176,21 +174,18 @@ impl System {
     /// through [`run_batch`](Self::run_batch) with a limit of 1, which keeps
     /// the winner tree current, so the state and the statistics are
     /// identical to the serial scheduler's.
-    pub(super) fn run_sharded_upto(&mut self, limit: u64, horizon: Option<u64>) -> u64 {
+    pub(super) fn run_sharded_upto(&mut self, limit: u64) -> u64 {
         let mut executed = 0u64;
         let mut cands: Vec<Candidate> = Vec::new();
         while executed < limit {
             // The serial pick: a running broadcast-stop holder, else the
-            // root. The root is the horizon test's clock either way.
+            // root.
             let Some(next) = self.pick() else {
                 break;
             };
             let min_clock = unpack_entry(self.sched.min()).0;
-            if horizon.is_some_and(|hz| min_clock >= hz) {
-                break;
-            }
             if self.quiesce.is_some() {
-                self.run_batch(next, 1, u64::MAX);
+                self.run_batch(next, 1);
                 executed += 1;
                 continue;
             }
@@ -217,16 +212,10 @@ impl System {
                 }
             }
             let mut safe = safe_set(&cands);
-            // The horizon is a hard clock ceiling. Keys are ascending, so
-            // the cut is a prefix and never empties a non-empty set: the
-            // serial-min key is below the horizon, checked above.
-            if let Some(hz) = horizon {
-                safe.truncate(safe.partition_point(|&at| cands[at].clock < hz));
-            }
             if safe.is_empty() {
                 // The serial pick itself is global: run exactly that one
                 // step and re-plan.
-                self.run_batch(next, 1, u64::MAX);
+                self.run_batch(next, 1);
                 executed += 1;
                 continue;
             }
@@ -236,7 +225,7 @@ impl System {
             for &at in &safe {
                 let Candidate { cpu, clock, .. } = cands[at];
                 debug_assert_eq!(self.cores[cpu].clock, clock, "stale round plan");
-                let out = self.run_batch(cpu, 1, u64::MAX);
+                let out = self.run_batch(cpu, 1);
                 debug_assert!(
                     !out.broadcast_stop && out.event != StepEvent::Stalled,
                     "a shard-local step can neither stall nor quiesce"
@@ -443,7 +432,6 @@ fn classify_data_at(
     // the identical stream state, so a miss here is a miss there.
     if class == AccessClass::Fetch
         && in_tx
-        && config.speculative_prefetch
         && config.prefetch_probability > 0.0
         && !node.engine.speculation_disabled()
     {

@@ -200,7 +200,6 @@ impl View<'_> {
         let prefetch_p = self.config.prefetch_probability;
         if class == AccessClass::Fetch
             && tx
-            && self.config.speculative_prefetch
             && prefetch_p > 0.0
             && !self.me().engine.speculation_disabled()
             && self.me().rng.gen_bool(prefetch_p)

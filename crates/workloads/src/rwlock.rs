@@ -124,7 +124,7 @@ mod tests {
     fn tbeginc_readers_complete_without_aborts_from_each_other() {
         let wl = ReadWorkload::new(64, ReadMethod::Tbeginc);
         let mut cfg = SystemConfig::with_cpus(4);
-        cfg.speculative_prefetch = false;
+        cfg.prefetch_probability = 0.0;
         let mut sys = System::new(cfg);
         let rep = wl.run(&mut sys, 25);
         assert_eq!(rep.committed_ops(), 100);

@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let p1 = a1.assemble()?;
 
     let mut cfg = SystemConfig::with_cpus(2);
-    cfg.speculative_prefetch = false;
+    cfg.prefetch_probability = 0.0;
     let mut sys = System::new(cfg);
     sys.load_program(0, &p0);
     sys.load_program(1, &p1);

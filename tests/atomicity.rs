@@ -91,7 +91,7 @@ fn deterministic_given_seed() {
 fn read_only_transactions_never_abort_each_other() {
     let wl = PoolWorkload::new(PoolLayout::new(32, 4), SyncMethod::Tbeginc, 11).read_only();
     let mut cfg = SystemConfig::with_cpus(12).seed(11);
-    cfg.speculative_prefetch = false;
+    cfg.prefetch_probability = 0.0;
     let mut sys = System::new(cfg);
     let rep = wl.run(&mut sys, 50);
     assert_eq!(rep.committed_ops(), 12 * 50);

@@ -1,14 +1,13 @@
 //! Differential tests for the batched run drivers.
 //!
-//! `step_many`, `run_for_cycles` and `run_until_halt` follow the serial
-//! schedule across picks: each pick keeps stepping its CPU while it stays
-//! the scheduler's next pick, instead of making one full scheduling
-//! decision per instruction. Batching must be invisible: each test drives
-//! one system through a batched run method and a reference system through
-//! `step_one`, and the two must agree on [`System::fingerprint`], the fold
-//! of the whole simulated state, and on the trace digest where a tracer is
-//! attached — including when a `step_many` budget or a `run_for_cycles`
-//! horizon cuts a pick short.
+//! `step_many` and `run_until_halt` follow the serial schedule across
+//! picks: each pick keeps stepping its CPU while it stays the scheduler's
+//! next pick, instead of making one full scheduling decision per
+//! instruction. Batching must be invisible: each test drives one system
+//! through a batched run method and a reference system through `step_one`,
+//! and the two must agree on [`System::fingerprint`], the fold of the whole
+//! simulated state, and on the trace digest where a tracer is attached —
+//! including when a `step_many` budget cuts a pick short.
 //!
 //! Untraced runs are the configuration the figure binaries and perfbench
 //! run. Only there do CPUs run quiet (register-only) instructions ahead of
@@ -110,25 +109,6 @@ fn drain(sys: &mut System, cap: u64) -> u64 {
     }
 }
 
-/// The smallest clock among running CPUs, or `None` when all have halted.
-/// Every CPU in these tests has a program, so the running CPUs are the
-/// ones the scheduler picks from.
-fn next_clock(sys: &System) -> Option<u64> {
-    (0..sys.cpus())
-        .filter(|&cpu| sys.core(cpu).is_running())
-        .map(|cpu| sys.core(cpu).clock)
-        .min()
-}
-
-/// Advances `sys` by the serial `run_for_cycles` rule itself: `step_one`
-/// while the smallest running clock is below `horizon` (under a broadcast
-/// stop `step_one` steps the holder, as `run_for_cycles` does).
-fn step_one_below(sys: &mut System, horizon: u64) {
-    while next_clock(sys).is_some_and(|t| t < horizon) {
-        sys.step_one().expect("a running CPU steps");
-    }
-}
-
 fn digest(rec: &Arc<Mutex<Recorder>>) -> u64 {
     rec.lock().unwrap().digest()
 }
@@ -185,36 +165,6 @@ fn step_many_odd_budgets_match_step_one() {
     assert_eq!(digest(&batched_rec), digest(&reference_rec));
 }
 
-/// `run_for_cycles` horizons must stop exactly at the horizon: every
-/// running CPU has reached it, and the state equals a reference advanced by
-/// the serial rule itself (`step_one` while the smallest running clock is
-/// below the horizon), so a step at or past the horizon, or one missing
-/// below it, diverges.
-#[test]
-fn run_for_cycles_odd_horizons_match_step_one() {
-    let (mut batched, batched_rec) = traced_system(2, &mixed_program());
-    let (mut reference, reference_rec) = traced_system(2, &mixed_program());
-    let mut horizon = 0u64;
-    for _ in 0..300 {
-        horizon += 97;
-        batched.run_for_cycles(horizon);
-        for cpu in 0..batched.cpus() {
-            let core = batched.core(cpu);
-            assert!(
-                !core.is_running() || core.clock >= horizon,
-                "cpu {cpu} stopped short of horizon {horizon}"
-            );
-        }
-        step_one_below(&mut reference, horizon);
-        assert_eq!(
-            batched.fingerprint(),
-            reference.fingerprint(),
-            "state diverged at horizon {horizon}"
-        );
-    }
-    assert_eq!(digest(&batched_rec), digest(&reference_rec));
-}
-
 /// `HashTable::run` drives the lock-elided hashtable of Fig 5(e) through
 /// `run_until_halt`, where aborts, retries, and the fallback lock all fire;
 /// the reference loads the same program and steps it one pick at a time.
@@ -247,9 +197,9 @@ fn run_until_halt_matches_step_one_on_the_elision_hashtable() {
 }
 
 /// Runs fresh systems from `build` (untraced) through `step_many` at odd
-/// budgets, `run_for_cycles` at odd horizons and `run_until_halt`, each in
-/// lockstep with a `step_one` reference, and compares fingerprints after
-/// each chunk and at halt. Returns the reference's report.
+/// budgets and through `run_until_halt`, each in lockstep with a
+/// `step_one` reference, and compares fingerprints after each chunk and
+/// at halt. Returns the reference's report.
 fn assert_untraced_drivers_match_step_one(
     build: impl Fn() -> System,
     cap: u64,
@@ -281,28 +231,6 @@ fn assert_untraced_drivers_match_step_one(
             "failed to halt within {cap} steps"
         );
     }
-
-    // `run_for_cycles`, with horizons that cut batches mid-flight.
-    let (mut batched, mut reference) = (build(), build());
-    let mut horizon = 0u64;
-    while batched.any_running() {
-        horizon += 997;
-        batched.run_for_cycles(horizon);
-        step_one_below(&mut reference, horizon);
-        assert_eq!(
-            batched.fingerprint(),
-            reference.fingerprint(),
-            "state diverged at horizon {horizon}"
-        );
-        assert!(
-            reference.report().steps < cap,
-            "failed to halt within {cap} steps"
-        );
-    }
-    assert!(
-        reference.step_one().is_none(),
-        "run_for_cycles stopped early"
-    );
 
     // `run_until_halt` against a `step_one` run to halt.
     let (mut batched, mut reference) = (build(), build());
@@ -592,17 +520,17 @@ proptest! {
     /// Random programs on one to twelve CPUs (one and two chips), traced
     /// and untraced, with the ladder escalating to broadcast stops after
     /// two aborts: a batched system runs chunks of `step_many` at random
-    /// budgets and `run_for_cycles` at random horizons, with the data page
-    /// evicted on both sides before some chunks, then `run_until_halt`.
-    /// After every chunk its state must equal a `step_one` reference's,
-    /// and a traced run must produce the reference's trace digest.
-    /// Untraced cases run ahead.
+    /// budgets, zero included, and at long budgets that span many picks,
+    /// with the data page evicted on both sides before some chunks, then
+    /// `run_until_halt`. After every chunk its state must equal a
+    /// `step_one` reference's, and a traced run must produce the
+    /// reference's trace digest. Untraced cases run ahead.
     #[test]
     fn random_programs_agree_per_step(
         ops in proptest::collection::vec((0u8..12, any::<u8>()), 1..40),
         cpus in 1usize..13,
         traced in any::<bool>(),
-        chunks in proptest::collection::vec((any::<bool>(), 1u64..64, any::<bool>()), 0..48),
+        chunks in proptest::collection::vec((any::<bool>(), 0u64..64, any::<bool>()), 0..48),
     ) {
         let progs = [random_program(&ops, false), random_program(&ops, true)];
         let build = || {
@@ -621,21 +549,16 @@ proptest! {
         };
         let (mut batched, batched_rec) = build();
         let (mut reference, reference_rec) = build();
-        for (n, &(by_horizon, size, evict)) in chunks.iter().enumerate() {
+        for (n, &(long, size, evict)) in chunks.iter().enumerate() {
             if evict {
                 for sys in [&mut batched, &mut reference] {
                     sys.pages_mut().evict(Address::new(DATA).page());
                 }
             }
-            if by_horizon {
-                let horizon = next_clock(&batched).unwrap_or(0) + size * 41;
-                batched.run_for_cycles(horizon);
-                step_one_below(&mut reference, horizon);
-            } else {
-                let k = batched.step_many(size);
-                prop_assert!(k <= size, "chunk {}: {} steps on a budget of {}", n, k, size);
-                step_one_times(&mut reference, k);
-            }
+            let budget = if long { size * 41 } else { size };
+            let k = batched.step_many(budget);
+            prop_assert!(k <= budget, "chunk {}: {} steps on a budget of {}", n, k, budget);
+            step_one_times(&mut reference, k);
             prop_assert_eq!(batched.fingerprint(), reference.fingerprint(), "after chunk {}", n);
         }
         batched.run_until_halt(2_000_000);

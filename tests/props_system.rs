@@ -26,7 +26,9 @@ proptest! {
         let method = if constrained { SyncMethod::Tbeginc } else { SyncMethod::Tbegin };
         let wl = PoolWorkload::new(PoolLayout::new(pool, vars), method, seed);
         let mut cfg = SystemConfig::with_cpus(cpus).seed(seed);
-        cfg.speculative_prefetch = spec;
+        if !spec {
+            cfg.prefetch_probability = 0.0;
+        }
         cfg.fabric_occupancy = occupancy;
         let mut sys = System::new(cfg);
         let ops = 15;

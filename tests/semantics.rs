@@ -39,7 +39,7 @@ fn conflict_scenario() -> System {
     let p1 = a1.assemble().unwrap();
 
     let mut cfg = SystemConfig::with_cpus(2);
-    cfg.speculative_prefetch = false;
+    cfg.prefetch_probability = 0.0;
     let mut sys = System::new(cfg);
     sys.load_program(0, &p0);
     sys.load_program(1, &p1);
@@ -190,7 +190,7 @@ fn ntstg_is_isolated_until_end_but_survives_abort() {
     let p1 = a1.assemble().unwrap();
 
     let mut cfg = SystemConfig::with_cpus(2);
-    cfg.speculative_prefetch = false;
+    cfg.prefetch_probability = 0.0;
     let mut sys = System::new(cfg);
     sys.load_program(0, &p0);
     sys.load_program(1, &p1);
@@ -257,7 +257,7 @@ fn nested_transactions_commit_only_at_outermost_tend() {
     let p1 = a1.assemble().unwrap();
 
     let mut cfg = SystemConfig::with_cpus(2);
-    cfg.speculative_prefetch = false;
+    cfg.prefetch_probability = 0.0;
     let mut sys = System::new(cfg);
     sys.load_program(0, &p0);
     sys.load_program(1, &p1);
