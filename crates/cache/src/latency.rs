@@ -86,7 +86,7 @@ impl LatencyModel {
         base + self.intervention
     }
 
-    /// Latency of a fetch served from `source`, as planned by the fabric,
+    /// Latency of a fetch served from `source`, as chosen by the fabric,
     /// seen by `requester`.
     pub fn fetch(&self, topology: &Topology, requester: crate::CpuId, source: Source) -> u64 {
         match source {

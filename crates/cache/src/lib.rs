@@ -39,7 +39,7 @@ mod store_cache;
 mod topology;
 mod xi;
 
-pub use fabric::{Fabric, FetchKind, FetchPlan, Source};
+pub use fabric::{Fabric, FetchKind, Source};
 pub use geometry::CacheGeometry;
 pub use latency::LatencyModel;
 pub use private::{AccessClass, CohState, InstallOutcome, LocalHit, PrivateCache, XiOutcome};

@@ -45,13 +45,17 @@ impl DrainWrite {
         self.valid.count_ones()
     }
 
-    /// Applies the valid bytes to the committed memory image.
+    /// Applies the valid bytes to the committed memory image, one store
+    /// per contiguous run of valid bytes.
     pub fn apply_to(&self, mem: &mut MainMemory) {
         let base = self.half_line.base();
-        for i in 0..HALF_LINE_SIZE as usize {
-            if self.valid >> i & 1 == 1 {
-                mem.store_bytes(base.add(i as u64), &self.data[i..=i]);
-            }
+        let mut valid = self.valid;
+        while valid != 0 {
+            let start = valid.trailing_zeros();
+            let end = start + (valid >> start).trailing_ones();
+            let run = start as usize..end as usize;
+            mem.store_bytes(base.add(u64::from(start)), &self.data[run]);
+            valid &= u128::MAX.checked_shl(end).unwrap_or(0);
         }
     }
 }
@@ -427,6 +431,36 @@ mod tests {
 
     fn addr(a: u64) -> Address {
         Address::new(a)
+    }
+
+    #[test]
+    fn drain_write_stores_only_its_valid_runs() {
+        let half_line = HalfLineAddr::new(0x21);
+        let base = half_line.base();
+        let before = Address::new(base.raw() - 8);
+        let data: [u8; HALF_LINE_SIZE as usize] = std::array::from_fn(|i| i as u8);
+        // Runs at both ends, a lone byte, a doubleword, the full granule and
+        // no byte at all.
+        let sparse = 0b1 | 0xFF << 8 | 1 << 40 | 0b111 << 61 | 0b11 << 126;
+        for valid in [sparse, u128::MAX, 0] {
+            let mut mem = MainMemory::new();
+            mem.store_bytes(before, &[0xEE; HALF_LINE_SIZE as usize + 16]);
+            let write = DrainWrite {
+                half_line,
+                data,
+                valid,
+            };
+            write.apply_to(&mut mem);
+            let mut got = [0u8; HALF_LINE_SIZE as usize + 16];
+            mem.load_bytes(before, &mut got);
+            let expected: Vec<u8> = (0..got.len())
+                .map(|i| match i.checked_sub(8) {
+                    Some(b) if b < HALF_LINE_SIZE as usize && valid >> b & 1 == 1 => b as u8,
+                    _ => 0xEE,
+                })
+                .collect();
+            assert_eq!(got[..], expected[..], "valid mask {valid:#x}");
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use ztm_cache::{CpuId, Fabric, FetchKind, SetAssoc, StoreCache, StoreOutcome, Topology, XiKind};
+use ztm_cache::{
+    CpuId, Fabric, FetchKind, LatencyModel, SetAssoc, StoreCache, StoreOutcome, Topology, XiKind,
+};
 use ztm_mem::{Address, LineAddr, MainMemory};
 
 /// One generated store: offset, 1–8 bytes, and whether it is an NTSTG.
@@ -264,41 +266,90 @@ proptest! {
         prop_assert_eq!(dir.len(), total);
     }
 
-    /// Fabric invariant: after any sequence of fetches with fully accepted
-    /// XIs, each line has either one exclusive owner and no sharers, or no
-    /// owner — and the owner is always the most recent exclusive requester.
+    /// Fabric invariants over random fetches on a tiny L3 (so grants
+    /// overflow it and send LRU XIs), each fetch XI stiff-armed at random:
+    /// - a fetch announces the owner first, then (for an exclusive fetch)
+    ///   the sharers in directory order, never the requester, and delivers
+    ///   a prefix of that list that ends at the first reject;
+    /// - after a reject nothing is granted and no LRU XI is sent: the
+    ///   directory only loses the targets that accepted, so the rejecting
+    ///   and the undelivered sharers stay, in order;
+    /// - after a grant a line has one exclusive owner and no sharers, or
+    ///   no owner; an exclusive requester owns it, a shared one holds it;
+    /// - LRU XIs go only to holders on the requester's chip, and those
+    ///   holders leave the victim line.
     #[test]
     fn fabric_ownership_invariants(
-        reqs in prop::collection::vec((0usize..6, 0u64..8, any::<bool>()), 1..80),
+        reqs in prop::collection::vec(
+            (0usize..12, 0u64..8, any::<bool>(), any::<u8>(), any::<u8>()),
+            1..80,
+        ),
     ) {
-        let mut fabric = Fabric::new(Topology::zec12(6));
-        let mut last_excl: HashMap<u64, usize> = HashMap::new();
-        for (cpu, line_idx, excl) in reqs {
-            let line = LineAddr::new(line_idx);
+        let topology = Topology::zec12(12);
+        let mut fabric = Fabric::new(topology.clone(), LatencyModel::zec12(), 8, Some((2, 2)));
+        for (cpu, line_idx, excl, r1, r2) in reqs {
+            // Bit k of the mask rejects the k-th fetch XI (about one in four).
+            let rejects = u32::from(r1 & r2);
+            let (me, line) = (CpuId(cpu), LineAddr::new(line_idx));
             let kind = if excl { FetchKind::Exclusive } else { FetchKind::Shared };
-            let plan = fabric.plan_fetch(CpuId(cpu), line, kind);
-            for (target, xikind) in plan.xis {
-                prop_assert_ne!(target, CpuId(cpu), "never XI yourself");
-                fabric.apply_xi_result(target, line, xikind, true);
-            }
-            let _ = fabric.grant(CpuId(cpu), line, kind);
-            if excl {
-                last_excl.insert(line_idx, cpu);
-            } else {
-                last_excl.remove(&line_idx);
-            }
             let (owner, sharers) = fabric.holders(line);
-            if let Some(o) = owner {
-                prop_assert!(sharers.is_empty(), "owner excludes sharers");
-                if excl {
-                    prop_assert_eq!(o, CpuId(cpu));
+            let sharers = sharers.to_vec();
+            let mut expected: Vec<(CpuId, XiKind)> = Vec::new();
+            if let Some(o) = owner.filter(|&o| o != me) {
+                expected.push((o, if excl { XiKind::Exclusive } else { XiKind::Demote }));
+            }
+            if excl {
+                expected.extend(sharers.iter().filter(|&&c| c != me).map(|&c| (c, XiKind::ReadOnly)));
+            }
+            let (mut sent, mut lru) = (Vec::new(), Vec::new());
+            let cycles = fabric.fetch(me, line, kind, 0, |to, xi, l, from| {
+                if from.is_none() {
+                    lru.push((to, xi, l));
+                    return true;
+                }
+                assert_eq!((from, l), (Some(me), line));
+                sent.push((to, xi));
+                rejects >> (sent.len() - 1) & 1 == 0
+            });
+            prop_assert!(sent.len() <= expected.len());
+            prop_assert_eq!(&sent[..], &expected[..sent.len()]);
+            let (now_owner, now_sharers) = fabric.holders(line);
+            match cycles {
+                None => {
+                    prop_assert!(!sent.is_empty());
+                    prop_assert!(rejects >> (sent.len() - 1) & 1 == 1, "stops at the reject");
+                    prop_assert!(lru.is_empty(), "a reject grants nothing");
+                    let accepted = &sent[..sent.len() - 1];
+                    let gone = |c: &CpuId| accepted.iter().any(|&(t, _)| t == *c);
+                    let kept: Vec<CpuId> = sharers.iter().copied().filter(|c| !gone(c)).collect();
+                    prop_assert_eq!(now_owner, owner.filter(|o| !gone(o)));
+                    prop_assert_eq!(now_sharers, &kept[..]);
+                }
+                Some(_) => {
+                    prop_assert_eq!(sent.len(), expected.len());
+                    prop_assert_eq!(rejects & ((1 << sent.len()) - 1), 0);
+                    if let Some(o) = now_owner {
+                        prop_assert!(now_sharers.is_empty(), "owner excludes sharers");
+                        if excl {
+                            prop_assert_eq!(o, me);
+                        }
+                    } else {
+                        prop_assert!(!excl);
+                    }
+                    prop_assert!(now_owner == Some(me) || now_sharers.contains(&me));
+                    let mut s = now_sharers.to_vec();
+                    s.sort();
+                    s.dedup();
+                    prop_assert_eq!(s.len(), now_sharers.len(), "no duplicate sharers");
+                    for &(to, xi, victim) in &lru {
+                        prop_assert_eq!(xi, XiKind::Lru);
+                        prop_assert_ne!(victim, line);
+                        prop_assert_eq!(topology.chip_of(to), topology.chip_of(me));
+                        let (o, s) = fabric.holders(victim);
+                        prop_assert!(o != Some(to) && !s.contains(&to), "LRU XI target left");
+                    }
                 }
             }
-            // No duplicate sharers.
-            let mut s = sharers.clone();
-            s.sort();
-            s.dedup();
-            prop_assert_eq!(s.len(), sharers.len());
         }
     }
 
@@ -315,7 +366,7 @@ proptest! {
     /// [`LatencyModel::min_cross_boundary_latency`] is a true lower bound:
     /// for *any* latency values, any topology, and any fetch whose data
     /// source sits beyond a shard boundary (another MCM, or another chip of
-    /// the same MCM when the machine is a single book), the planned fetch
+    /// the same MCM when the machine is a single book), the fetch
     /// cost is at least the advertised boundary minimum. This is the bound
     /// the sharded simulator's determinism argument cites: no cross-shard
     /// install can complete earlier than `access clock + this latency`.

@@ -20,11 +20,12 @@ pub struct SystemConfig {
     pub os: OsModel,
     /// Base RNG seed; each CPU derives its own stream from it.
     pub seed: u64,
-    /// Probability that a transactional load miss issues a next-line
-    /// prefetch, which occasionally marks that line tx-read (over-marking
-    /// from wrong-path loads, §III.C); `0.0` turns speculative fetching
-    /// off. The millicode retry ladder disables it per-CPU for struggling
-    /// constrained transactions (§III.E/§IV).
+    /// Probability that a transactional load, L1 and L2 hits included,
+    /// prefetches the next line; the prefetch fetches that line only if
+    /// this CPU's private cache does not hold it, and occasionally marks it
+    /// tx-read (over-marking from wrong-path loads, §III.C). `0.0` turns
+    /// speculative fetching off. The millicode retry ladder disables it
+    /// per-CPU for struggling constrained transactions (§III.E/§IV).
     pub prefetch_probability: f64,
     /// Probability that such a prefetch was a wrong-path speculative load
     /// and over-marks the line tx-read.

@@ -17,7 +17,7 @@ use rand::{RngCore, SeedableRng};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use view::{deliver_xi, View};
-use ztm_cache::{Fabric, PrivateCache, XiKind};
+use ztm_cache::{Fabric, PrivateCache};
 use ztm_core::{TxEngine, TxStats};
 use ztm_isa::{CpuCore, Op, Program, StepEvent, StepOutcome};
 use ztm_mem::{Address, LineAddr, MainMemory, PageTable};
@@ -179,8 +179,6 @@ pub struct System {
     /// has a program, else [`WinnerTree::IDLE`], so the root is the serial
     /// pick. A step refreshes only the stepped CPU's leaf.
     sched: WinnerTree,
-    /// Per-MCM fabric channel: the virtual time until which it is busy.
-    fabric_busy: Vec<u64>,
     /// CPUs whose steps are being traced.
     traced: Vec<bool>,
     /// Bounded execution trace (most recent [`TRACE_CAPACITY`] records).
@@ -389,10 +387,12 @@ impl System {
                 ahead: AheadLog::default(),
             })
             .collect();
-        let fabric = match config.l3_geometry {
-            Some((sets, ways)) => Fabric::with_l3_geometry(config.topology.clone(), sets, ways),
-            None => Fabric::new(config.topology.clone()),
-        };
+        let fabric = Fabric::new(
+            config.topology.clone(),
+            config.latency.clone(),
+            config.fabric_occupancy,
+            config.l3_geometry,
+        );
         System {
             fabric,
             mem: MainMemory::new(),
@@ -404,7 +404,6 @@ impl System {
             programs: vec![None; cpus],
             quiesce: None,
             sched: WinnerTree::new(cpus),
-            fabric_busy: vec![0; config.topology.mcm_count()],
             traced: vec![false; cpus],
             trace: std::collections::VecDeque::new(),
             tracer: Tracer::disabled(),
@@ -675,7 +674,6 @@ impl System {
             fabric: &mut self.fabric,
             mem: &mut self.mem,
             pages: &mut self.pages,
-            fabric_busy: &mut self.fabric_busy,
             config: &self.config,
         };
         // Set once a run-ahead step is logged; cleared when every log is.
@@ -918,14 +916,11 @@ impl System {
     /// §II.A requires isolation against I/O too) and updates committed
     /// memory.
     pub fn io_store(&mut self, addr: Address, value: u64) {
-        let line = addr.line();
-        let (owner, sharers) = self.fabric.holders(line);
-        let xis = owner.into_iter().map(|c| (c, XiKind::Exclusive));
-        let xis = xis.chain(sharers.into_iter().map(|c| (c, XiKind::ReadOnly)));
-        for (cpu, kind) in xis {
-            // I/O XIs carry no requester id and cannot be stiff-armed.
-            deliver_xi(&mut self.nodes, &mut self.fabric, cpu, kind, line, None);
-        }
+        let nodes = &mut self.nodes;
+        self.fabric
+            .invalidate(addr.line(), |cpu, kind, line, from| {
+                deliver_xi(nodes, cpu, kind, line, from)
+            });
         self.mem.store_u64(addr, value);
     }
 
@@ -961,9 +956,10 @@ impl System {
     /// cache, the XI-reject counters and their epoch, the L1-I directory,
     /// the i-fetch buffer, the issue window, the stall and STM counters, the
     /// last timer tick and the RNG (as one draw from a clone); then the
-    /// step count, the effective broadcast-stop holder, the fabric channels'
-    /// busy times, the coherence fabric (its maps in line order), memory
-    /// (lines in address order) and the page table.
+    /// step count, the effective broadcast-stop holder, the coherence
+    /// fabric (its directory in line order, the L3 directories and the MCM
+    /// channels' busy times), memory (lines in address order) and the page
+    /// table.
     ///
     /// It leaves out the configuration and the run switches (interpreter,
     /// sim threads, traced CPUs), which both sides of a differential choose;
@@ -985,7 +981,6 @@ impl System {
             programs,
             quiesce,
             sched: _,
-            fabric_busy,
             traced: _,
             trace: _,
             tracer: _,
@@ -1008,7 +1003,6 @@ impl System {
         }
         steps.hash(&mut h);
         quiesce.filter(|&q| cores[q].is_running()).hash(&mut h);
-        fabric_busy.hash(&mut h);
         fabric.hash(&mut h);
         mem.hash(&mut h);
         pages.hash(&mut h);

@@ -377,6 +377,68 @@ fn io_store_aborts_conflicting_transaction() {
 }
 
 #[test]
+fn io_store_invalidates_every_sharer_in_directory_order() {
+    // Three transactions read one line; the I/O store's read-only XIs reach
+    // all three, in the directory's order, and abort each of them.
+    let var = 0xC0_000u64;
+    let line = Address::new(var).line();
+    let mut a = Assembler::new(0);
+    a.tbegin(TbeginParams::new());
+    a.jnz("aborted");
+    a.label("spin");
+    a.lg(R3, MemOperand::absolute(var));
+    a.cghi(R3, 0);
+    a.jz("spin");
+    a.tend();
+    a.halt();
+    a.label("aborted");
+    a.lghi(R9, 1);
+    a.halt();
+    let p = a.assemble().unwrap();
+    let mut cfg = SystemConfig::with_cpus(3);
+    cfg.prefetch_probability = 0.0;
+    let mut sys = System::new(cfg);
+    let (tracer, recorder) = Tracer::recording(1 << 12);
+    sys.set_tracer(tracer);
+    sys.load_program_all(&p);
+    while sys.fabric.holders(line).1.len() < 3 {
+        sys.step_one();
+    }
+    let sharers = sys.fabric.holders(line).1.to_vec();
+    let (before, xis_before) = (
+        recorder.lock().unwrap().snapshot().len(),
+        sys.report().xi_counts,
+    );
+    sys.io_store(Address::new(var), 0xD1A0);
+    let accepted: Vec<_> = recorder.lock().unwrap().snapshot()[before..]
+        .iter()
+        .map(|e| match e.event {
+            Event::XiAccept {
+                line: l,
+                kind,
+                conflict,
+            } => {
+                assert_eq!(
+                    (l, kind, conflict),
+                    (line.index(), ztm_trace::xi_kind::READ_ONLY, true)
+                );
+                ztm_cache::CpuId(e.cpu as usize)
+            }
+            ref other => panic!("unexpected {other:?}"),
+        })
+        .collect();
+    assert_eq!(accepted, sharers);
+    assert_eq!(sys.fabric.holders(line), (None, &[][..]));
+    let xis = sys.report().xi_counts;
+    assert_eq!(xis[2], xis_before[2] + 3);
+    sys.run_until_halt(100_000);
+    for cpu in 0..3 {
+        assert_eq!(sys.core(cpu).gr(R9), 1, "CPU {cpu} aborted by I/O");
+        assert_eq!(sys.tx_stats(cpu).aborts_by_code.get(&9), Some(&1));
+    }
+}
+
+#[test]
 fn io_store_to_uncached_line_is_plain() {
     let mut sys = System::new(SystemConfig::with_cpus(2));
     sys.io_store(Address::new(0x123450), 7);

@@ -18,26 +18,25 @@ use ztm_trace::{Event, Tracer};
 
 /// Delivers one XI to `target`, whatever its source (a remote fetch from
 /// `from`, an L3 LRU eviction or I/O, §III.C): the target's cache accepts or
-/// stiff-arms it, the fabric records the response, and the footprint
-/// consequences go to the target's engine. Returns whether the XI was
-/// accepted. XIs with no requester (LRU and I/O) are not rejectable.
+/// stiff-arms it and the footprint consequences go to the target's engine.
+/// Returns whether the XI was accepted; the fabric records the response.
+/// XIs with no requester (LRU and I/O) are not rejectable.
 pub(super) fn deliver_xi(
     nodes: &mut [Node],
-    fabric: &mut Fabric,
     target: CpuId,
     kind: XiKind,
     line: LineAddr,
     from: Option<CpuId>,
 ) -> bool {
-    let out = nodes[target.0].cache.handle_xi(Xi { kind, line, from });
+    let node = &mut nodes[target.0];
+    let out = node.cache.handle_xi(Xi { kind, line, from });
     let accepted = out.response == XiResponse::Accept;
     debug_assert!(
         accepted || (from.is_some() && kind.rejectable()),
         "LRU and I/O XIs are not rejectable"
     );
-    fabric.apply_xi_result(target, line, kind, accepted);
     for ev in out.events {
-        nodes[target.0].engine.note_footprint_event(ev);
+        node.engine.note_footprint_event(ev);
     }
     accepted
 }
@@ -47,14 +46,13 @@ pub(super) fn deliver_xi(
 pub(super) struct View<'a> {
     pub(super) cpu: usize,
     /// The stepped CPU's local clock at instruction start (for fabric
-    /// bandwidth queueing).
+    /// channel queueing).
     pub(super) now: u64,
     pub(super) tracer: &'a Tracer,
     pub(super) nodes: &'a mut [Node],
     pub(super) fabric: &'a mut Fabric,
     pub(super) mem: &'a mut MainMemory,
     pub(super) pages: &'a mut PageTable,
-    pub(super) fabric_busy: &'a mut [u64],
     pub(super) config: &'a SystemConfig,
 }
 
@@ -67,25 +65,10 @@ impl View<'_> {
         &self.nodes[self.cpu]
     }
 
-    /// Reserves a slot on this CPU's MCM fabric channel for one line
-    /// transfer and returns the queueing delay incurred.
-    fn occupy_fabric(&mut self) -> u64 {
-        let busy = &mut self.fabric_busy[self.fabric.topology().mcm_of(CpuId(self.cpu)).0];
-        let start = self.now.max(*busy);
-        *busy = start + self.config.fabric_occupancy;
-        let queued = start - self.now;
-        self.tracer
-            .emit_at(self.cpu as u16, || Event::FabricOccupy { queued });
-        queued
-    }
-
-    /// Fetches `line` through the fabric into this CPU's private cache:
-    /// plans the fetch, delivers its XIs in plan order, grants the line,
-    /// delivers the LRU XIs of any L3 overflow the grant caused, occupies
-    /// the MCM channel and installs the line. Returns the transfer's cycles
-    /// (source latency plus channel queueing), or `None` when a target
-    /// stiff-armed: the remaining XIs are not delivered, nothing is granted,
-    /// and the caller retries the access or drops the prefetch.
+    /// Fetches `line` through the fabric's coherence transaction (see
+    /// [`Fabric::fetch`]) into this CPU's private cache. Returns the
+    /// transfer's cycles, or `None` when a target stiff-armed: the caller
+    /// retries the access or drops the prefetch.
     fn fetch_line(
         &mut self,
         line: LineAddr,
@@ -98,24 +81,14 @@ impl View<'_> {
         } else {
             (FetchKind::Shared, CohState::ReadOnly)
         };
-        let who = CpuId(self.cpu);
-        let plan = self.fabric.plan_fetch(who, line, kind);
-        for (target, xi) in plan.xis {
-            if !deliver_xi(self.nodes, self.fabric, target, xi, line, Some(who)) {
-                return None;
-            }
-        }
-        // The grant may overflow an L3 congruence class: the victim line
-        // leaves every private cache under that L3, aborting transactions
-        // whose footprint it carried (§III.A/§III.C).
-        for (target, victim) in self.fabric.grant(who, line, kind) {
-            deliver_xi(self.nodes, self.fabric, target, XiKind::Lru, victim, None);
-        }
-        let base = self
-            .config
-            .latency
-            .fetch(self.fabric.topology(), who, plan.source);
-        let cycles = base + self.occupy_fabric();
+        let nodes = &mut *self.nodes;
+        let cycles = self.fabric.fetch(
+            CpuId(self.cpu),
+            line,
+            kind,
+            self.now,
+            |target, xi, line, from| deliver_xi(nodes, target, xi, line, from),
+        )?;
         let out = self.me().cache.install(line, state, class, tx);
         self.absorb_install(out);
         Some(cycles)

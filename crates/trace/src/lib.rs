@@ -99,7 +99,8 @@ pub enum Event {
         /// The line carried transactional store data (L2 footprint).
         tx_dirty: bool,
     },
-    /// The fabric planned a cross-interrogate at a remote CPU.
+    /// The fabric announced a cross-interrogate at a remote CPU (every XI
+    /// of a fetch is announced before the first is delivered).
     XiIssue {
         /// Target CPU.
         to: u16,
